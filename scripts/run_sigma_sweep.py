@@ -7,8 +7,8 @@ import sys
 
 import numpy as np
 
-from wsp.benchmark import BENCHMARK_SEEDS, benchmark_dataset, probe_method, train_method
-from wsp.evaluation import DEFAULT_SWEEP_SIGMAS
+from wsp.benchmark import BENCHMARK_SEEDS, benchmark_dataset, benchmark_encoder, benchmark_optim
+from wsp.evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, sigma_sweep
 
 
 def main(argv=None) -> int:
@@ -20,15 +20,20 @@ def main(argv=None) -> int:
     sigmas = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
     seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
 
-    datasets = {seed: benchmark_dataset(seed) for seed in seeds}
-    rows = []
-    for sigma in sigmas:
-        per_seed = []
-        for seed in seeds:
-            ckpt = train_method(datasets[seed], "wsp", seed, sigma=sigma)
-            per_seed.append(probe_method(ckpt, datasets[seed], seed).mean_auc_patient)
-        rows.append((sigma, float(np.mean(per_seed)), float(np.std(per_seed))))
-        print(f"sigma={sigma}: AUC {rows[-1][1]:.3f} +- {rows[-1][2]:.3f}")
+    # The probe seed follows the training seed, so each seed is its own sweep.
+    per_seed = {sigma: [] for sigma in sigmas}
+    for seed in seeds:
+        for row in sigma_sweep(
+            benchmark_dataset(seed),
+            benchmark_encoder(seed),
+            benchmark_optim("wsp", seed),
+            ProbeConfig(seed=seed),
+            sigmas=sigmas,
+        ):
+            per_seed[row.sigma].append(row.auc_mean)
+    rows = [(sigma, float(np.mean(aucs)), float(np.std(aucs))) for sigma, aucs in per_seed.items()]
+    for sigma, mean, std in rows:
+        print(f"sigma={sigma}: AUC {mean:.3f} +- {std:.3f}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -6,15 +6,7 @@ from .autodiff import Tensor, backward, finite_diff_gradient
 from .data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from .encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
 from .evaluation import ProbeConfig, run_probe_protocol, sigma_sweep
-from .kernels import KernelConfig, composite_weight, dirac_weight, gaussian_weight
-from .losses import (
-    BatchMeta,
-    LossConfig,
-    depth_aware_loss,
-    infonce_loss,
-    supcon_loss,
-    wsp_loss,
-)
+from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec
 from .training import OptimConfig, cosine_lr, pretrain
 
@@ -34,16 +26,9 @@ __all__ = [
     "ProbeConfig",
     "run_probe_protocol",
     "sigma_sweep",
-    "KernelConfig",
-    "composite_weight",
-    "dirac_weight",
-    "gaussian_weight",
     "BatchMeta",
     "LossConfig",
-    "depth_aware_loss",
-    "infonce_loss",
-    "supcon_loss",
-    "wsp_loss",
+    "compute_loss",
     "AugmentConfig",
     "BatchSpec",
     "OptimConfig",

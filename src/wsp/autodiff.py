@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DomainError, ShapeError
+from .errors import ContractError, DegenerateInputError, ShapeError
 
 _uid_counter = itertools.count()
 
@@ -59,28 +59,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" op={self._op}" if self._op else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Convenience method forms of the module-level ops.
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
 
 def make_op(
@@ -142,9 +120,6 @@ class GradientMap:
         if g is None:
             return np.zeros_like(t.data)
         return g
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t.uid in self._grads
 
 
 def backward(scalar: Tensor) -> GradientMap:
@@ -217,11 +192,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return make_op(a.data + b.data, (a, b), lambda g: (g, g), "add")
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     return make_op(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
@@ -232,75 +202,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
-def neg(x: Tensor) -> Tensor:
-    return make_op(-x.data, (x,), lambda g: (-g,), "neg")
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return make_op(out, (x,), lambda g: (g * out,), "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise DomainError("log requires strictly positive values")
-    return make_op(np.log(x.data), (x,), lambda g: (g / x.data,), "log")
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return make_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
-
-
-def add_const(x: Tensor, c: float) -> Tensor:
-    return make_op(x.data + c, (x,), lambda g: (g,), "add_const")
 
 
 def mul_const(x: Tensor, c: float) -> Tensor:
     return make_op(x.data * c, (x,), lambda g: (g * c,), "mul_const")
 
 
-_ELEMENTWISE = {"exp": exp, "log": log, "relu": relu, "neg": neg}
-
-
-def elementwise(x: Tensor, kind: str, const: float | None = None) -> Tensor:
-    """Dispatch over the supported pointwise kinds."""
-    if kind in _ELEMENTWISE:
-        return _ELEMENTWISE[kind](x)
-    if kind == "add_const":
-        if const is None:
-            raise ContractError("add_const needs a constant")
-        return add_const(x, const)
-    if kind == "mul_const":
-        if const is None:
-            raise ContractError("mul_const needs a constant")
-        return mul_const(x, const)
-    raise ContractError(f"unknown elementwise kind {kind!r}")
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.data.dtype)
     return make_op(out, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),), "sum_all")
-
-
-def reduce_logsumexp(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable log-sum-exp along one axis."""
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-    axis = axis % nd
-    if x.shape[axis] == 0:
-        raise ShapeError("reduce_logsumexp over an empty axis")
-    m = x.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(x.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = np.squeeze(m + np.log(total), axis=axis)
-
-    def bwd(g):
-        soft = shifted / total
-        return (np.expand_dims(g, axis) * soft,)
-
-    return make_op(out, (x,), bwd, "logsumexp")
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -407,7 +320,7 @@ def finite_diff_gradient(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest elementwise deviation, relative to the gradient magnitude.
+    """Largest per-entry deviation, relative to the gradient magnitude.
 
     The denominator is floored at 1 so near-zero gradients are compared
     absolutely instead of amplifying finite-difference round-off.

@@ -24,7 +24,6 @@ from .data import (
     GeneratorConfig,
     central_view,
     generate_synthetic_dataset,
-    generator_config_from_json,
     load_dataset,
     save_dataset,
 )
@@ -44,6 +43,7 @@ from .errors import (
     NonFiniteError,
     ShapeError,
     WspError,
+    build_config,
 )
 from .evaluation import (
     DEFAULT_SWEEP_SIGMAS,
@@ -95,6 +95,9 @@ def load_run_config(path) -> dict:
     unknown = set(doc) - _RUN_CONFIG_TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
+    for key, kind in (("seed", int), ("output_dir", str)):
+        if key in doc and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
+            raise ConfigError(f"run-config {key!r} must be {kind.__name__}, got {doc[key]!r}")
     for section, allowed in _RUN_CONFIG_SECTIONS.items():
         body = doc.get(section)
         if body is None:
@@ -119,8 +122,6 @@ def _echo_config(primary_output: str, payload: dict) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -145,19 +146,6 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
     return path
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("WSP_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"WSP_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError("WSP_THREADS must be >= 1")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -176,8 +164,8 @@ def cmd_generate(args) -> int:
         body["height"], body["width"] = h, w
     if args.noise is not None:
         body["noise_rate"] = args.noise
-    cfg = generator_config_from_json(body)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    cfg = build_config(GeneratorConfig, body, ConfigError)
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     out = _resolve_out(doc, args.out)
     manifest, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(manifest, volumes, out)
@@ -194,35 +182,32 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"--size must look like 32x32, got {text!r}") from exc
 
 
-def _load_trimmed(data_dir: str, fraction: float):
-    manifest, volumes = load_dataset(data_dir)
-    return manifest, central_view(volumes, fraction)
+def _load_trimmed(args, doc: dict):
+    """The central-slice fraction (flag, then config, then default) and the volumes trimmed to it."""
+    fraction = args.fraction
+    if fraction is None:
+        fraction = _section(doc, "data").get("central_fraction", CENTRAL_FRACTION)
+    if type(fraction) not in (int, float) or not 0 < fraction <= 1:
+        raise ConfigError(f"central_fraction must be a number in (0, 1], got {fraction!r}")
+    _, volumes = load_dataset(args.data)
+    return float(fraction), central_view(volumes, fraction)
 
 
 def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
     body = _section(doc, "encoder")
-    if getattr(args, "arch", None):
+    if args.arch:
         body["arch"] = args.arch
-    arch = body.get("arch", "tiny_cnn")
     if "input_shape" not in body:
         h, w = volumes[0].slices[0].pixels.shape
-        body["input_shape"] = (1, h, w) if arch == "tiny_cnn" else (h * w,)
-    if "seed" not in body and getattr(args, "seed", None) is not None:
+        body["input_shape"] = (1, h, w) if body.get("arch", "tiny_cnn") == "tiny_cnn" else (h * w,)
+    if args.seed is not None:
         body["seed"] = args.seed
-    known = set(EncoderConfig.__dataclass_fields__)
-    bad = set(body) - known
-    if bad:
-        raise ConfigError(f"unknown encoder config keys: {sorted(bad)}")
-    for key in ("input_shape", "conv_channels", "conv_kernels", "conv_strides", "mlp_hidden"):
-        if key in body:
-            body[key] = tuple(body[key])
-    return EncoderConfig(**body)
+    return build_config(EncoderConfig, body, ConfigError)
 
 
 def cmd_pretrain(args) -> int:
     doc = load_run_config(args.config) if args.config else {}
-    fraction = float(_section(doc, "data").get("central_fraction", args.fraction))
-    _, volumes = _load_trimmed(args.data, fraction)
+    fraction, volumes = _load_trimmed(args, doc)
 
     loss_body = _section(doc, "loss")
     kind = _LOSS_FLAG_TO_KIND[args.loss] if args.loss else loss_body.get("loss_kind", "wsp")
@@ -233,7 +218,7 @@ def cmd_pretrain(args) -> int:
     if args.tau is not None:
         loss_body["tau"] = args.tau
     loss_body["loss_kind"] = kind
-    loss_cfg = LossConfig(**loss_body)
+    loss_cfg = build_config(LossConfig, loss_body, ConfigError)
 
     optim_body = _section(doc, "optim")
     for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr"), ("weight_decay", "weight_decay")):
@@ -242,15 +227,13 @@ def cmd_pretrain(args) -> int:
             optim_body[key] = value
     if args.seed is not None:
         optim_body["seed"] = args.seed
-    optim_cfg = OptimConfig(loss=loss_cfg, **optim_body)
+    optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
 
     enc_cfg = _encoder_config(doc, args, volumes)
     aug_body = _section(doc, "augment")
-    if "seed" not in aug_body:
+    if args.seed is not None or "seed" not in aug_body:
         aug_body["seed"] = optim_cfg.seed
-    if "crop_scale" in aug_body:
-        aug_body["crop_scale"] = tuple(aug_body["crop_scale"])
-    aug_cfg = AugmentConfig(**aug_body)
+    aug_cfg = build_config(AugmentConfig, aug_body, ConfigError)
 
     out = _resolve_out(doc, args.out)
     try:
@@ -290,15 +273,14 @@ def _resolve_checkpoint(args, doc, volumes) -> EncoderCheckpoint:
 
 def cmd_probe(args) -> int:
     doc = load_run_config(args.config) if args.config else {}
-    fraction = float(_section(doc, "data").get("central_fraction", args.fraction))
-    _, volumes = _load_trimmed(args.data, fraction)
+    fraction, volumes = _load_trimmed(args, doc)
     ckpt = _resolve_checkpoint(args, doc, volumes)
     probe_body = _section(doc, "probe")
     if args.folds is not None:
         probe_body["folds"] = args.folds
-    if args.seed is not None and "seed" not in probe_body:
+    if args.seed is not None:
         probe_body["seed"] = args.seed
-    probe_cfg = ProbeConfig(**probe_body)
+    probe_cfg = build_config(ProbeConfig, probe_body, ConfigError)
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
     out = _resolve_out(doc, args.out)
@@ -322,8 +304,7 @@ def cmd_probe(args) -> int:
 
 def cmd_project(args) -> int:
     doc = load_run_config(args.config) if args.config else {}
-    fraction = float(_section(doc, "data").get("central_fraction", args.fraction))
-    _, volumes = _load_trimmed(args.data, fraction)
+    fraction, volumes = _load_trimmed(args, doc)
     ckpt = _resolve_checkpoint(args, doc, volumes)
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr, modes=2)
@@ -366,8 +347,7 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise ConfigError("--sigmas must not be empty")
     seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
-    fraction = float(_section(doc, "data").get("central_fraction", args.fraction))
-    _, volumes = _load_trimmed(args.data, fraction)
+    fraction, volumes = _load_trimmed(args, doc)
     enc_cfg = _encoder_config(doc, args, volumes)
     optim_body = _section(doc, "optim")
     for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr")):
@@ -380,8 +360,9 @@ def cmd_sweep(args) -> int:
     loss_body["loss_kind"] = "wsp"
     if args.tau is not None:
         loss_body["tau"] = args.tau
-    optim_cfg = OptimConfig(loss=LossConfig(**loss_body), **optim_body)
-    probe_cfg = ProbeConfig(**_section(doc, "probe"))
+    loss_cfg = build_config(LossConfig, loss_body, ConfigError)
+    optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
+    probe_cfg = build_config(ProbeConfig, _section(doc, "probe"), ConfigError)
     rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds)
     out = _resolve_out(doc, args.out)
     write_sweep_csv(out, rows)
@@ -483,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--lr", type=float, default=None, help="peak learning rate (default 1e-4)")
     pre.add_argument("--weight-decay", dest="weight_decay", type=float, default=None, help="decoupled weight decay (default 1e-4)")
     pre.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="encoder architecture (default tiny_cnn)")
-    pre.add_argument("--fraction", type=float, default=CENTRAL_FRACTION, help="central-slice fraction (default 0.7)")
+    pre.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
     pre.add_argument("--out", required=True, help="checkpoint output path")
     pre.add_argument("--seed", type=int, default=None, help="training seed (default 0)")
     pre.add_argument("--config", default=None, help="run-config JSON; flags override")
@@ -494,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--ckpt", required=True, help="checkpoint path, or 'random' for an untrained encoder")
     probe.add_argument("--folds", type=int, default=None, help="cross-validation folds (default 5)")
     probe.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="architecture for --ckpt random")
-    probe.add_argument("--fraction", type=float, default=CENTRAL_FRACTION, help="central-slice fraction (default 0.7)")
+    probe.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
     probe.add_argument("--out", required=True, help="metrics CSV output path")
     probe.add_argument("--seed", type=int, default=None, help="fold/init seed (default 0)")
     probe.add_argument("--config", default=None, help="run-config JSON; flags override")
@@ -504,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--data", required=True, help="dataset directory")
     proj.add_argument("--ckpt", required=True, help="checkpoint path, or 'random'")
     proj.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="architecture for --ckpt random")
-    proj.add_argument("--fraction", type=float, default=CENTRAL_FRACTION, help="central-slice fraction (default 0.7)")
+    proj.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
     proj.add_argument("--out", required=True, help="PCA CSV output path")
     proj.add_argument("--svg", default=None, help="optional scatter SVG output path")
     proj.add_argument("--embeddings", default=None, help="optional raw-representation CSV output path")
@@ -525,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lr", type=float, default=None, help="peak learning rate (default 1e-4)")
     sweep.add_argument("--tau", type=float, default=None, help="similarity temperature (default 0.1)")
     sweep.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="encoder architecture")
-    sweep.add_argument("--fraction", type=float, default=CENTRAL_FRACTION, help="central-slice fraction (default 0.7)")
+    sweep.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
     sweep.add_argument("--out", required=True, help="sweep CSV output path")
     sweep.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     sweep.add_argument("--config", default=None, help="run-config JSON; flags override")
@@ -538,7 +519,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validated once; execution is currently single-threaded
         if getattr(args, "volumes", None) is not None and args.volumes < 1:
             raise ConfigError("--volumes must be >= 1")
         return args.func(args)

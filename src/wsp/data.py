@@ -253,29 +253,9 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
             }
             for v in volumes
         ],
-        generator={"config": _generator_config_to_json(cfg), "seed": seed, "latent_severity": severities},
+        generator={"config": asdict(cfg), "seed": seed, "latent_severity": severities},
     )
     return manifest, volumes
-
-
-def _generator_config_to_json(cfg: GeneratorConfig) -> dict:
-    doc = asdict(cfg)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = list(value)
-    return doc
-
-
-def generator_config_from_json(doc: dict) -> GeneratorConfig:
-    known = set(GeneratorConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    for key in ("class_priors", "contour_amplitudes", "lobes"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return GeneratorConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +350,10 @@ def load_dataset(path):
         if vid in seen:
             raise FormatError(f"duplicate volume id {vid!r} in manifest")
         seen.add(vid)
+        for key in ("v_max", "y_weak", "y_strong"):
+            value = record[key]
+            if type(value) is not int and not (key == "y_strong" and value is None):
+                raise FormatError(f"volume {vid}: {key} must be an integer, got {value!r}")
         vol_path = os.path.join(base, record["file"])
         if not os.path.exists(vol_path):
             raise FormatError(f"manifest references missing file: {record['file']}")
@@ -382,8 +366,8 @@ def load_dataset(path):
                 patient_id=record["patient_id"],
                 v_max=v_max,
                 slices=slices,
-                y_weak=int(record["y_weak"]),
-                y_strong=None if record["y_strong"] is None else int(record["y_strong"]),
+                y_weak=record["y_weak"],
+                y_strong=record["y_strong"],
                 latent_severity=severities.get(vid),
             )
         )

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, build_config
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -217,7 +217,7 @@ class EncoderCheckpoint:
 
 def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
     meta = {
-        "config": _config_to_json(ckpt.config),
+        "config": asdict(ckpt.config),
         "loss_kind": ckpt.loss_kind,
         "loss_sigma": ckpt.loss_sigma,
         "step": ckpt.step,
@@ -261,7 +261,7 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         meta = json.loads(take(blob_len, "config").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint config: {exc}", offset=10) from exc
-    cfg = _config_from_json(meta.get("config", {}))
+    cfg = build_config(EncoderConfig, meta.get("config", {}), FormatError)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(cfg).items():
         (rank,) = struct.unpack("<B", take(1, f"{name} rank"))
@@ -281,26 +281,3 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         loss_kind=meta.get("loss_kind", "none"),
         loss_sigma=None if sigma is None else float(sigma),
     )
-
-
-def _config_to_json(cfg: EncoderConfig) -> dict:
-    doc = asdict(cfg)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = list(value)
-    return doc
-
-
-def _config_from_json(doc: dict) -> EncoderConfig:
-    known = set(EncoderConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise FormatError(f"unknown encoder config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    for key in ("input_shape", "conv_channels", "conv_kernels", "conv_strides", "mlp_hidden"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return EncoderConfig(**kwargs)
-    except ConfigError as exc:
-        raise FormatError(f"invalid encoder config in checkpoint: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the JSON config builder that maps bad values onto it."""
 
 
 class WspError(Exception):
@@ -42,3 +42,18 @@ class NonFiniteError(WspError):
 class FallbackRequired(WspError):
     """Strict one-slice-per-patient sampling is infeasible for this cohort;
     the caller should switch to the balanced fallback sampler."""
+
+
+def build_config(cls, body: dict, error: type[WspError]):
+    """Construct the config dataclass ``cls`` from a parsed JSON object.
+
+    Unknown keys, and values that ``cls`` rejects (including wrong types,
+    which surface as TypeError or ValueError), are raised as ``error``.
+    """
+    unknown = set(body) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    try:
+        return cls(**body)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise error(f"invalid {cls.__name__}: {exc}") from exc

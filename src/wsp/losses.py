@@ -112,13 +112,6 @@ def similarity_matrix(z: Tensor, tau: float) -> Tensor:
     return ad.mul_const(ad.matmul(z, ad.transpose(z)), 1.0 / tau)
 
 
-def positive_set(meta: BatchMeta, t: int) -> set[int]:
-    """Indices of other views sharing the anchor's weak label. May be empty."""
-    if not 0 <= t < len(meta):
-        raise ContractError(f"anchor index {t} out of range for batch of {len(meta)}")
-    return {i for i in range(len(meta)) if i != t and meta.y[i] == meta.y[t]}
-
-
 def _sibling_index(meta: BatchMeta) -> np.ndarray:
     """For each view, the unique other view of the same slice."""
     groups: dict = {}
@@ -135,7 +128,7 @@ def _sibling_index(meta: BatchMeta) -> np.ndarray:
     return sib
 
 
-def _pairwise_excluded_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
+def pairwise_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
     """L[t, i] = logsumexp_j S[t, j] over j != i (and j != t when requested)."""
     m = s.shape[0]
     if m < (3 if exclude_anchor else 2):
@@ -158,90 +151,63 @@ def _pairwise_excluded_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
     return ad.make_op(out, (s,), bwd, "pairwise_logsumexp")
 
 
-def _normalized_weights(meta: BatchMeta, cfg: LossConfig, kind: str) -> np.ndarray:
-    """Per-anchor weight rows, each summing to 1; skipped anchors are all-zero."""
+def pair_weights(meta: BatchMeta, cfg: LossConfig) -> np.ndarray:
+    """Raw m x m kernel for ``cfg.loss_kind``; row t weighs anchor t's positives.
+
+    wsp gates on equal weak labels and weighs by a Gaussian in depth; supcon
+    keeps the gate with unit weights, depth_aware keeps the Gaussian without
+    the gate, and infonce puts a single unit weight on the sibling view. The
+    diagonal is always zero.
+    """
     m = len(meta)
-    not_self = ~np.eye(m, dtype=bool)
-    if kind == "infonce":
-        sib = _sibling_index(meta)
+    if cfg.loss_kind == "infonce":
         raw = np.zeros((m, m))
-        raw[np.arange(m), sib] = 1.0
-    else:
-        if kind == "depth_aware":
-            eligible = not_self
-        else:  # wsp, supcon share the label-gated positive set
-            eligible = (meta.y[:, None] == meta.y[None, :]) & not_self
-        if kind == "supcon":
-            raw = eligible.astype(np.float64)
-        else:
-            diff = meta.d[:, None] - meta.d[None, :]
-            gauss = np.exp(-(diff * diff) / (2.0 * cfg.sigma * cfg.sigma))
-            raw = np.where(eligible, gauss, 0.0)
+        raw[np.arange(m), _sibling_index(meta)] = 1.0
+        return raw
+    not_self = ~np.eye(m, dtype=bool)
+    if cfg.loss_kind == "depth_aware":
+        eligible = not_self
+    else:  # wsp, supcon share the label-gated positive set
+        eligible = (meta.y[:, None] == meta.y[None, :]) & not_self
+    if cfg.loss_kind == "supcon":
+        return eligible.astype(np.float64)
+    diff = meta.d[:, None] - meta.d[None, :]
+    gauss = np.exp(-(diff * diff) / (2.0 * cfg.sigma * cfg.sigma))
+    return np.where(eligible, gauss, 0.0)
+
+
+def normalize_rows(raw: np.ndarray) -> np.ndarray:
+    """Scale each row to sum to 1; rows with no positive mass (skipped anchors) become all-zero."""
     totals = raw.sum(axis=1, keepdims=True)
     contributing = totals[:, 0] > 0.0
     safe = np.where(totals > 0.0, totals, 1.0)
     return np.where(contributing[:, None], raw / safe, 0.0)
 
 
-def _kernel_loss_from_similarity(s: Tensor, meta: BatchMeta, cfg: LossConfig, kind: str) -> Tensor:
+def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
+    """The ``cfg.loss_kind`` loss on a precomputed similarity matrix S = z z^T / tau."""
     m = len(meta)
     if s.data.ndim != 2 or s.shape != (m, m):
         raise ContractError(f"similarity matrix shape {s.shape} does not match batch of {m}")
     if m < 2:
         raise ContractError(f"need at least two views, got {m}")
-    weights = _normalized_weights(meta, cfg, kind)
+    weights = normalize_rows(pair_weights(meta, cfg))
     if cfg.denominator_convention == "exclude_anchor" and m == 2:
         # Both pairs have an empty competitor set: every anchor is skipped.
         return Tensor(np.zeros(()))
     n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0))
     if n_anchors == 0:
         return Tensor(np.zeros(()))
-    lse = _pairwise_excluded_logsumexp(s, cfg.denominator_convention == "exclude_anchor")
+    lse = pairwise_logsumexp(s, cfg.denominator_convention == "exclude_anchor")
     per_pair = ad.mul(Tensor(weights), ad.sub(s, lse))
     return ad.mul_const(ad.sum_all(per_pair), -1.0 / n_anchors)
 
 
-def loss_from_similarity(s: Tensor, meta: BatchMeta, cfg: LossConfig, kind: str | None = None) -> Tensor:
-    """Evaluate a loss directly on a precomputed similarity matrix."""
-    kind = cfg.loss_kind if kind is None else kind
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {kind!r}")
-    return _kernel_loss_from_similarity(s, meta, cfg, kind)
-
-
-def _loss(z: Tensor, meta: BatchMeta, cfg: LossConfig, kind: str) -> Tensor:
+def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
+    """The ``cfg.loss_kind`` loss on unit-norm embeddings, one row per view."""
     if z.data.ndim != 2 or z.shape[0] != len(meta):
         raise ContractError(f"embeddings {z.shape} do not match batch of {len(meta)}")
-    return _kernel_loss_from_similarity(similarity_matrix(z, cfg.tau), meta, cfg, kind)
-
-
-def wsp_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    return _loss(z, meta, cfg, "wsp")
-
-
-def supcon_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    return _loss(z, meta, cfg, "supcon")
-
-
-def depth_aware_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    return _loss(z, meta, cfg, "depth_aware")
-
-
-def infonce_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    return _loss(z, meta, cfg, "infonce")
-
-
-LOSS_FUNCTIONS = {
-    "wsp": wsp_loss,
-    "supcon": supcon_loss,
-    "depth_aware": depth_aware_loss,
-    "infonce": infonce_loss,
-}
-
-
-def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    """Dispatch on ``cfg.loss_kind``."""
-    return _loss(z, meta, cfg, cfg.loss_kind)
+    return similarity_loss(similarity_matrix(z, cfg.tau), meta, cfg)
 
 
 def random_batch(rng, max_views: int = 8, max_dim: int = 16):
@@ -281,7 +247,7 @@ def gradient_check(
             x, meta = random_batch(rng)
 
             def f(t: Tensor) -> Tensor:
-                return LOSS_FUNCTIONS[kind](ad.l2_normalize(t), meta, cfg)
+                return compute_loss(ad.l2_normalize(t), meta, cfg)
 
             leaf = Tensor(x, requires_grad=True)
             ad.backward(f(leaf))

@@ -7,6 +7,7 @@ and shared across criteria.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from wsp.benchmark import (
     BENCHMARK_SEEDS,
     BENCHMARK_SIGMA,
     benchmark_dataset,
+    benchmark_encoder,
+    benchmark_optim,
     probe_method,
     run_benchmark,
     train_method,
@@ -29,14 +32,14 @@ from wsp.evaluation import (
     extract_representations,
     pca_project,
     probe_representations,
+    sigma_sweep,
     stratified_kfold,
 )
-from wsp.kernels import gaussian_weight, normalize_over_positives
-from wsp.losses import LOSS_FUNCTIONS, LossConfig, gradient_check, wsp_loss
+from wsp.losses import LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
 from wsp.sampling import BatchSpec, epoch_batches, sample_batch
 from wsp.training import cosine_lr
 
-from oracles import brute_force_auc, naive_kernel_loss, paired_random_batch
+from oracles import brute_force_auc, make_meta, naive_kernel_loss, paired_random_batch
 
 
 def ok(criterion: int, message: str) -> None:
@@ -52,18 +55,19 @@ def bench():
 def sweep_results(bench):
     """Mean patient AUC per sigma over the benchmark seeds (sigma 0.1 reuses
     the benchmark's wsp runs)."""
-    table = {}
-    for sigma in DEFAULT_SWEEP_SIGMAS:
-        per_seed = []
-        for seed in BENCHMARK_SEEDS:
-            if sigma == BENCHMARK_SIGMA:
-                per_seed.append(bench["auc"]["wsp"][seed])
-            else:
-                volumes = bench["volumes"][seed]
-                ckpt = train_method(volumes, "wsp", seed, sigma=sigma)
-                per_seed.append(probe_method(ckpt, volumes, seed).mean_auc_patient)
-        table[sigma] = float(np.mean(per_seed))
-    return table
+    per_seed = {BENCHMARK_SIGMA: [bench["auc"]["wsp"][seed] for seed in BENCHMARK_SEEDS]}
+    sigmas = [sigma for sigma in DEFAULT_SWEEP_SIGMAS if sigma != BENCHMARK_SIGMA]
+    for seed in BENCHMARK_SEEDS:
+        rows = sigma_sweep(
+            bench["volumes"][seed],
+            benchmark_encoder(seed),
+            benchmark_optim("wsp", seed),
+            ProbeConfig(seed=seed),
+            sigmas=sigmas,
+        )
+        for row in rows:
+            per_seed.setdefault(row.sigma, []).append(row.auc_mean)
+    return {sigma: float(np.mean(aucs)) for sigma, aucs in per_seed.items()}
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,9 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_reduction_identities():
+    def loss(kind, z, meta, cfg):
+        return compute_loss(z, meta, replace(cfg, loss_kind=kind)).item()
+
     rng = np.random.default_rng(2)
     worst = {"supcon": 0.0, "depth": 0.0, "infonce": 0.0, "sigma_limit": 0.0}
     for _ in range(50):
@@ -102,25 +109,25 @@ def test_criterion_02_reduction_identities():
 
         equal_d = meta.take(range(len(meta)))
         equal_d.d[:] = 0.5
-        a = LOSS_FUNCTIONS["wsp"](zt, equal_d, cfg).item()
-        b = LOSS_FUNCTIONS["supcon"](zt, equal_d, cfg).item()
+        a = loss("wsp", zt, equal_d, cfg)
+        b = loss("supcon", zt, equal_d, cfg)
         worst["supcon"] = max(worst["supcon"], abs(a - b))
 
         equal_y = meta.take(range(len(meta)))
         equal_y.y[:] = 3
-        a = LOSS_FUNCTIONS["wsp"](zt, equal_y, cfg).item()
-        b = LOSS_FUNCTIONS["depth_aware"](zt, equal_y, cfg).item()
+        a = loss("wsp", zt, equal_y, cfg)
+        b = loss("depth_aware", zt, equal_y, cfg)
         worst["depth"] = max(worst["depth"], abs(a - b))
 
         unique = meta.take(range(len(meta)))
         unique.y[:] = np.repeat(np.arange(len(meta) // 2), 2)
-        a = LOSS_FUNCTIONS["wsp"](zt, unique, cfg).item()
-        b = LOSS_FUNCTIONS["infonce"](zt, unique, cfg).item()
+        a = loss("wsp", zt, unique, cfg)
+        b = loss("infonce", zt, unique, cfg)
         worst["infonce"] = max(worst["infonce"], abs(a - b))
 
         wide = LossConfig(tau=0.4, sigma=1e6)
-        a = LOSS_FUNCTIONS["wsp"](zt, meta, wide).item()
-        b = LOSS_FUNCTIONS["supcon"](zt, meta, wide).item()
+        a = loss("wsp", zt, meta, wide)
+        b = loss("supcon", zt, meta, wide)
         worst["sigma_limit"] = max(worst["sigma_limit"], abs(a - b))
 
     assert worst["supcon"] < 1e-9
@@ -138,7 +145,7 @@ def test_criterion_03_oracle_equivalence():
         for _ in range(25):
             z, meta = paired_random_batch(rng, n_slices=int(rng.integers(2, 7)), dim=10)
             cfg = LossConfig(tau=0.3, sigma=0.12, denominator_convention=convention)
-            fast = wsp_loss(Tensor(z), meta, cfg).item()
+            fast = compute_loss(Tensor(z), meta, cfg).item()
             slow = naive_kernel_loss(
                 z, meta.y, meta.d, meta.slice_ids, cfg.tau, cfg.sigma, "wsp", convention
             )
@@ -151,15 +158,16 @@ def test_criterion_04_kernel_algebra():
     rng = np.random.default_rng(4)
     for _ in range(200):
         size = int(rng.integers(1, 9))
-        weights = {i: float(rng.uniform(1e-6, 10.0)) for i in range(size)}
-        normalized = normalize_over_positives(weights)
-        assert abs(sum(normalized.values()) - 1.0) <= 1e-12
+        weights = np.array([[float(rng.uniform(1e-6, 10.0)) for _ in range(size)]])
+        normalized = normalize_rows(weights)
+        assert abs(normalized.sum() - 1.0) <= 1e-12
         scale = float(rng.uniform(1e-6, 1e6))
-        rescaled = normalize_over_positives({k: v * scale for k, v in weights.items()})
-        for key in weights:
-            assert abs(rescaled[key] - normalized[key]) <= 1e-12
+        rescaled = normalize_rows(weights * scale)
+        assert np.abs(rescaled - normalized).max() <= 1e-12
     grid = np.linspace(0.0, 1.0, 100)
-    values = [gaussian_weight(0.0, float(d), 0.1) for d in grid]
+    # Anchor 0 at depth 0 against one same-label view per grid depth.
+    meta = make_meta(y=[0] * 101, d=[0.0, *grid])
+    values = pair_weights(meta, LossConfig(sigma=0.1))[0, 1:]
     assert all(b < a for a, b in zip(values, values[1:]))
     ok(4, "normalization sums, scale invariance (1e-12) and 100-point monotonicity hold")
 

@@ -286,6 +286,45 @@ class TestParser:
         assert (base / "enc.ckpt").exists()
         assert (base / "enc.ckpt.loss.csv").exists()
 
-    def test_wsp_threads_validated(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("WSP_THREADS", "zero")
-        assert run(["gradcheck", "--seed", "0"]) == 2
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"loss": {"tau": "abc"}},
+            {"seed": "abc"},
+            {"encoder": {"input_shape": 5}},
+            {"augment": {"crop_scale": 0.5}},
+            {"data": {"central_fraction": "abc"}},
+            {"data": {"central_fraction": 2.0}},
+        ],
+        ids=["loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range"],
+    )
+    def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code = run(
+            ["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_flags_override_config(self, dataset_dir, checkpoint, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "data": {"central_fraction": 0.5},
+            "encoder": {"seed": 3},
+            "augment": {"seed": 3},
+            "optim": {"epochs": 1, "batch_size": 4},
+            "probe": {"seed": 3},
+        }))
+        ckpt = tmp_path / "c.ckpt"
+        flags = ["--config", str(cfg), "--seed", "5", "--fraction", "1.0"]
+        assert run(["pretrain", "--data", str(dataset_dir), "--out", str(ckpt), *flags]) == 0
+        echo = json.loads((tmp_path / "c.ckpt.config.json").read_text())
+        assert echo["encoder"]["seed"] == echo["augment"]["seed"] == echo["optim"]["seed"] == 5
+        assert echo["central_fraction"] == 1.0
+        metrics = tmp_path / "m.csv"
+        assert run(["probe", "--data", str(dataset_dir), "--ckpt", str(checkpoint), "--folds", "3",
+                    "--out", str(metrics), *flags]) == 0
+        echo = json.loads((tmp_path / "m.csv.config.json").read_text())
+        assert echo["probe"]["seed"] == 5
+        assert echo["central_fraction"] == 1.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wsp.cli import main
 from wsp.data import (
     GeneratorConfig,
     Slice,
@@ -219,6 +220,20 @@ class TestDiskFormat:
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="duplicate"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("y_weak", "x"), ("y_weak", 1.5), ("y_strong", "1"), ("v_max", None), ("v_max", True)]
+    )
+    def test_non_integer_manifest_field_rejected(self, tmp_path, key, value):
+        cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2)
+        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(manifest, volumes, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["volumes"][1][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=key):
+            load_dataset(tmp_path)
+        assert main(["pretrain", "--data", str(tmp_path), "--out", str(tmp_path / "c.ckpt")]) == 3
 
     def test_volume_invariants_enforced(self):
         with pytest.raises(ContractError):

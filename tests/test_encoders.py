@@ -12,7 +12,7 @@ from wsp.encoders import (
     save_checkpoint,
 )
 from wsp.errors import ConfigError, FormatError, ShapeError
-from wsp.losses import LossConfig, wsp_loss
+from wsp.losses import LossConfig, compute_loss
 
 from oracles import make_meta
 
@@ -105,7 +105,7 @@ class TestForward:
         x = rng.uniform(-1, 1, (4, 12))
 
         def f(t):
-            return wsp_loss(enc.project(enc.encode(t)), meta, cfg)
+            return compute_loss(enc.project(enc.encode(t)), meta, cfg)
 
         leaf = Tensor(x, requires_grad=True)
         ad.backward(f(leaf))
@@ -124,7 +124,7 @@ class TestForward:
         x = Tensor(rng.uniform(-1, 1, (4, 12)))
         name = "fc1_w"
 
-        loss = wsp_loss(enc.project(enc.encode(x)), meta, cfg)
+        loss = compute_loss(enc.project(enc.encode(x)), meta, cfg)
         grads = ad.backward(loss)
         analytic = grads.wrt(enc.params[name])
 
@@ -133,7 +133,7 @@ class TestForward:
         def f(t):
             enc.params[name].data = t.data
             try:
-                return wsp_loss(enc.project(enc.encode(x)), meta, cfg)
+                return compute_loss(enc.project(enc.encode(x)), meta, cfg)
             finally:
                 enc.params[name].data = base
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,18 @@ from wsp.losses import (
     BatchMeta,
     LossConfig,
     compute_loss,
-    depth_aware_loss,
     gradient_check,
-    infonce_loss,
-    loss_from_similarity,
-    positive_set,
+    pair_weights,
+    similarity_loss,
     similarity_matrix,
-    supcon_loss,
-    wsp_loss,
 )
 
 from oracles import make_meta, naive_kernel_loss, paired_random_batch
+
+
+def loss(kind, z, meta, cfg):
+    """compute_loss with the config's loss_kind set to ``kind``."""
+    return compute_loss(z, meta, replace(cfg, loss_kind=kind))
 
 
 def oracle(z, meta, cfg, kind):
@@ -82,17 +84,16 @@ class TestSimilarityMatrix:
 
 class TestPositiveSet:
     def test_examples(self):
-        meta = make_meta(y=[0, 0, 1], d=[0.1, 0.2, 0.3])
-        assert positive_set(meta, 0) == {1}
-        meta2 = make_meta(y=[0, 1, 2], d=[0.1, 0.2, 0.3])
-        assert positive_set(meta2, 0) == set()
-        meta3 = make_meta(y=[4, 4, 4, 4], d=[0.1, 0.2, 0.3, 0.4])
-        assert positive_set(meta3, 2) == {0, 1, 3}
+        # The label-gated positive set is the support of the supcon pair kernel.
+        def positives(meta, t):
+            return set(np.flatnonzero(pair_weights(meta, LossConfig(loss_kind="supcon"))[t]).tolist())
 
-    def test_index_checked(self):
-        meta = make_meta(y=[0, 0], d=[0.1, 0.2])
-        with pytest.raises(ContractError):
-            positive_set(meta, 2)
+        meta = make_meta(y=[0, 0, 1], d=[0.1, 0.2, 0.3])
+        assert positives(meta, 0) == {1}
+        meta2 = make_meta(y=[0, 1, 2], d=[0.1, 0.2, 0.3])
+        assert positives(meta2, 0) == set()
+        meta3 = make_meta(y=[4, 4, 4, 4], d=[0.1, 0.2, 0.3, 0.4])
+        assert positives(meta3, 2) == {0, 1, 3}
 
 
 def four_view_meta(d=(0.5, 0.5, 0.5, 0.5)):
@@ -109,7 +110,7 @@ class TestWspLoss:
         z = np.eye(4)
         meta = four_view_meta()
         cfg = LossConfig(tau=1.0, sigma=0.1)
-        value = wsp_loss(Tensor(z), meta, cfg).item()
+        value = loss("wsp", Tensor(z), meta, cfg).item()
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
         assert value == pytest.approx(oracle(z, meta, cfg, "wsp"), abs=1e-12)
 
@@ -117,7 +118,7 @@ class TestWspLoss:
         z = np.eye(4)
         meta = four_view_meta()
         cfg = LossConfig(tau=1.0, sigma=0.1, denominator_convention="literal_paper")
-        value = wsp_loss(Tensor(z), meta, cfg).item()
+        value = loss("wsp", Tensor(z), meta, cfg).item()
         # Denominator now includes s_tt = 1: -log(e^0 / (e + 2)).
         assert value == pytest.approx(math.log(math.e + 2.0), abs=1e-12)
         assert value == pytest.approx(oracle(z, meta, cfg, "wsp"), abs=1e-12)
@@ -128,8 +129,8 @@ class TestWspLoss:
             meta = make_meta(y=meta.y, d=[0.4] * len(meta), slice_ids=meta.slice_ids,
                              patient_ids=meta.patient_ids)
             cfg = LossConfig(tau=0.3, sigma=0.1)
-            a = wsp_loss(Tensor(z), meta, cfg).item()
-            b = supcon_loss(Tensor(z), meta, cfg).item()
+            a = loss("wsp", Tensor(z), meta, cfg).item()
+            b = loss("supcon", Tensor(z), meta, cfg).item()
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_unique_labels_reduce_to_infonce(self, rng):
@@ -141,8 +142,8 @@ class TestWspLoss:
                 slice_ids=meta.slice_ids, patient_ids=meta.patient_ids,
             )
             cfg = LossConfig(tau=0.5, sigma=0.2)
-            assert wsp_loss(Tensor(z), meta, cfg).item() == pytest.approx(
-                infonce_loss(Tensor(z), meta, cfg).item(), abs=1e-9
+            assert loss("wsp", Tensor(z), meta, cfg).item() == pytest.approx(
+                loss("infonce", Tensor(z), meta, cfg).item(), abs=1e-9
             )
 
     def test_matches_triple_loop_oracle(self, rng):
@@ -150,7 +151,7 @@ class TestWspLoss:
             for _ in range(8):
                 z, meta = paired_random_batch(rng, n_slices=int(rng.integers(2, 7)), dim=8)
                 cfg = LossConfig(tau=0.3, sigma=0.15, denominator_convention=convention)
-                assert wsp_loss(Tensor(z), meta, cfg).item() == pytest.approx(
+                assert loss("wsp", Tensor(z), meta, cfg).item() == pytest.approx(
                     oracle(z, meta, cfg, "wsp"), abs=1e-12
                 )
 
@@ -160,14 +161,14 @@ class TestWspLoss:
         z = np.eye(5)
         meta = make_meta(y=[0, 0, 1, 2, 3], d=[0.1, 0.2, 0.3, 0.4, 0.5])
         cfg = LossConfig(tau=1.0, sigma=0.1)
-        value = wsp_loss(Tensor(z), meta, cfg).item()
+        value = loss("wsp", Tensor(z), meta, cfg).item()
         assert math.isfinite(value)
         assert value == pytest.approx(oracle(z, meta, cfg, "wsp"), abs=1e-12)
 
     def test_single_view_batches_rejected(self):
         meta = make_meta(y=[0], d=[0.5])
         with pytest.raises(ContractError):
-            wsp_loss(Tensor(np.array([[1.0, 0.0]])), meta, LossConfig())
+            loss("wsp", Tensor(np.array([[1.0, 0.0]])), meta, LossConfig())
 
 
 class TestSupconLoss:
@@ -179,23 +180,23 @@ class TestSupconLoss:
         meta = BatchMeta(y=[0, 0], d=[0.5, 0.5], slice_ids=["a", "a"], patient_ids=["p", "p"])
         for convention in ("exclude_anchor", "literal_paper"):
             cfg = LossConfig(tau=1.0, sigma=0.1, denominator_convention=convention)
-            value = supcon_loss(Tensor(z), meta, cfg).item()
+            value = loss("supcon", Tensor(z), meta, cfg).item()
             assert value == pytest.approx(oracle(z, meta, cfg, "supcon"), abs=1e-12)
 
     def test_matches_oracle_on_random_batches(self, rng):
         for _ in range(8):
             z, meta = paired_random_batch(rng, n_slices=5, dim=6)
             cfg = LossConfig(tau=0.4, sigma=0.3)
-            assert supcon_loss(Tensor(z), meta, cfg).item() == pytest.approx(
+            assert loss("supcon", Tensor(z), meta, cfg).item() == pytest.approx(
                 oracle(z, meta, cfg, "supcon"), abs=1e-12
             )
 
     def test_permutation_invariance(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)
         cfg = LossConfig(tau=0.3, sigma=0.2)
-        base = supcon_loss(Tensor(z), meta, cfg).item()
+        base = loss("supcon", Tensor(z), meta, cfg).item()
         perm = rng.permutation(len(meta))
-        permuted = supcon_loss(Tensor(z[perm]), meta.take(perm), cfg).item()
+        permuted = loss("supcon", Tensor(z[perm]), meta.take(perm), cfg).item()
         assert permuted == pytest.approx(base, abs=1e-9)
 
 
@@ -206,8 +207,8 @@ class TestDepthAwareLoss:
             meta = make_meta(y=[2] * len(meta), d=meta.d, slice_ids=meta.slice_ids,
                              patient_ids=meta.patient_ids)
             cfg = LossConfig(tau=0.3, sigma=0.15)
-            assert depth_aware_loss(Tensor(z), meta, cfg).item() == pytest.approx(
-                wsp_loss(Tensor(z), meta, cfg).item(), abs=1e-9
+            assert loss("depth_aware", Tensor(z), meta, cfg).item() == pytest.approx(
+                loss("wsp", Tensor(z), meta, cfg).item(), abs=1e-9
             )
 
     def test_huge_sigma_gives_uniform_weights(self, rng):
@@ -215,8 +216,8 @@ class TestDepthAwareLoss:
         single_class = make_meta(y=[0] * len(meta), d=meta.d, slice_ids=meta.slice_ids,
                                  patient_ids=meta.patient_ids)
         wide = LossConfig(tau=0.3, sigma=1e6)
-        da = depth_aware_loss(Tensor(z), meta, wide).item()
-        sc = supcon_loss(Tensor(z), single_class, wide).item()
+        da = loss("depth_aware", Tensor(z), meta, wide).item()
+        sc = loss("supcon", Tensor(z), single_class, wide).item()
         assert da == pytest.approx(sc, abs=1e-6)
 
     def test_sibling_weight_is_one_after_normalization(self):
@@ -224,14 +225,14 @@ class TestDepthAwareLoss:
         z = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         meta = four_view_meta(d=(0.2, 0.2, 0.9, 0.9))
         cfg = LossConfig(tau=1.0, sigma=0.1)
-        value = depth_aware_loss(Tensor(z), meta, cfg).item()
+        value = loss("depth_aware", Tensor(z), meta, cfg).item()
         assert value == pytest.approx(oracle(z, meta, cfg, "depth_aware"), abs=1e-12)
 
     def test_matches_oracle(self, rng):
         for _ in range(8):
             z, meta = paired_random_batch(rng, n_slices=5, dim=7)
             cfg = LossConfig(tau=0.25, sigma=0.2)
-            assert depth_aware_loss(Tensor(z), meta, cfg).item() == pytest.approx(
+            assert loss("depth_aware", Tensor(z), meta, cfg).item() == pytest.approx(
                 oracle(z, meta, cfg, "depth_aware"), abs=1e-12
             )
 
@@ -245,7 +246,7 @@ class TestInfoNCELoss:
         z[3, 2] = 1.0
         meta = four_view_meta()
         cfg = LossConfig(tau=1.0, sigma=0.1)
-        value = infonce_loss(Tensor(z), meta, cfg).item()
+        value = loss("infonce", Tensor(z), meta, cfg).item()
         # Anchors 0/1: -log(e / (e^0 + e^0)); anchors 2/3: -log(1 / 2).
         expected = 0.5 * ((math.log(2.0) - 1.0) + math.log(2.0))
         assert value == pytest.approx(expected, abs=1e-12)
@@ -261,7 +262,7 @@ class TestInfoNCELoss:
         z[3, 2] = 1.0
         meta = four_view_meta()
         cfg = LossConfig(tau=1.0, sigma=0.1, denominator_convention="literal_paper")
-        value = infonce_loss(Tensor(z), meta, cfg).item()
+        value = loss("infonce", Tensor(z), meta, cfg).item()
         e = math.e
         # Anchors 0/1: -log(e / (e + 2)); anchors 2/3: -log(1 / (e + 2)).
         expected = 0.5 * math.log((e + 2.0) / e) + 0.5 * math.log(e + 2.0)
@@ -279,22 +280,22 @@ class TestInfoNCELoss:
             d_vec = np.array([0.0, 0.0, -1.0])
             return np.vstack([a, b, c, d_vec])
 
-        closer = infonce_loss(Tensor(batch(0.1)), meta, cfg).item()
-        farther = infonce_loss(Tensor(batch(1.2)), meta, cfg).item()
+        closer = loss("infonce", Tensor(batch(0.1)), meta, cfg).item()
+        farther = loss("infonce", Tensor(batch(1.2)), meta, cfg).item()
         assert closer < farther
 
     def test_missing_sibling_rejected(self):
         meta = make_meta(y=[0, 0, 1], d=[0.5, 0.5, 0.5])
         z = np.eye(3)
         with pytest.raises(ContractError):
-            infonce_loss(Tensor(z), meta, LossConfig())
+            loss("infonce", Tensor(z), meta, LossConfig())
 
     def test_permutation_invariance(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=5)
         cfg = LossConfig(tau=0.3, sigma=0.2)
-        base = infonce_loss(Tensor(z), meta, cfg).item()
+        base = loss("infonce", Tensor(z), meta, cfg).item()
         perm = rng.permutation(len(meta))
-        assert infonce_loss(Tensor(z[perm]), meta.take(perm), cfg).item() == pytest.approx(
+        assert loss("infonce", Tensor(z[perm]), meta.take(perm), cfg).item() == pytest.approx(
             base, abs=1e-9
         )
 
@@ -322,8 +323,7 @@ class TestInvariants:
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)
         cfg = LossConfig(tau=0.5, sigma=0.2)
         s_leaf = Tensor((z @ z.T) / cfg.tau, requires_grad=True)
-        loss = loss_from_similarity(s_leaf, meta, cfg, "wsp")
-        ad.backward(loss)
+        ad.backward(similarity_loss(s_leaf, meta, cfg))
         grad = s_leaf.grad
         same_label = meta.y[:, None] == meta.y[None, :]
         for t in range(len(meta)):
@@ -342,7 +342,7 @@ class TestInvariants:
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)
         tau = 0.25
         cfg = LossConfig(tau=tau, sigma=0.2)
-        direct = wsp_loss(Tensor(z), meta, cfg).item()
+        direct = loss("wsp", Tensor(z), meta, cfg).item()
         prescaled = ad.mul_const(similarity_matrix(Tensor(z), 1.0), 1.0 / tau)
-        via_similarity = loss_from_similarity(prescaled, meta, cfg, "wsp").item()
+        via_similarity = similarity_loss(prescaled, meta, cfg).item()
         assert via_similarity == pytest.approx(direct, abs=1e-12)

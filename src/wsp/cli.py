@@ -133,6 +133,16 @@ def _section(doc: dict, name: str) -> dict:
     return dict(doc.get(name) or {}) if doc else {}
 
 
+def _seeded(doc: dict, name: str, args) -> dict:
+    """Section ``name`` with its seed set by precedence: --seed, the section's own, the top-level one."""
+    body = _section(doc, name)
+    if args.seed is not None:
+        body["seed"] = args.seed
+    elif "seed" in doc:
+        body.setdefault("seed", doc["seed"])
+    return body
+
+
 def _resolve_out(doc: dict, path: str | None) -> str | None:
     """Anchor relative output paths under the config's output_dir, if any."""
     if path is None:
@@ -194,14 +204,12 @@ def _load_trimmed(args, doc: dict):
 
 
 def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
-    body = _section(doc, "encoder")
+    body = _seeded(doc, "encoder", args)
     if args.arch:
         body["arch"] = args.arch
     if "input_shape" not in body:
         h, w = volumes[0].slices[0].pixels.shape
         body["input_shape"] = (1, h, w) if body.get("arch", "tiny_cnn") == "tiny_cnn" else (h * w,)
-    if args.seed is not None:
-        body["seed"] = args.seed
     return build_config(EncoderConfig, body, ConfigError)
 
 
@@ -220,13 +228,11 @@ def cmd_pretrain(args) -> int:
     loss_body["loss_kind"] = kind
     loss_cfg = build_config(LossConfig, loss_body, ConfigError)
 
-    optim_body = _section(doc, "optim")
+    optim_body = _seeded(doc, "optim", args)
     for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr"), ("weight_decay", "weight_decay")):
         value = getattr(args, flag)
         if value is not None:
             optim_body[key] = value
-    if args.seed is not None:
-        optim_body["seed"] = args.seed
     optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
 
     enc_cfg = _encoder_config(doc, args, volumes)
@@ -275,11 +281,9 @@ def cmd_probe(args) -> int:
     doc = load_run_config(args.config) if args.config else {}
     fraction, volumes = _load_trimmed(args, doc)
     ckpt = _resolve_checkpoint(args, doc, volumes)
-    probe_body = _section(doc, "probe")
+    probe_body = _seeded(doc, "probe", args)
     if args.folds is not None:
         probe_body["folds"] = args.folds
-    if args.seed is not None:
-        probe_body["seed"] = args.seed
     probe_cfg = build_config(ProbeConfig, probe_body, ConfigError)
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
@@ -349,20 +353,18 @@ def cmd_sweep(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
     fraction, volumes = _load_trimmed(args, doc)
     enc_cfg = _encoder_config(doc, args, volumes)
-    optim_body = _section(doc, "optim")
+    optim_body = _seeded(doc, "optim", args)
     for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr")):
         value = getattr(args, flag)
         if value is not None:
             optim_body[key] = value
-    if args.seed is not None:
-        optim_body["seed"] = args.seed
     loss_body = _section(doc, "loss")
     loss_body["loss_kind"] = "wsp"
     if args.tau is not None:
         loss_body["tau"] = args.tau
     loss_cfg = build_config(LossConfig, loss_body, ConfigError)
     optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
-    probe_cfg = build_config(ProbeConfig, _section(doc, "probe"), ConfigError)
+    probe_cfg = build_config(ProbeConfig, _seeded(doc, "probe", args), ConfigError)
     rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds)
     out = _resolve_out(doc, args.out)
     write_sweep_csv(out, rows)
@@ -374,6 +376,7 @@ def cmd_sweep(args) -> int:
             "sigmas": sigmas,
             "seeds": seeds if seeds is not None else [optim_cfg.seed],
             "optim": {k: v for k, v in asdict(optim_cfg).items() if k != "loss"},
+            "probe": asdict(probe_cfg),
         },
     )
     for row in rows:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError, build_config
+from .errors import ConfigError, FormatError, ShapeError, build_config, check_seed
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -42,6 +42,7 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         object.__setattr__(self, "conv_kernels", tuple(self.conv_kernels))
@@ -261,6 +262,8 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         meta = json.loads(take(blob_len, "config").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint config: {exc}", offset=10) from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config", {}), dict):
+        raise FormatError("checkpoint header and its 'config' must be JSON objects", offset=10)
     cfg = build_config(EncoderConfig, meta.get("config", {}), FormatError)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(cfg).items():
@@ -274,10 +277,15 @@ def load_checkpoint(path) -> EncoderCheckpoint:
     if off != len(raw):
         raise FormatError("trailing bytes after last parameter", offset=off)
     sigma = meta.get("loss_sigma")
+    try:
+        step = int(meta.get("step", 0))
+        sigma = None if sigma is None else float(sigma)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad checkpoint step or loss_sigma: {exc}", offset=10) from exc
     return EncoderCheckpoint(
         config=cfg,
         params=params,
-        step=int(meta.get("step", 0)),
+        step=step,
         loss_kind=meta.get("loss_kind", "none"),
-        loss_sigma=None if sigma is None else float(sigma),
+        loss_sigma=sigma,
     )

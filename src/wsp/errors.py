@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules, and the JSON config builder that maps bad values onto it."""
 
+import numbers
+
 
 class WspError(Exception):
     """Base class for every error raised by this package."""
@@ -42,6 +44,12 @@ class NonFiniteError(WspError):
 class FallbackRequired(WspError):
     """Strict one-slice-per-patient sampling is infeasible for this cohort;
     the caller should switch to the balanced fallback sampler."""
+
+
+def check_seed(seed) -> None:
+    """Raise ConfigError unless ``seed`` is a non-negative integer (bool is not one)."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def build_config(cls, body: dict, error: type[WspError]):

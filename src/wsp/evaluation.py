@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoders import EncoderCheckpoint
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError, check_seed
 from .training import OptimConfig, pretrain
 
 
@@ -28,6 +28,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.l2_strength < 0:
             raise ConfigError("l2_strength must be >= 0")
         if self.folds < 2:

@@ -13,7 +13,16 @@ how positives are chosen and weighted:
 The denominator index set is configurable: ``exclude_anchor`` drops both the
 anchor and the current positive, ``literal_paper`` drops only the positive
 (keeping the anchor's self-similarity). One convention applies uniformly to
-all four losses so their reduction identities hold exactly.
+all four losses so their reduction identities hold exactly. Dropping the
+positive from the denominator, as ``exclude_anchor`` does, is the decoupled
+contrastive form (Yeh et al., ECCV 2022).
+
+The denominator of every pair, L[t, i] = log sum_j exp S[t, j] over the
+convention's set, costs O(m^2) time and memory for m views: each is its
+row's log-sum-exp A_t corrected by log1p(-p_ti), with p_ti the pair's share
+of the row's mass, and the one entry that may dominate each row
+(p_ti > 1/2) is recomputed as a masked row log-sum-exp
+(``pairwise_logsumexp``). Nothing grows cubically in the batch size.
 
 Anchors with an empty or fully-underflowed positive set contribute nothing
 and are excluded from the mean; the same applies to pairs whose denominator
@@ -128,25 +137,56 @@ def _sibling_index(meta: BatchMeta) -> np.ndarray:
     return sib
 
 
+def _row_logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum_j exp x[r, j] per row, as a column; -inf entries drop out."""
+    peak = x.max(axis=1, keepdims=True)
+    return peak + np.log(np.exp(x - peak).sum(axis=1, keepdims=True))
+
+
 def pairwise_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
-    """L[t, i] = logsumexp_j S[t, j] over j != i (and j != t when requested)."""
+    """L[t, i] = logsumexp_j S[t, j] over j != i (and j != t when requested).
+
+    Exact in O(m^2) time and memory. With A_t the log-sum-exp of row t over
+    its row set R_t (j != t under ``exclude_anchor``, every j otherwise) and
+    p_ti = exp(S[t, i] - A_t) the share of pair (t, i) in that row's mass,
+
+        L[t, i] = A_t + log1p(-p_ti)    for i in R_t,   L[t, t] = A_t otherwise.
+
+    The identity loses precision only as p_ti nears 1, and the shares of a
+    row sum to 1, so at most one entry per row (the dominant one, p_ti > 1/2)
+    is instead recomputed as a masked row log-sum-exp. When R_t holds two
+    entries (m = 3 under ``exclude_anchor``, m = 2 otherwise) every entry of
+    R_t is recomputed that way, which copies the one remaining competitor
+    exactly. The gradient,
+
+        G[t, j] = [j in R_t] sum_{i != j} g[t, i] exp(S[t, j] - L[t, i]),
+
+    is p_tj (c_t - r_tj) with r_ti = g[t, i] exp(A_t - L[t, i]) =
+    g[t, i] / (1 - p_ti), at most 2 |g[t, i]|, over the entries not
+    recomputed and c_t = sum_i r_ti, plus the terms of the recomputed entries
+    taken directly from their masked rows, so nothing overflows at small tau.
+    """
     m = s.shape[0]
-    if m < (3 if exclude_anchor else 2):
+    row_size = m - 1 if exclude_anchor else m
+    if row_size < 2:
         raise ContractError("denominator set empty at this batch size")
-    x = np.broadcast_to(s.data[:, None, :], (m, m, m))
-    mask = ~np.eye(m, dtype=bool)[None, :, :]  # j != i
-    if exclude_anchor:
-        mask = mask & ~np.eye(m, dtype=bool)[:, None, :]  # j != t
-    mask = np.broadcast_to(mask, (m, m, m))
-    neg_inf = np.float64(-np.inf)
-    peak = np.where(mask, x, neg_inf).max(axis=2)
-    shifted = np.where(mask, np.exp(x - peak[:, :, None]), 0.0)
-    total = shifted.sum(axis=2)
-    out = peak + np.log(total)
+    in_row = ~np.eye(m, dtype=bool) if exclude_anchor else np.ones((m, m), dtype=bool)
+    row = np.where(in_row, s.data, -np.inf)
+    a = _row_logsumexp(row)
+    share = np.exp(row - a)
+    exact = in_row if row_size == 2 else share > 0.5
+    kept = np.where(exact, 0.0, share)
+    out = a + np.log1p(-kept)
+    t, i = np.nonzero(exact)
+    rest = row[t]
+    rest[np.arange(len(t)), i] = -np.inf
+    out[t, i] = _row_logsumexp(rest)[:, 0]
 
     def bwd(g):
-        soft = shifted / total[:, :, None]
-        return (np.einsum("ti,tij->tj", g, soft),)
+        r = np.where(exact, 0.0, g / (1.0 - kept))
+        grad = share * (r.sum(axis=1, keepdims=True) - r)
+        np.add.at(grad, t, g[t, i, None] * np.exp(rest - out[t, i, None]))
+        return (grad,)
 
     return ad.make_op(out, (s,), bwd, "pairwise_logsumexp")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FallbackRequired
+from .errors import ConfigError, ContractError, FallbackRequired, check_seed
 
 SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
 
@@ -44,6 +44,7 @@ class AugmentConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        check_seed(self.seed)
         object.__setattr__(self, "crop_scale", tuple(self.crop_scale))
         if self.rotation_degrees < 0:
             raise ConfigError("rotation range must be >= 0")

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
-from .errors import ConfigError, ContractError, NonFiniteError
+from .errors import ConfigError, ContractError, NonFiniteError, check_seed
 from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec, SliceSample, epoch_batches, make_views, sample_batch_fallback
 
@@ -40,6 +40,7 @@ class OptimConfig:
     fallback_steps_per_epoch: int | None = None
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:

@@ -4,7 +4,9 @@ Everything here is deliberately naive (explicit loops, textbook formulas) and
 shares no code with the package, so agreement is meaningful.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -99,6 +101,17 @@ def make_meta(y, d, slice_ids=None, patient_ids=None):
     return BatchMeta(y=y, d=d, slice_ids=slice_ids, patient_ids=patient_ids)
 
 
+def rewrite_checkpoint_header(raw, edit):
+    """Checkpoint bytes with the JSON header replaced by ``edit(header)``.
+
+    The layout is 4 magic bytes, a 2-byte version, a 4-byte little-endian
+    header length, the header, then the parameters.
+    """
+    (length,) = struct.unpack("<I", raw[6:10])
+    header = json.dumps(edit(json.loads(raw[10 : 10 + length]))).encode("utf-8")
+    return raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + length :]
+
+
 def paired_random_batch(rng, n_slices, dim, n_classes=4):
     """Two unit-normalized views per slice plus matching metadata arrays."""
     y = rng.integers(0, n_classes, size=n_slices)
@@ -112,3 +125,21 @@ def paired_random_batch(rng, n_slices, dim, n_classes=4):
         patient_ids=[f"p{i // 2}" for i in range(2 * n_slices)],
     )
     return z, meta
+
+
+def naive_pairwise_logsumexp(s, exclude_anchor):
+    """Loss denominator per pair, one explicit log-sum-exp per (t, i).
+
+    L[t][i] = log sum_j exp s[t][j] over j != i, and also j != t when
+    ``exclude_anchor``; each sum is shifted by its own maximum and added
+    with ``math.fsum``, so it neither overflows nor loses small terms.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    m = len(s)
+    out = np.empty((m, m))
+    for t in range(m):
+        for i in range(m):
+            terms = [float(s[t, j]) for j in range(m) if j != i and not (exclude_anchor and j == t)]
+            peak = max(terms)
+            out[t, i] = peak + math.log(math.fsum(math.exp(v - peak) for v in terms))
+    return out

@@ -11,6 +11,8 @@ from wsp.evaluation import ProbeConfig
 from wsp.losses import LossConfig
 from wsp.training import OptimConfig
 
+from oracles import rewrite_checkpoint_header
+
 
 def run(args):
     return main(args)
@@ -306,6 +308,54 @@ class TestParser:
         )
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", 1.5, True, -1], ids=["str", "float", "bool", "negative"])
+    @pytest.mark.parametrize("section", ["encoder", "optim", "augment", "probe"])
+    def test_bad_section_seed_is_usage_error(self, dataset_dir, checkpoint, tmp_path, capsys, section, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({section: {"seed": value}}))
+        if section == "probe":
+            command = ["probe", "--ckpt", str(checkpoint), "--folds", "3"]
+        else:
+            command = ["pretrain", "--epochs", "1", "--batch", "4"]
+        code = run([*command, "--data", str(dataset_dir), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_header_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(checkpoint.read_bytes(), lambda h: [1, 2]))
+        code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert "data error:" in capsys.readouterr().err
+
+    def test_top_level_seed_reaches_every_section(self, dataset_dir, checkpoint, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7, "optim": {"epochs": 1, "batch_size": 4}, "probe": {"folds": 3}}))
+        data = ["--data", str(dataset_dir), "--config", str(cfg)]
+        assert run(["pretrain", *data, "--out", str(tmp_path / "c.ckpt")]) == 0
+        echo = json.loads((tmp_path / "c.ckpt.config.json").read_text())
+        assert echo["optim"]["seed"] == echo["encoder"]["seed"] == echo["augment"]["seed"] == 7
+        assert run(["probe", *data, "--ckpt", str(checkpoint), "--out", str(tmp_path / "m.csv")]) == 0
+        assert json.loads((tmp_path / "m.csv.config.json").read_text())["probe"]["seed"] == 7
+        assert run(["sweep", *data, "--sigmas", "0.1", "--out", str(tmp_path / "s.csv")]) == 0
+        echo = json.loads((tmp_path / "s.csv.config.json").read_text())
+        assert echo["optim"]["seed"] == echo["probe"]["seed"] == 7
+        assert echo["seeds"] == [7]
+        projections = []
+        for name, flags in (("config", data), ("flag", ["--data", str(dataset_dir), "--seed", "7"])):
+            out = tmp_path / f"{name}.csv"
+            assert run(["project", *flags, "--ckpt", "random", "--arch", "mlp", "--out", str(out)]) == 0
+            projections.append(out.read_bytes())
+        assert projections[0] == projections[1]
+
+    def test_section_seed_beats_top_level_seed(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7, "encoder": {"seed": 3}, "optim": {"epochs": 1, "batch_size": 4}}))
+        assert run(["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--out", str(tmp_path / "c.ckpt")]) == 0
+        echo = json.loads((tmp_path / "c.ckpt.config.json").read_text())
+        assert echo["encoder"]["seed"] == 3
+        assert echo["optim"]["seed"] == echo["augment"]["seed"] == 7
 
     def test_flags_override_config(self, dataset_dir, checkpoint, tmp_path):
         cfg = tmp_path / "run.json"

@@ -14,7 +14,7 @@ from wsp.encoders import (
 from wsp.errors import ConfigError, FormatError, ShapeError
 from wsp.losses import LossConfig, compute_loss
 
-from oracles import make_meta
+from oracles import make_meta, rewrite_checkpoint_header
 
 MLP_CFG = EncoderConfig(arch="mlp", input_shape=(12,), mlp_hidden=(16, 16), repr_dim=24, proj_dim=8, proj_hidden=12)
 
@@ -169,6 +169,25 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: [1, 2],
+            lambda h: "header",
+            lambda h: {**h, "config": [1, 2]},
+            lambda h: {**h, "config": {**h["config"], "seed": "abc"}},
+            lambda h: {**h, "step": "abc"},
+            lambda h: {**h, "loss_sigma": [0.1]},
+        ],
+        ids=["list", "string", "config-list", "config-seed", "step", "loss_sigma"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG), loss_sigma=0.1), path)
+        path.write_bytes(rewrite_checkpoint_header(path.read_bytes(), edit))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
@@ -13,11 +16,12 @@ from wsp.losses import (
     compute_loss,
     gradient_check,
     pair_weights,
+    pairwise_logsumexp,
     similarity_loss,
     similarity_matrix,
 )
 
-from oracles import make_meta, naive_kernel_loss, paired_random_batch
+from oracles import make_meta, naive_kernel_loss, naive_pairwise_logsumexp, paired_random_batch
 
 
 def loss(kind, z, meta, cfg):
@@ -346,3 +350,86 @@ class TestInvariants:
         prescaled = ad.mul_const(similarity_matrix(Tensor(z), 1.0), 1.0 / tau)
         via_similarity = similarity_loss(prescaled, meta, cfg).item()
         assert via_similarity == pytest.approx(direct, abs=1e-12)
+
+
+def near_duplicate_similarity(rng, n_slices, dim, tau, jitter):
+    """S = z z^T / tau where each slice's second view is its first moved by ``jitter``."""
+    z, _ = paired_random_batch(rng, n_slices, dim)
+    z[1::2] = z[0::2] + jitter * rng.normal(size=z[0::2].shape)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z @ z.T / tau
+
+
+def largest_share(s, exclude_anchor):
+    """Largest share of one entry in its row's exp-mass over the convention's row set."""
+    row = np.where(np.eye(len(s), dtype=bool) & exclude_anchor, -np.inf, s)
+    shares = np.exp(row - row.max(axis=1, keepdims=True))
+    return float((shares / shares.sum(axis=1, keepdims=True)).max())
+
+
+def assert_matches_oracle(s, exclude_anchor):
+    out = pairwise_logsumexp(Tensor(s), exclude_anchor).data
+    atol = 1e-12 * max(1.0, float(np.abs(s).max()))
+    np.testing.assert_allclose(out, naive_pairwise_logsumexp(s, exclude_anchor), rtol=0.0, atol=atol)
+
+
+class TestPairwiseLogSumExp:
+    """The O(m^2) denominator against one explicit log-sum-exp per pair."""
+
+    # Near-duplicate siblings dominate their row under exclude_anchor; under
+    # literal_paper the anchor's own entry does once the sibling moves away.
+    DOMINANT_CASES = [(True, 1e-3), (False, 0.3)]
+
+    @pytest.mark.parametrize("tau", [0.01, 0.05])
+    @pytest.mark.parametrize("exclude_anchor,jitter", DOMINANT_CASES)
+    def test_near_duplicate_views(self, rng, tau, exclude_anchor, jitter):
+        for n_slices in (2, 5, 12):
+            s = near_duplicate_similarity(rng, n_slices, 16, tau, jitter)
+            assert largest_share(s, exclude_anchor) > 0.5
+            assert_matches_oracle(s, exclude_anchor)
+
+    @given(
+        st.integers(3, 9).flatmap(
+            lambda m: arrays(np.float64, (m, m), elements=st.floats(-700.0, 700.0))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_over_wide_range(self, s):
+        for exclude_anchor in (True, False):
+            assert_matches_oracle(s, exclude_anchor)
+
+    def test_single_competitor_copied_exactly(self, rng):
+        for _ in range(50):
+            s = rng.normal(scale=30.0, size=(2, 2))
+            out = pairwise_logsumexp(Tensor(s), exclude_anchor=False).data
+            np.testing.assert_array_equal(out, naive_pairwise_logsumexp(s, False))
+            s = rng.normal(scale=30.0, size=(3, 3))
+            out = pairwise_logsumexp(Tensor(s), exclude_anchor=True).data
+            off = ~np.eye(3, dtype=bool)
+            np.testing.assert_array_equal(out[off], naive_pairwise_logsumexp(s, True)[off])
+            assert_matches_oracle(s, True)
+
+    @pytest.mark.parametrize("exclude_anchor,jitter", DOMINANT_CASES)
+    def test_gradient_with_dominant_pair(self, rng, exclude_anchor, jitter):
+        s = near_duplicate_similarity(rng, 4, 8, 0.05, jitter)
+        assert largest_share(s, exclude_anchor) > 0.5
+        w = rng.uniform(-1.0, 1.0, s.shape)
+
+        def f(t):
+            return ad.sum_all(ad.mul(pairwise_logsumexp(t, exclude_anchor), Tensor(w)))
+
+        leaf = Tensor(s, requires_grad=True)
+        ad.backward(f(leaf))
+        numeric = ad.finite_diff_gradient(f, Tensor(s), eps=1e-5).data
+        assert ad.max_relative_error(leaf.grad, numeric) < 1e-6
+
+    def test_memory_quadratic_at_512_views(self):
+        z, meta = paired_random_batch(np.random.default_rng(0), n_slices=256, dim=32)
+        leaf = Tensor(z, requires_grad=True)
+        tracemalloc.start()
+        try:
+            ad.backward(compute_loss(leaf, meta, LossConfig()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20

@@ -259,6 +259,8 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1) -> Tensor:
     def bwd(g):
         gcols = g.transpose(0, 2, 3, 1).reshape(batch * hout * wout, fout)
         gk = (gcols.T @ cols).reshape(fout, cin, kh, kw)
+        if not x.requires_grad:
+            return None, gk
         gwin = (gcols @ kmat).reshape(batch, hout, wout, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
         gx = np.zeros_like(x.data)
         for u in range(kh):

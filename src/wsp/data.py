@@ -335,17 +335,27 @@ def load_dataset(path):
         raise FormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc or "volumes" not in doc:
         raise FormatError("manifest must contain 'version' and 'volumes'")
-    severities = {}
     generator = doc.get("generator")
-    if generator:
-        severities = generator.get("latent_severity", {})
+    if generator is not None and not isinstance(generator, dict):
+        raise FormatError("manifest 'generator' must be an object or null")
+    severities = (generator or {}).get("latent_severity", {})
+    if not isinstance(severities, dict):
+        raise FormatError("manifest 'generator.latent_severity' must be an object")
+    if not isinstance(doc["volumes"], list):
+        raise FormatError("manifest 'volumes' must be a list")
     manifest = DatasetManifest(version=doc["version"], volumes=doc["volumes"], generator=generator)
+    root = os.path.realpath(base)
     seen = set()
     volumes = []
     for record in doc["volumes"]:
+        if not isinstance(record, dict):
+            raise FormatError(f"manifest volume record must be a JSON object, got {record!r}")
         missing = _MANIFEST_VOLUME_KEYS - set(record)
         if missing:
             raise FormatError(f"manifest volume record missing keys: {sorted(missing)}")
+        for key in ("id", "patient_id", "file"):
+            if not isinstance(record[key], str):
+                raise FormatError(f"volume record: {key} must be a string, got {record[key]!r}")
         vid = record["id"]
         if vid in seen:
             raise FormatError(f"duplicate volume id {vid!r} in manifest")
@@ -354,7 +364,13 @@ def load_dataset(path):
             value = record[key]
             if type(value) is not int and not (key == "y_strong" and value is None):
                 raise FormatError(f"volume {vid}: {key} must be an integer, got {value!r}")
-        vol_path = os.path.join(base, record["file"])
+        if record["y_weak"] < 0:
+            raise FormatError(f"volume {vid}: y_weak must be >= 0, got {record['y_weak']}")
+        if record["y_strong"] not in (0, 1, None):
+            raise FormatError(f"volume {vid}: y_strong must be 0, 1 or null, got {record['y_strong']}")
+        vol_path = os.path.realpath(os.path.join(base, record["file"]))
+        if os.path.commonpath([root, vol_path]) != root:
+            raise FormatError(f"volume {vid}: file {record['file']!r} lies outside the dataset directory")
         if not os.path.exists(vol_path):
             raise FormatError(f"manifest references missing file: {record['file']}")
         slices, v_max = read_volume_file(vol_path)

@@ -210,39 +210,51 @@ def epoch_batches(volumes, spec: BatchSpec, label: str = "weak") -> list[list[Sl
 # ---------------------------------------------------------------------------
 
 
-def _bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample at fractional coordinates with edge clamping."""
-    h, w = img.shape
-    rows = np.clip(rows, 0.0, h - 1.0)
-    cols = np.clip(cols, 0.0, w - 1.0)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = rows - r0
-    fc = cols - c0
-    top = img[r0, c0] * (1.0 - fc) + img[r0, c1] * fc
-    bottom = img[r1, c0] * (1.0 - fc) + img[r1, c1] * fc
-    return top * (1.0 - fr) + bottom * fr
+# Views are augmented in chunks of about this many pixels, so that each
+# float64 or int64 temporary of a chunk stays in L2.
+_CHUNK_PIXELS = 1 << 14
 
 
-def _rotate(img: np.ndarray, degrees: float) -> np.ndarray:
-    h, w = img.shape
-    theta = math.radians(degrees)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.mgrid[0:h, 0:w].astype(np.float64)
-    dy = rr - cy
-    dx = cc - cx
-    src_r = cy + math.cos(theta) * dy + math.sin(theta) * dx
-    src_c = cx - math.sin(theta) * dy + math.cos(theta) * dx
-    return _bilinear_sample(img, src_r, src_c)
+def _bilinear_stack(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sample each image of a k,h,w stack at fractional coordinates with edge clamping.
 
-
-def _crop_resize(img: np.ndarray, top: float, left: float, side: float) -> np.ndarray:
-    h, w = img.shape
-    rr = top + (np.arange(h, dtype=np.float64) + 0.5) * side / h - 0.5
-    cc = left + (np.arange(w, dtype=np.float64) + 0.5) * side / w - 0.5
-    return _bilinear_sample(img, rr[:, None], cc[None, :])
+    ``rows`` and ``cols`` broadcast to k,h,w and are overwritten. Pixels are
+    gathered with flat indices into a copy of the stack padded by its last row
+    and column, so the clamped neighbour of an edge pixel is the one after it.
+    The arithmetic is done in place to keep the number of temporaries down.
+    """
+    k, h, w = imgs.shape
+    padded = np.empty((k, h + 1, w + 1))
+    padded[:, :h, :w] = imgs
+    padded[:, h, :w] = imgs[:, h - 1]
+    padded[:, :, w] = padded[:, :, w - 1]
+    fr = np.clip(rows, 0.0, h - 1.0, out=rows)
+    fc = np.clip(cols, 0.0, w - 1.0, out=cols)
+    r0 = fr.astype(np.int64)  # floor, as the coordinates are non-negative
+    c0 = fc.astype(np.int64)
+    fr -= r0
+    fc -= c0
+    i00 = r0 * (w + 1) + c0
+    i00 += (np.arange(k) * ((h + 1) * (w + 1)))[:, None, None]
+    flat = padded.reshape(-1)
+    gc = 1.0 - fc
+    top = flat.take(i00)
+    top *= gc
+    i00 += 1
+    right = flat.take(i00)
+    right *= fc
+    top += right
+    i00 += w
+    bottom = flat.take(i00)
+    bottom *= gc
+    i00 += 1
+    right = flat.take(i00, out=right)
+    right *= fc
+    bottom += right
+    top *= 1.0 - fr
+    bottom *= fr
+    top += bottom
+    return top
 
 
 def _draw_key(cfg: AugmentConfig, draw_seed) -> list[int]:
@@ -254,38 +266,75 @@ def _draw_key(cfg: AugmentConfig, draw_seed) -> list[int]:
     return key
 
 
-def augment(pixels: np.ndarray, cfg: AugmentConfig, draw_seed) -> np.ndarray:
-    """Flip, rotate, then crop-and-resize one square image.
+def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
+    """Flip, rotate, then crop-and-resize each of n equal square images.
 
-    Deterministic in (cfg, draw_seed); the same five draws are consumed
-    whether or not each transform ends up active. Returns float64.
+    View j is deterministic in (cfg, draw_seeds[j]): it consumes the same five
+    draws from its own key whether or not each transform ends up active, and
+    goes through the same per-pixel arithmetic whatever the other views are.
+    Returns a float64 n,h,w array.
     """
-    img = np.asarray(pixels, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ContractError(f"augment expects a square image, got {img.shape}")
+    imgs = [np.asarray(p) for p in pixels]
+    if not imgs or len(imgs) != len(draw_seeds):
+        raise ContractError(f"augment_views needs one draw seed per view, got {len(imgs)} views")
+    shape = imgs[0].shape
+    for img in imgs:
+        if img.shape != shape or len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ContractError(f"augment expects equal non-empty square images, got {shape} and {img.shape}")
+    out = np.array(imgs, dtype=np.float64)
     if not cfg.enabled:
-        return img.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(_draw_key(cfg, draw_seed)))
-    u_flip = rng.random()
-    angle = rng.uniform(-cfg.rotation_degrees, cfg.rotation_degrees)
-    scale = rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1])
-    u_top = rng.random()
-    u_left = rng.random()
-    if u_flip < cfg.flip_prob:
-        img = img[:, ::-1].copy()
-    if angle != 0.0:
-        img = _rotate(img, angle)
-    side = img.shape[0] * math.sqrt(scale)
-    if side != img.shape[0]:
-        top = (img.shape[0] - side) * u_top
-        left = (img.shape[1] - side) * u_left
-        img = _crop_resize(img, top, left, side)
-    return img
+        return out
+    h = w = shape[0]
+    draws = []
+    for draw_seed in draw_seeds:
+        rng = np.random.default_rng(np.random.SeedSequence(_draw_key(cfg, draw_seed)))
+        u_flip = rng.random()
+        angle = rng.uniform(-cfg.rotation_degrees, cfg.rotation_degrees)
+        scale = rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1])
+        u_top = rng.random()
+        u_left = rng.random()
+        theta = math.radians(angle)
+        side = h * math.sqrt(scale)
+        draws.append(
+            (u_flip, angle, math.cos(theta), math.sin(theta), side, (h - side) * u_top, (w - side) * u_left)
+        )
+    u_flip, angle, cos, sin, side, top, left = np.array(draws).T
+    flip = u_flip < cfg.flip_prob
+    rotate = angle != 0.0
+    crop = side != h
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rr, cc = np.mgrid[0:h, 0:w].astype(np.float64)
+    dy = rr - cy
+    dx = cc - cx
+    centers = np.arange(h, dtype=np.float64) + 0.5
+    chunk = max(1, _CHUNK_PIXELS // (h * w))
+    for lo in range(0, len(imgs), chunk):
+        part = slice(lo, lo + chunk)
+        view = out[part]
+        sel = flip[part]
+        if sel.any():
+            view[sel] = view[sel][:, :, ::-1]
+        sel = rotate[part]
+        if sel.any():
+            c = cos[part][sel][:, None, None]
+            s = sin[part][sel][:, None, None]
+            view[sel] = _bilinear_stack(view[sel], cy + c * dy + s * dx, cx - s * dy + c * dx)
+        sel = crop[part]
+        if sel.any():
+            sd = side[part][sel][:, None]
+            rows = top[part][sel][:, None] + centers * sd / h - 0.5
+            cols = left[part][sel][:, None] + centers * sd / w - 0.5
+            view[sel] = _bilinear_stack(view[sel], rows[:, :, None], cols[:, None, :])
+    return out
+
+
+def augment(pixels: np.ndarray, cfg: AugmentConfig, draw_seed) -> np.ndarray:
+    """One view of one square image: ``augment_views`` on a batch of one."""
+    return augment_views([pixels], cfg, [draw_seed])[0]
 
 
 def make_views(sample: SliceSample, cfg: AugmentConfig, seed):
     """Two independent augmentations of one slice, sharing its metadata."""
     key = seed if isinstance(seed, (tuple, list)) else (seed,)
-    view_a = augment(sample.pixels, cfg, (*key, 0))
-    view_b = augment(sample.pixels, cfg, (*key, 1))
+    view_a, view_b = augment_views([sample.pixels] * 2, cfg, [(*key, 0), (*key, 1)])
     return view_a, view_b, sample

@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
 from .errors import ConfigError, ContractError, NonFiniteError, check_seed
 from .losses import BatchMeta, LossConfig, compute_loss
-from .sampling import AugmentConfig, BatchSpec, SliceSample, epoch_batches, make_views, sample_batch_fallback
+from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches, sample_batch_fallback
 
 OPTIMIZERS = ("adaptive_moments", "sgd_momentum")
 
@@ -129,23 +129,21 @@ class EpochRecord:
 
 
 def _assemble_batch(batch: list[SliceSample], aug_cfg: AugmentConfig, key, arch: str):
-    """Two views per slice, stacked into one array with matching metadata."""
-    views = []
-    y, d, slice_ids, patient_ids = [], [], [], []
-    for pos, sample in enumerate(batch):
-        view_a, view_b, meta = make_views(sample, aug_cfg, (*key, pos))
-        for view in (view_a, view_b):
-            views.append(view)
-            y.append(meta.y)
-            d.append(meta.d)
-            slice_ids.append(meta.slice_id)
-            patient_ids.append(meta.patient_id)
-    stacked = np.stack(views).astype(np.float64)
+    """Two views per slice, augmented as one stack, with matching metadata."""
+    samples = [sample for sample in batch for _ in range(2)]
+    seeds = [(*key, pos, view) for pos in range(len(batch)) for view in range(2)]
+    views = augment_views([s.pixels for s in samples], aug_cfg, seeds)
     if arch == "mlp":
-        x = stacked.reshape(len(views), -1)
+        x = views.reshape(len(views), -1)
     else:
-        x = stacked[:, None, :, :]
-    return Tensor(x), BatchMeta(y, d, slice_ids, patient_ids)
+        x = views[:, None, :, :]
+    meta = BatchMeta(
+        [s.y for s in samples],
+        [s.d for s in samples],
+        [s.slice_id for s in samples],
+        [s.patient_id for s in samples],
+    )
+    return Tensor(x), meta
 
 
 def pretrain(

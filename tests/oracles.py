@@ -143,3 +143,59 @@ def naive_pairwise_logsumexp(s, exclude_anchor):
             peak = max(terms)
             out[t, i] = peak + math.log(math.fsum(math.exp(v - peak) for v in terms))
     return out
+
+
+def _oracle_bilinear(img, rows, cols):
+    h, w = img.shape
+    rows = np.clip(rows, 0.0, h - 1.0)
+    cols = np.clip(cols, 0.0, w - 1.0)
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = rows - r0
+    fc = cols - c0
+    top = img[r0, c0] * (1.0 - fc) + img[r0, c1] * fc
+    bottom = img[r1, c0] * (1.0 - fc) + img[r1, c1] * fc
+    return top * (1.0 - fr) + bottom * fr
+
+
+def oracle_augment(pixels, cfg, draw_seed):
+    """One view, one image at a time: flip, rotate, then crop-and-resize.
+
+    The per-view reference for ``wsp.sampling.augment_views``. The five
+    draws come from a generator seeded with [cfg.seed, *draw_seed]; rotation
+    rebuilds its coordinate grid and both resamplings index the 2-d image
+    with (row, column) arrays. Returns float64.
+    """
+    img = np.asarray(pixels, dtype=np.float64)
+    if not cfg.enabled:
+        return img.copy()
+    key = [int(cfg.seed)]
+    key.extend(int(k) for k in (draw_seed if isinstance(draw_seed, (tuple, list)) else (draw_seed,)))
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    u_flip = rng.random()
+    angle = rng.uniform(-cfg.rotation_degrees, cfg.rotation_degrees)
+    scale = rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1])
+    u_top = rng.random()
+    u_left = rng.random()
+    h, w = img.shape
+    if u_flip < cfg.flip_prob:
+        img = img[:, ::-1].copy()
+    if angle != 0.0:
+        theta = math.radians(angle)
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        rr, cc = np.mgrid[0:h, 0:w].astype(np.float64)
+        dy = rr - cy
+        dx = cc - cx
+        src_r = cy + math.cos(theta) * dy + math.sin(theta) * dx
+        src_c = cx - math.sin(theta) * dy + math.cos(theta) * dx
+        img = _oracle_bilinear(img, src_r, src_c)
+    side = h * math.sqrt(scale)
+    if side != h:
+        top = (h - side) * u_top
+        left = (w - side) * u_left
+        rr = top + (np.arange(h, dtype=np.float64) + 0.5) * side / h - 0.5
+        cc = left + (np.arange(w, dtype=np.float64) + 0.5) * side / w - 0.5
+        img = _oracle_bilinear(img, rr[:, None], cc[None, :])
+    return img

@@ -91,6 +91,18 @@ class TestConv2d:
         fd_check(wrt_input, x)
         fd_check(wrt_kernel, k)
 
+    def test_input_gradient_skipped_when_not_required(self, rng):
+        x = rng.normal(size=(2, 3, 9, 7))
+        k = rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, 4, 3))
+        frozen = ad.conv2d(Tensor(x), Tensor(k, requires_grad=True), stride=2)
+        full = ad.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), stride=2)
+        gx_frozen, gk_frozen = frozen._backward_fn(g)
+        gx_full, gk_full = full._backward_fn(g)
+        assert gx_frozen is None
+        assert gx_full.shape == x.shape
+        assert np.array_equal(gk_frozen, gk_full)
+
 
 class TestElementwise:
     def test_relu(self):

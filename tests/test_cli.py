@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -124,6 +125,23 @@ class TestPretrain:
             ["pretrain", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out", str(tmp_path / "c")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda r: 5, lambda r: {**r, "file": 7}, lambda r: {**r, "file": "../" + r["file"]}],
+        ids=["record-not-object", "file-not-string", "file-outside"],
+    )
+    def test_malformed_manifest_record_is_data_error(self, dataset_dir, tmp_path, capsys, edit):
+        data = tmp_path / "set"
+        shutil.copytree(dataset_dir, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        # A valid volume just outside the directory, so only confinement can reject "../<file>".
+        shutil.copy(data / doc["volumes"][0]["file"], tmp_path)
+        doc["volumes"][0] = edit(doc["volumes"][0])
+        (data / "manifest.json").write_text(json.dumps(doc))
+        code = run(["pretrain", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "c.ckpt")])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_non_finite_loss_writes_batch_dump(self, dataset_dir, tmp_path, monkeypatch, capsys):
         from wsp.errors import NonFiniteError

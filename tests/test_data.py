@@ -235,6 +235,80 @@ class TestDiskFormat:
             load_dataset(tmp_path)
         assert main(["pretrain", "--data", str(tmp_path), "--out", str(tmp_path / "c.ckpt")]) == 3
 
+    @staticmethod
+    def dataset_with_record(tmp_path, edit):
+        """A saved two-volume dataset under tmp_path/set whose second record is ``edit(record)``."""
+        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        root = tmp_path / "set"
+        save_dataset(manifest, volumes, root)
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["volumes"][1] = edit(doc["volumes"][1])
+        (root / "manifest.json").write_text(json.dumps(doc))
+        return root
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {**doc, "volumes": {"V0000": {}}},
+            lambda doc: {**doc, "generator": [1]},
+            lambda doc: {**doc, "generator": {**doc["generator"], "latent_severity": [0.5, 0.7]}},
+        ],
+        ids=["volumes-not-list", "generator-not-object", "severities-not-object"],
+    )
+    def test_malformed_manifest_sections_rejected(self, tmp_path, edit):
+        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        save_dataset(manifest, volumes, tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(edit(doc)))
+        with pytest.raises(FormatError, match="must be a"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("record", [5, "V0001", ["V0001"], None])
+    def test_non_object_volume_record_rejected(self, tmp_path, record):
+        root = self.dataset_with_record(tmp_path, lambda _: record)
+        with pytest.raises(FormatError, match="JSON object"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("value", [7, None, ["a.wspv"], {"path": "a.wspv"}])
+    @pytest.mark.parametrize("key", ["file", "id", "patient_id"])
+    def test_non_string_record_field_rejected(self, tmp_path, key, value):
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, key: value})
+        with pytest.raises(FormatError, match=f"{key} must be a string"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_file_outside_dataset_directory_rejected(self, tmp_path, where):
+        outside = tmp_path / "outside" / "x.wspv"
+        outside.parent.mkdir()
+
+        def escape(record):
+            outside.write_bytes((tmp_path / "set" / record["file"]).read_bytes())
+            return {**record, "file": "../outside/x.wspv" if where == "parent" else str(outside)}
+
+        root = self.dataset_with_record(tmp_path, escape)
+        with pytest.raises(FormatError, match="outside the dataset directory"):
+            load_dataset(root)
+
+    def test_file_in_subdirectory_loads(self, tmp_path):
+        def move(record):
+            (tmp_path / "set" / "sub").mkdir()
+            (tmp_path / "set" / record["file"]).rename(tmp_path / "set" / "sub" / record["file"])
+            return {**record, "file": f"sub/{record['file']}"}
+
+        _, volumes = load_dataset(self.dataset_with_record(tmp_path, move))
+        assert len(volumes) == 2
+
+    @pytest.mark.parametrize("value", [7, 2, -1])
+    def test_non_binary_y_strong_rejected(self, tmp_path, value):
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, "y_strong": value})
+        with pytest.raises(FormatError, match="y_strong"):
+            load_dataset(root)
+
+    def test_negative_y_weak_rejected(self, tmp_path):
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, "y_weak": -1})
+        with pytest.raises(FormatError, match="y_weak"):
+            load_dataset(root)
+
     def test_volume_invariants_enforced(self):
         with pytest.raises(ContractError):
             make_volume(3, v_max=1)  # depth 2 exceeds V_max

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_augment
 from wsp.errors import ConfigError, ContractError, FallbackRequired
 from wsp.sampling import (
+    _CHUNK_PIXELS,
     AugmentConfig,
     BatchSpec,
     augment,
+    augment_views,
     epoch_batches,
     make_views,
     sample_batch,
@@ -13,6 +17,26 @@ from wsp.sampling import (
 )
 
 NULL_AUG = AugmentConfig(rotation_degrees=0.0, crop_scale=(1.0, 1.0), flip_prob=0.0)
+
+ORACLE_CONFIGS = {
+    "default": AugmentConfig(),
+    "no_rotation": AugmentConfig(rotation_degrees=0.0),
+    "no_crop": AugmentConfig(crop_scale=(1.0, 1.0)),
+    "never_flip": AugmentConfig(flip_prob=0.0),
+    "always_flip": AugmentConfig(flip_prob=1.0),
+    "disabled": AugmentConfig(enabled=False),
+    "half_turn_tiny_crop": AugmentConfig(rotation_degrees=180.0, crop_scale=(0.01, 0.02)),
+}
+
+
+def oracle_views(images, cfg, seeds):
+    return np.stack([oracle_augment(img, cfg, seed) for img, seed in zip(images, seeds)])
+
+
+def random_images(rng, n, size, dtype):
+    if dtype == np.uint8:
+        return rng.integers(0, 256, size=(n, size, size), dtype=np.uint8)
+    return (100.0 * rng.normal(size=(n, size, size))).astype(dtype)
 
 
 def class_counts(batch):
@@ -160,6 +184,55 @@ class TestAugment:
             AugmentConfig(rotation_degrees=-5)
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
+
+
+class TestAugmentViews:
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    @pytest.mark.parametrize("n_views", [1, _CHUNK_PIXELS // (32 * 32) + 1, 257])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_bytes_match_per_view_oracle(self, name, n_views, dtype):
+        cfg = ORACLE_CONFIGS[name]
+        images = random_images(np.random.default_rng(n_views), n_views, 32, dtype)
+        seeds = [(4, 1, j // 2, j % 2) for j in range(n_views)]
+        views = augment_views(list(images), cfg, seeds)
+        assert views.dtype == np.float64
+        assert views.tobytes() == oracle_views(images, cfg, seeds).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        n_views=st.integers(1, 24),
+        rotation=st.floats(0.0, 180.0),
+        crop=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(sorted),
+        flip_prob=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_oracle(self, seed, size, n_views, rotation, crop, flip_prob):
+        cfg = AugmentConfig(rotation_degrees=rotation, crop_scale=crop, flip_prob=flip_prob, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        images = random_images(rng, n_views, size, np.float32)
+        seeds = [(seed, j) for j in range(n_views)]
+        assert augment_views(images, cfg, seeds).tobytes() == oracle_views(images, cfg, seeds).tobytes()
+
+    def test_single_view_entry_points_match_oracle(self, balanced_volumes):
+        sample = sample_batch(balanced_volumes, BatchSpec(batch_size=8, seed=0))[0]
+        cfg = AugmentConfig(seed=3)
+        view_a, view_b, _ = make_views(sample, cfg, seed=(2, 5))
+        assert view_a.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 0)).tobytes()
+        assert view_b.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 1)).tobytes()
+        assert augment(sample.pixels, cfg, 9).tobytes() == oracle_augment(sample.pixels, cfg, 9).tobytes()
+
+    def test_malformed_batches_rejected(self, rng):
+        with pytest.raises(ContractError):
+            augment_views([], AugmentConfig(), [])
+        with pytest.raises(ContractError):
+            augment_views([rng.random((8, 8))], AugmentConfig(), [0, 1])
+        with pytest.raises(ContractError):
+            augment_views([rng.random((8, 8)), rng.random((9, 9))], AugmentConfig(), [0, 1])
+        with pytest.raises(ContractError):
+            augment_views([rng.random((2, 8, 8))], AugmentConfig(), [0])
+        with pytest.raises(ContractError):
+            augment_views([np.zeros((0, 0))], AugmentConfig(), [0])
 
 
 class TestMakeViews:

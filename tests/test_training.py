@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wsp.autodiff import Tensor
-from wsp.encoders import EncoderConfig
+from oracles import oracle_augment
+from wsp.encoders import EncoderConfig, save_checkpoint
 from wsp.errors import ConfigError, ContractError, NonFiniteError
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
@@ -172,6 +173,21 @@ class TestPretrain:
             pretrain(small_volumes, enc_cfg, self.optim(seed=5, epochs=1))
         assert err.value.details["epoch"] == 0
         assert len(err.value.details["slice_ids"]) == 16  # two views per slice
+
+    def test_checkpoint_bytes_match_per_view_oracle(self, small_volumes, tmp_path, monkeypatch):
+        enc_cfg = EncoderConfig(
+            seed=7, conv_channels=SMALL_ENC.conv_channels, repr_dim=32, proj_dim=8, proj_hidden=16
+        )
+        batched, _ = pretrain(small_volumes, enc_cfg, self.optim(seed=7))
+        save_checkpoint(batched, tmp_path / "batched.ckpt")
+
+        def per_view(pixels, cfg, seeds):
+            return np.stack([oracle_augment(p, cfg, seed) for p, seed in zip(pixels, seeds)])
+
+        monkeypatch.setattr("wsp.training.augment_views", per_view)
+        reference, _ = pretrain(small_volumes, enc_cfg, self.optim(seed=7))
+        save_checkpoint(reference, tmp_path / "reference.ckpt")
+        assert (tmp_path / "batched.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
 
     def test_augmentation_disabled_still_trains(self, small_volumes):
         enc_cfg = EncoderConfig(

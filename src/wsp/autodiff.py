@@ -165,7 +165,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = x.data @ w.data + b.data
 
     def bwd(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        gx = g @ w.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, g.sum(axis=0)
 
     return make_op(out, (x, w, b), bwd, "affine")
 

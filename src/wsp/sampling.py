@@ -6,12 +6,15 @@ once before any repeats. The fallback sampler keeps class balance but lets
 patients repeat, for cohorts smaller than the batch size.
 
 All randomness is derived from explicit integer keys via SeedSequence, so any
-draw is reproducible in isolation.
+draw is reproducible in isolation. Augmentation evaluates SeedSequence and PCG64
+for all views of a batch at once, with the same values numpy's per-key
+generators give.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,8 @@ class AugmentConfig:
         object.__setattr__(self, "crop_scale", tuple(self.crop_scale))
         if self.rotation_degrees < 0:
             raise ConfigError("rotation range must be >= 0")
+        if not self.rotation_degrees <= sys.float_info.max / 2:
+            raise ConfigError(f"rotation range 2 * rotation_degrees must be finite, got {self.rotation_degrees}")
         lo, hi = self.crop_scale
         if not (0 < lo <= hi <= 1):
             raise ConfigError(f"crop_scale must satisfy 0 < lo <= hi <= 1, got {self.crop_scale}")
@@ -257,13 +262,154 @@ def _bilinear_stack(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
     return top
 
 
-def _draw_key(cfg: AugmentConfig, draw_seed) -> list[int]:
-    key = [int(cfg.seed)]
-    if isinstance(draw_seed, (tuple, list)):
-        key.extend(int(k) for k in draw_seed)
-    else:
-        key.append(int(draw_seed))
-    return key
+# SeedSequence's hash constants and pool size, and PCG64's 128-bit multiplier
+# (numpy.random.bit_generator and pcg64.h; both streams are fixed by NEP 19).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+_N_DRAWS = 5
+
+
+def _limbs(values: list[int]) -> tuple:
+    """128-bit integers as k,1 uint64 columns: (high, low, low >> 32, low & MASK32)."""
+    hi = np.array([v >> 64 for v in values], np.uint64)[:, None]
+    lo = np.array([v & _MASK64 for v in values], np.uint64)[:, None]
+    return hi, lo, lo >> _U32, lo & _LOW32
+
+
+# Seeding PCG64 with (seed, inc) sets its state to t = seed + inc and takes one
+# LCG step; each draw takes one more. So the state of draw k = 1..5 is
+# MULT**(k+1) * t + (1 + MULT + ... + MULT**k) * inc, mod 2**128.
+_DRAW_MULT = _limbs([_PCG_MULT ** (k + 1) & _MASK128 for k in range(1, _N_DRAWS + 1)])
+_DRAW_INC = _limbs([sum(_PCG_MULT**i for i in range(k + 1)) & _MASK128 for k in range(1, _N_DRAWS + 1)])
+
+
+def _key_words(cfg: AugmentConfig, draw_seed) -> list[int]:
+    """The 32-bit words SeedSequence makes of the key [cfg.seed, *draw_seed].
+
+    Each integer becomes its words least significant first; 0 is one word.
+    """
+    key = (cfg.seed, *draw_seed) if isinstance(draw_seed, (tuple, list)) else (cfg.seed, draw_seed)
+    words = []
+    for n in map(int, key):
+        if n < 0:
+            raise ContractError(f"draw seeds must be non-negative integers, got {draw_seed!r}")
+        words.append(n & _MASK32)
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant before and after each of ``count`` hashmix calls.
+
+    A count+1,1 uint32 column: init, then repeated multiplication by mult.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of k consecutive calls, one per row of ``values``.
+
+    Row i is hashed with ``consts[i]`` and ``consts[i + 1]``; a single row of
+    values broadcasts against all k calls.
+    """
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's 4,k pool for each column of an L,k array of entropy words.
+
+    Runs of hashmix calls whose inputs do not depend on each other's results
+    are made as one call on rows.
+    """
+    n_words, k = entropy.shape
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * max(0, n_words - _POOL_SIZE))
+    first = entropy[:_POOL_SIZE]
+    if n_words < _POOL_SIZE:
+        first = np.concatenate([first, np.zeros((_POOL_SIZE - n_words, k), np.uint32)])
+    pool = _hashmix(first, consts[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at : at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, consts[at : at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    return pool
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: tuple) -> tuple:
+    """(hi, lo) * const mod 2**128 on uint64 limbs, for constants made by ``_limbs``.
+
+    The high half of lo * (low limb of const) is assembled from 32-bit limbs.
+    """
+    c_hi, c_lo, c_lo_1, c_lo_0 = const
+    a1, a0 = lo >> _U32, lo & _LOW32
+    p00, p01, p10, p11 = a0 * c_lo_0, a0 * c_lo_1, a1 * c_lo_0, a1 * c_lo_1
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return carry + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def _draw_values(cfg: AugmentConfig, draw_seeds) -> np.ndarray:
+    """Every view's five augmentation values, computed for all views at once.
+
+    Column j holds ``random(), uniform(-r, r), uniform(*crop_scale), random(),
+    random()`` of ``default_rng(SeedSequence([cfg.seed, *draw_seeds[j]]))``,
+    bit for bit. SeedSequence's pool mixing runs on the columns of keys grouped
+    by word count, and its ``generate_state(4, uint64)`` gives PCG64's seed and
+    increment as numpy uses them (inc = (i << 1) | 1, a step, state += seed, a
+    step). The five states that follow are jumped to directly, and their
+    XSL-RR outputs become doubles as ``Generator.random`` and
+    ``Generator.uniform`` make them. Returns a 5,n float64 array.
+    """
+    groups: dict[int, tuple[list, list]] = {}
+    for j, draw_seed in enumerate(draw_seeds):
+        words = _key_words(cfg, draw_seed)
+        views, keys = groups.setdefault(len(words), ([], []))
+        views.append(j)
+        keys.append(words)
+    pool = np.empty((_POOL_SIZE, len(draw_seeds)), np.uint32)
+    for views, keys in groups.values():
+        pool[:, views] = _mix_entropy(np.array(keys, np.uint32).T)
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian.
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = state[0::2] | state[1::2] << _U32
+    inc_hi = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63)
+    inc_lo = inc_lo << np.uint64(1) | np.uint64(1)
+    t_lo = seed_lo + inc_lo
+    t_hi = seed_hi + inc_hi + (t_lo < inc_lo)
+    a_hi, a_lo = _mul128(t_hi, t_lo, _DRAW_MULT)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, _DRAW_INC)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < b_lo)
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    values = (x >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    low, high = float(-cfg.rotation_degrees), float(cfg.rotation_degrees)
+    values[1] = low + (high - low) * values[1]
+    low, high = float(cfg.crop_scale[0]), float(cfg.crop_scale[1])
+    values[2] = low + (high - low) * values[2]
+    return values
 
 
 def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
@@ -285,20 +431,15 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
     if not cfg.enabled:
         return out
     h = w = shape[0]
-    draws = []
-    for draw_seed in draw_seeds:
-        rng = np.random.default_rng(np.random.SeedSequence(_draw_key(cfg, draw_seed)))
-        u_flip = rng.random()
-        angle = rng.uniform(-cfg.rotation_degrees, cfg.rotation_degrees)
-        scale = rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1])
-        u_top = rng.random()
-        u_left = rng.random()
-        theta = math.radians(angle)
-        side = h * math.sqrt(scale)
-        draws.append(
-            (u_flip, angle, math.cos(theta), math.sin(theta), side, (h - side) * u_top, (w - side) * u_left)
-        )
-    u_flip, angle, cos, sin, side, top, left = np.array(draws).T
+    u_flip, angle, scale, u_top, u_left = _draw_values(cfg, draw_seeds)
+    # The trigonometry stays in math, per view: numpy's vectorized cos and sin
+    # need not round as the C library does.
+    theta = [math.radians(a) for a in angle.tolist()]
+    cos = np.array([math.cos(t) for t in theta])
+    sin = np.array([math.sin(t) for t in theta])
+    side = h * np.array([math.sqrt(s) for s in scale.tolist()])
+    top = (h - side) * u_top
+    left = (w - side) * u_left
     flip = u_flip < cfg.flip_prob
     rotate = angle != 0.0
     crop = side != h

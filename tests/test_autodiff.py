@@ -54,6 +54,20 @@ class TestAffine:
         w = rng.uniform(-1, 1, (4, 2))
         fd_check(lambda t: ad.sum_all(square(ad.affine(t, Tensor(w), Tensor([0.1, -0.2])))), x)
 
+    def test_input_gradient_skipped_when_not_required(self, rng):
+        x = rng.normal(size=(5, 4))
+        w = rng.normal(size=(4, 3))
+        b = rng.normal(size=3)
+        g = rng.normal(size=(5, 3))
+        frozen = ad.affine(Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        full = ad.affine(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        gx_frozen, gw_frozen, gb_frozen = frozen._backward_fn(g)
+        gx_full, gw_full, gb_full = full._backward_fn(g)
+        assert gx_frozen is None
+        assert gx_full.shape == x.shape
+        assert np.array_equal(gw_frozen, gw_full)
+        assert np.array_equal(gb_frozen, gb_full)
+
 
 class TestConv2d:
     def test_all_ones(self):

@@ -327,6 +327,18 @@ class TestParser:
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rotation", [float("nan"), float("inf"), 1e308], ids=["nan", "inf", "1e308"])
+    def test_non_finite_rotation_range_is_usage_error(self, dataset_dir, tmp_path, capsys, rotation):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"augment": {"rotation_degrees": rotation}}))
+        code = run(
+            ["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error:" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["abc", 1.5, True, -1], ids=["str", "float", "bool", "negative"])
     @pytest.mark.parametrize("section", ["encoder", "optim", "augment", "probe"])
     def test_bad_section_seed_is_usage_error(self, dataset_dir, checkpoint, tmp_path, capsys, section, value):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,8 @@ from wsp.sampling import (
     _CHUNK_PIXELS,
     AugmentConfig,
     BatchSpec,
+    _draw_values,
+    _key_words,
     augment,
     augment_views,
     epoch_batches,
@@ -31,6 +35,24 @@ ORACLE_CONFIGS = {
 
 def oracle_views(images, cfg, seeds):
     return np.stack([oracle_augment(img, cfg, seed) for img, seed in zip(images, seeds)])
+
+
+def numpy_draws(cfg, draw_seed):
+    """The five values of one view from numpy's own generator for its key."""
+    key = [cfg.seed, *(draw_seed if isinstance(draw_seed, tuple) else (draw_seed,))]
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    return [
+        rng.random(),
+        rng.uniform(-cfg.rotation_degrees, cfg.rotation_degrees),
+        rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1]),
+        rng.random(),
+        rng.random(),
+    ]
+
+
+# Key integers of one 32-bit word (0 among them) and of two to six words.
+KEY_INTS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**160))
+DRAW_SEEDS = st.one_of(KEY_INTS, st.lists(KEY_INTS, max_size=7).map(tuple))
 
 
 def random_images(rng, n, size, dtype):
@@ -184,6 +206,10 @@ class TestAugment:
             AugmentConfig(rotation_degrees=-5)
         with pytest.raises(ConfigError):
             AugmentConfig(flip_prob=1.5)
+        for rotation in (float("nan"), float("inf"), 1e308, 10**400):
+            with pytest.raises(ConfigError):
+                AugmentConfig(rotation_degrees=rotation)
+        AugmentConfig(rotation_degrees=sys.float_info.max / 2)  # 2 * rotation is still finite
 
 
 class TestAugmentViews:
@@ -233,6 +259,43 @@ class TestAugmentViews:
             augment_views([rng.random((2, 8, 8))], AugmentConfig(), [0])
         with pytest.raises(ContractError):
             augment_views([np.zeros((0, 0))], AugmentConfig(), [0])
+
+
+class TestDrawValues:
+    @given(
+        cfg_seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+        draw_seeds=st.lists(DRAW_SEEDS, min_size=1, max_size=12),
+        rotation=st.one_of(st.floats(0.0, 180.0), st.floats(0.0, sys.float_info.max / 2)),
+        crop=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_numpy_generators(self, cfg_seed, draw_seeds, rotation, crop):
+        cfg = AugmentConfig(rotation_degrees=rotation, crop_scale=crop, seed=cfg_seed)
+        expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
+        assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
+
+    def test_wide_zero_and_mixed_length_keys_in_one_call(self):
+        cfg = AugmentConfig(seed=2**40)
+        draw_seeds = [
+            0,
+            (0, 0, 0, 0),
+            2**32,
+            (2**32 - 1, 2**64),
+            (1, 2, 3, 4, 5, 6, 7),
+            (),
+            2**96 + 1,
+            (5, 0, 2**33),
+            (4, 1, 0, 1),
+            (2**64,),
+        ]
+        assert sorted({len(_key_words(cfg, s)) for s in draw_seeds}) == [2, 3, 4, 5, 6, 9]
+        expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
+        assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("draw_seed", [-1, (3, -2), (-(2**40),)])
+    def test_negative_draw_seed_rejected(self, rng, draw_seed):
+        with pytest.raises(ContractError):
+            augment_views([rng.random((4, 4))], AugmentConfig(), [draw_seed])
 
 
 class TestMakeViews:

@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .data import (
     CENTRAL_FRACTION,
     GeneratorConfig,
@@ -28,23 +26,14 @@ from .data import (
     save_dataset,
 )
 from .encoders import (
+    ARCHS,
     EncoderCheckpoint,
     EncoderConfig,
     init_encoder,
     load_checkpoint,
     save_checkpoint,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateInputError,
-    DomainError,
-    FormatError,
-    NonFiniteError,
-    ShapeError,
-    WspError,
-    build_config,
-)
+from .errors import ConfigError, NonFiniteError, WspError, build_config
 from .evaluation import (
     DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
@@ -117,29 +106,26 @@ def _echo_config(primary_output: str, payload: dict) -> None:
     else:
         path = primary_output + ".config.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_jsonable)
+        json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
+    """Run-config section ``name`` with its flags applied; the one merge of file, flags and seeds.
 
-
-def _section(doc: dict, name: str) -> dict:
-    return dict(doc.get(name) or {}) if doc else {}
-
-
-def _seeded(doc: dict, name: str, args) -> dict:
-    """Section ``name`` with its seed set by precedence: --seed, the section's own, the top-level one."""
-    body = _section(doc, name)
-    if args.seed is not None:
-        body["seed"] = args.seed
-    elif "seed" in doc:
-        body.setdefault("seed", doc["seed"])
+    A key takes, highest first: a non-None ``overrides`` value, the dotted flag
+    ``name.key``, the config file's section. A section with a seed takes --seed,
+    else its own, else ``fallback_seed`` (default: the top-level seed).
+    """
+    body = dict(doc.get(name) or {})
+    flags = {dest[len(name) + 1 :]: value for dest, value in vars(args).items() if dest.startswith(name + ".")}
+    body.update((key, value) for key, value in {**flags, **overrides}.items() if value is not None)
+    if "seed" in _RUN_CONFIG_SECTIONS[name]:
+        fallback = doc.get("seed") if fallback_seed is None else fallback_seed
+        if args.seed is not None:
+            body["seed"] = args.seed
+        elif fallback is not None:
+            body.setdefault("seed", fallback)
     return body
 
 
@@ -147,7 +133,7 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
     """Anchor relative output paths under the config's output_dir, if any."""
     if path is None:
         return None
-    base = doc.get("output_dir") if doc else None
+    base = doc.get("output_dir")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
     parent = os.path.dirname(path)
@@ -161,19 +147,9 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    doc = load_run_config(args.config) if args.config else {}
-    body = _section(doc, "data")
+def cmd_generate(doc: dict, args) -> int:
+    body = _section(doc, args, "data", **_parse_size(args.size))
     body.pop("central_fraction", None)
-    if args.volumes is not None:
-        body["n_volumes"] = args.volumes
-    if args.slices is not None:
-        body["slices_per_volume"] = args.slices
-    if args.size is not None:
-        h, w = _parse_size(args.size)
-        body["height"], body["width"] = h, w
-    if args.noise is not None:
-        body["noise_rate"] = args.noise
     cfg = build_config(GeneratorConfig, body, ConfigError)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     out = _resolve_out(doc, args.out)
@@ -184,19 +160,27 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_size(text: str) -> tuple[int, int]:
+def _parse_size(text: str | None) -> dict:
+    """``HxW`` as the data section's height and width; no keys when the flag is absent."""
+    if text is None:
+        return {}
     try:
         h_str, w_str = text.lower().split("x")
-        return int(h_str), int(w_str)
+        return {"height": int(h_str), "width": int(w_str)}
     except ValueError as exc:
         raise ConfigError(f"--size must look like 32x32, got {text!r}") from exc
 
 
-def _load_trimmed(args, doc: dict):
+def _parse_list(text: str, flag: str, kind) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be comma-separated values of type {kind.__name__}, got {text!r}") from exc
+
+
+def _load_trimmed(doc: dict, args):
     """The central-slice fraction (flag, then config, then default) and the volumes trimmed to it."""
-    fraction = args.fraction
-    if fraction is None:
-        fraction = _section(doc, "data").get("central_fraction", CENTRAL_FRACTION)
+    fraction = _section(doc, args, "data").get("central_fraction", CENTRAL_FRACTION)
     if type(fraction) not in (int, float) or not 0 < fraction <= 1:
         raise ConfigError(f"central_fraction must be a number in (0, 1], got {fraction!r}")
     _, volumes = load_dataset(args.data)
@@ -204,43 +188,28 @@ def _load_trimmed(args, doc: dict):
 
 
 def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
-    body = _seeded(doc, "encoder", args)
-    if args.arch:
-        body["arch"] = args.arch
+    body = _section(doc, args, "encoder")
     if "input_shape" not in body:
         h, w = volumes[0].slices[0].pixels.shape
         body["input_shape"] = (1, h, w) if body.get("arch", "tiny_cnn") == "tiny_cnn" else (h * w,)
     return build_config(EncoderConfig, body, ConfigError)
 
 
-def cmd_pretrain(args) -> int:
-    doc = load_run_config(args.config) if args.config else {}
-    fraction, volumes = _load_trimmed(args, doc)
+def _training_configs(doc: dict, args, **loss_overrides):
+    """The loss, optim and augment configs of a training command; augment's seed falls back to optim's."""
+    loss_cfg = build_config(LossConfig, _section(doc, args, "loss", **loss_overrides), ConfigError)
+    optim_cfg = build_config(OptimConfig, _section(doc, args, "optim", loss=loss_cfg), ConfigError)
+    aug_cfg = build_config(AugmentConfig, _section(doc, args, "augment", fallback_seed=optim_cfg.seed), ConfigError)
+    return loss_cfg, optim_cfg, aug_cfg
 
-    loss_body = _section(doc, "loss")
-    kind = _LOSS_FLAG_TO_KIND[args.loss] if args.loss else loss_body.get("loss_kind", "wsp")
-    if args.sigma is not None:
-        if kind in ("supcon", "infonce"):
-            print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
-        loss_body["sigma"] = args.sigma
-    if args.tau is not None:
-        loss_body["tau"] = args.tau
-    loss_body["loss_kind"] = kind
-    loss_cfg = build_config(LossConfig, loss_body, ConfigError)
 
-    optim_body = _seeded(doc, "optim", args)
-    for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr"), ("weight_decay", "weight_decay")):
-        value = getattr(args, flag)
-        if value is not None:
-            optim_body[key] = value
-    optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
-
+def cmd_pretrain(doc: dict, args) -> int:
+    fraction, volumes = _load_trimmed(doc, args)
+    loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind=_LOSS_FLAG_TO_KIND.get(args.loss))
+    kind = loss_cfg.loss_kind
+    if getattr(args, "loss.sigma") is not None and kind in ("supcon", "infonce"):
+        print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
     enc_cfg = _encoder_config(doc, args, volumes)
-    aug_body = _section(doc, "augment")
-    if args.seed is not None or "seed" not in aug_body:
-        aug_body["seed"] = optim_cfg.seed
-    aug_cfg = build_config(AugmentConfig, aug_body, ConfigError)
-
     out = _resolve_out(doc, args.out)
     try:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
@@ -269,7 +238,7 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _resolve_checkpoint(args, doc, volumes) -> EncoderCheckpoint:
+def _resolve_checkpoint(doc: dict, args, volumes) -> EncoderCheckpoint:
     if args.ckpt == "random":
         enc_cfg = _encoder_config(doc, args, volumes)
         enc = init_encoder(enc_cfg)
@@ -277,14 +246,10 @@ def _resolve_checkpoint(args, doc, volumes) -> EncoderCheckpoint:
     return load_checkpoint(args.ckpt)
 
 
-def cmd_probe(args) -> int:
-    doc = load_run_config(args.config) if args.config else {}
-    fraction, volumes = _load_trimmed(args, doc)
-    ckpt = _resolve_checkpoint(args, doc, volumes)
-    probe_body = _seeded(doc, "probe", args)
-    if args.folds is not None:
-        probe_body["folds"] = args.folds
-    probe_cfg = build_config(ProbeConfig, probe_body, ConfigError)
+def cmd_probe(doc: dict, args) -> int:
+    fraction, volumes = _load_trimmed(doc, args)
+    ckpt = _resolve_checkpoint(doc, args, volumes)
+    probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
     out = _resolve_out(doc, args.out)
@@ -306,10 +271,9 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    doc = load_run_config(args.config) if args.config else {}
-    fraction, volumes = _load_trimmed(args, doc)
-    ckpt = _resolve_checkpoint(args, doc, volumes)
+def cmd_project(doc: dict, args) -> int:
+    fraction, volumes = _load_trimmed(doc, args)
+    ckpt = _resolve_checkpoint(doc, args, volumes)
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr, modes=2)
     out = _resolve_out(doc, args.out)
@@ -328,8 +292,8 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    results = gradient_check(seed=args.seed if args.seed is not None else 0)
+def cmd_gradcheck(doc: dict, args) -> int:
+    results = gradient_check(seed=args.seed or 0)
     failed = []
     for kind, err in results.items():
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -342,30 +306,16 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    doc = load_run_config(args.config) if args.config else {}
-    if args.sigmas is not None:
-        sigmas = _parse_float_list(args.sigmas, "--sigmas")
-    else:
-        sigmas = list(DEFAULT_SWEEP_SIGMAS)
+def cmd_sweep(doc: dict, args) -> int:
+    sigmas = _parse_list(args.sigmas, "--sigmas", float) if args.sigmas is not None else list(DEFAULT_SWEEP_SIGMAS)
     if not sigmas:
         raise ConfigError("--sigmas must not be empty")
-    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
-    fraction, volumes = _load_trimmed(args, doc)
+    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else None
+    _, volumes = _load_trimmed(doc, args)
     enc_cfg = _encoder_config(doc, args, volumes)
-    optim_body = _seeded(doc, "optim", args)
-    for flag, key in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr")):
-        value = getattr(args, flag)
-        if value is not None:
-            optim_body[key] = value
-    loss_body = _section(doc, "loss")
-    loss_body["loss_kind"] = "wsp"
-    if args.tau is not None:
-        loss_body["tau"] = args.tau
-    loss_cfg = build_config(LossConfig, loss_body, ConfigError)
-    optim_cfg = build_config(OptimConfig, dict(optim_body, loss=loss_cfg), ConfigError)
-    probe_cfg = build_config(ProbeConfig, _seeded(doc, "probe", args), ConfigError)
-    rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds)
+    _, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
+    probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
+    rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds, aug_cfg=aug_cfg)
     out = _resolve_out(doc, args.out)
     write_sweep_csv(out, rows)
     _echo_config(
@@ -377,25 +327,12 @@ def cmd_sweep(args) -> int:
             "seeds": seeds if seeds is not None else [optim_cfg.seed],
             "optim": {k: v for k, v in asdict(optim_cfg).items() if k != "loss"},
             "probe": asdict(probe_cfg),
+            "augment": asdict(aug_cfg),
         },
     )
     for row in rows:
         print(f"sigma={row.sigma}: AUC {row.auc_mean:.4f} +- {row.auc_std:.4f}")
     return EXIT_OK
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from exc
 
 
 def write_pca_svg(path, table, coords) -> None:
@@ -440,97 +377,94 @@ def write_pca_svg(path, table, coords) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Every flag once: flag -> (dest, argparse keywords). A dotted dest
+# ``section.key`` names the run-config key that the flag overrides (see _section).
+_FLAGS = {
+    "--data": ("data", {"required": True, "help": "dataset directory"}),
+    "--ckpt": ("ckpt", {"required": True, "help": "checkpoint path, or 'random' for an untrained encoder"}),
+    "--out": ("out", {"required": True}),
+    "--volumes": ("data.n_volumes", {"type": int, "help": "number of volumes (default 60)"}),
+    "--slices": ("data.slices_per_volume", {"type": int, "help": "slices per volume (default 24)"}),
+    "--size": ("size", {"help": "image size as HxW (default 32x32)"}),
+    "--noise": ("data.noise_rate", {"type": float, "help": "label-noise rate rho (default 0.1)"}),
+    "--fraction": ("data.central_fraction", {"type": float, "help": "central-slice fraction (default 0.7)"}),
+    "--arch": ("encoder.arch", {"choices": ARCHS, "help": "encoder architecture (default tiny_cnn)"}),
+    "--loss": ("loss", {"choices": sorted(_LOSS_FLAG_TO_KIND), "help": "loss kind (default wsp)"}),
+    "--sigma": ("loss.sigma", {"type": float, "help": "depth-kernel bandwidth (default 0.1)"}),
+    "--tau": ("loss.tau", {"type": float, "help": "similarity temperature (default 0.1)"}),
+    "--epochs": ("optim.epochs", {"type": int, "help": "training epochs (default 30)"}),
+    "--batch": ("optim.batch_size", {"type": int, "help": "batch size in slices (default 32)"}),
+    "--lr": ("optim.lr", {"type": float, "help": "peak learning rate (default 1e-4)"}),
+    "--weight-decay": ("optim.weight_decay", {"type": float, "help": "decoupled weight decay (default 1e-4)"}),
+    "--folds": ("probe.folds", {"type": int, "help": "cross-validation folds (default 5)"}),
+    "--sigmas": ("sigmas", {"help": "comma-separated bandwidths (default 0.01,0.1,0.2,0.3,0.5)"}),
+    "--seeds": ("seeds", {"help": "comma-separated seeds (default: the --seed value)"}),
+    "--svg": ("svg", {"help": "optional scatter SVG output path"}),
+    "--embeddings": ("embeddings", {"help": "optional raw-representation CSV output path"}),
+    "--seed": ("seed", {"type": int}),
+    "--config": ("config", {"help": "run-config JSON; flags override"}),
+}
+
+_RANDOM_ARCH = ("--arch", "architecture for --ckpt random")
+
+# Sub-command -> (function, help, flags in --help order); a (flag, help) pair
+# gives the flag this command's own help text.
+_COMMANDS = {
+    "generate": (cmd_generate, "write a deterministic synthetic dataset", [
+        ("--out", "output dataset directory"), "--volumes", "--slices", "--size", "--noise",
+        ("--seed", "generator seed (default 0)"), "--config",
+    ]),
+    "pretrain": (cmd_pretrain, "contrastive pretraining on a dataset", [
+        "--data", "--loss", "--sigma", "--tau", "--epochs", "--batch", "--lr", "--weight-decay", "--arch",
+        "--fraction", ("--out", "checkpoint output path"), ("--seed", "training seed (default 0)"), "--config",
+    ]),
+    "probe": (cmd_probe, "linear probe with stratified cross-validation", [
+        "--data", "--ckpt", "--folds", _RANDOM_ARCH, "--fraction", ("--out", "metrics CSV output path"),
+        ("--seed", "fold/init seed (default 0)"), "--config",
+    ]),
+    "project": (cmd_project, "export the 2-mode PCA of representations", [
+        "--data", "--ckpt", _RANDOM_ARCH, "--fraction", ("--out", "PCA CSV output path"), "--svg", "--embeddings",
+        ("--seed", "seed for --ckpt random (default 0)"), "--config",
+    ]),
+    "gradcheck": (cmd_gradcheck, "verify loss gradients against finite differences", [
+        ("--seed", "random seed for the check batches (default 0)"),
+    ]),
+    "sweep": (cmd_sweep, "pretrain+probe over a grid of sigma values", [
+        "--data", "--sigmas", "--seeds", "--epochs", "--batch", "--lr", "--tau", "--arch", "--fraction",
+        ("--out", "sweep CSV output path"), ("--seed", "base seed (default 0)"), "--config",
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsp",
         description="Contrastive pretraining on weak labels and slice depth, with a linear-probe pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a deterministic synthetic dataset")
-    gen.add_argument("--out", required=True, help="output dataset directory")
-    gen.add_argument("--volumes", type=int, default=None, help="number of volumes (default 60)")
-    gen.add_argument("--slices", type=int, default=None, help="slices per volume (default 24)")
-    gen.add_argument("--size", default=None, help="image size as HxW (default 32x32)")
-    gen.add_argument("--noise", type=float, default=None, help="label-noise rate rho (default 0.1)")
-    gen.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
-    gen.add_argument("--config", default=None, help="run-config JSON; flags override")
-    gen.set_defaults(func=cmd_generate)
-
-    pre = sub.add_parser("pretrain", help="contrastive pretraining on a dataset")
-    pre.add_argument("--data", required=True, help="dataset directory")
-    pre.add_argument("--loss", choices=sorted(_LOSS_FLAG_TO_KIND), default=None, help="loss kind (default wsp)")
-    pre.add_argument("--sigma", type=float, default=None, help="depth-kernel bandwidth (default 0.1)")
-    pre.add_argument("--tau", type=float, default=None, help="similarity temperature (default 0.1)")
-    pre.add_argument("--epochs", type=int, default=None, help="training epochs (default 30)")
-    pre.add_argument("--batch", type=int, default=None, help="batch size in slices (default 32)")
-    pre.add_argument("--lr", type=float, default=None, help="peak learning rate (default 1e-4)")
-    pre.add_argument("--weight-decay", dest="weight_decay", type=float, default=None, help="decoupled weight decay (default 1e-4)")
-    pre.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="encoder architecture (default tiny_cnn)")
-    pre.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
-    pre.add_argument("--out", required=True, help="checkpoint output path")
-    pre.add_argument("--seed", type=int, default=None, help="training seed (default 0)")
-    pre.add_argument("--config", default=None, help="run-config JSON; flags override")
-    pre.set_defaults(func=cmd_pretrain)
-
-    probe = sub.add_parser("probe", help="linear probe with stratified cross-validation")
-    probe.add_argument("--data", required=True, help="dataset directory")
-    probe.add_argument("--ckpt", required=True, help="checkpoint path, or 'random' for an untrained encoder")
-    probe.add_argument("--folds", type=int, default=None, help="cross-validation folds (default 5)")
-    probe.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="architecture for --ckpt random")
-    probe.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
-    probe.add_argument("--out", required=True, help="metrics CSV output path")
-    probe.add_argument("--seed", type=int, default=None, help="fold/init seed (default 0)")
-    probe.add_argument("--config", default=None, help="run-config JSON; flags override")
-    probe.set_defaults(func=cmd_probe)
-
-    proj = sub.add_parser("project", help="export the 2-mode PCA of representations")
-    proj.add_argument("--data", required=True, help="dataset directory")
-    proj.add_argument("--ckpt", required=True, help="checkpoint path, or 'random'")
-    proj.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="architecture for --ckpt random")
-    proj.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
-    proj.add_argument("--out", required=True, help="PCA CSV output path")
-    proj.add_argument("--svg", default=None, help="optional scatter SVG output path")
-    proj.add_argument("--embeddings", default=None, help="optional raw-representation CSV output path")
-    proj.add_argument("--seed", type=int, default=None, help="seed for --ckpt random (default 0)")
-    proj.add_argument("--config", default=None, help="run-config JSON; flags override")
-    proj.set_defaults(func=cmd_project)
-
-    grad = sub.add_parser("gradcheck", help="verify loss gradients against finite differences")
-    grad.add_argument("--seed", type=int, default=0, help="random seed for the check batches (default 0)")
-    grad.set_defaults(func=cmd_gradcheck)
-
-    sweep = sub.add_parser("sweep", help="pretrain+probe over a grid of sigma values")
-    sweep.add_argument("--data", required=True, help="dataset directory")
-    sweep.add_argument("--sigmas", default=None, help="comma-separated bandwidths (default 0.01,0.1,0.2,0.3,0.5)")
-    sweep.add_argument("--seeds", default=None, help="comma-separated seeds (default: the --seed value)")
-    sweep.add_argument("--epochs", type=int, default=None, help="training epochs (default 30)")
-    sweep.add_argument("--batch", type=int, default=None, help="batch size (default 32)")
-    sweep.add_argument("--lr", type=float, default=None, help="peak learning rate (default 1e-4)")
-    sweep.add_argument("--tau", type=float, default=None, help="similarity temperature (default 0.1)")
-    sweep.add_argument("--arch", choices=("tiny_cnn", "mlp"), default=None, help="encoder architecture")
-    sweep.add_argument("--fraction", type=float, default=None, help="central-slice fraction (default 0.7)")
-    sweep.add_argument("--out", required=True, help="sweep CSV output path")
-    sweep.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sweep.add_argument("--config", default=None, help="run-config JSON; flags override")
-    sweep.set_defaults(func=cmd_sweep)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for entry in flags:
+            flag, own_help = entry if isinstance(entry, tuple) else (entry, None)
+            dest, keywords = _FLAGS[flag]
+            keywords = dict(keywords, dest=dest)
+            if own_help:
+                keywords["help"] = own_help
+            if "choices" not in keywords:
+                keywords["metavar"] = flag[2:].replace("-", "_").upper()  # not the dotted dest
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "volumes", None) is not None and args.volumes < 1:
-            raise ConfigError("--volumes must be >= 1")
-        return args.func(args)
+        doc = load_run_config(args.config) if getattr(args, "config", None) else {}
+        return args.func(doc, args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, ContractError, DomainError, ShapeError, DegenerateInputError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NonFiniteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -538,7 +472,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except WspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError, build_config, check_seed
+from .errors import ConfigError, FormatError, ShapeError, build_config, check_seed, is_int
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -43,11 +43,11 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
-        object.__setattr__(self, "conv_kernels", tuple(self.conv_kernels))
-        object.__setattr__(self, "conv_strides", tuple(self.conv_strides))
-        object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
+        for name in ("input_shape", "conv_channels", "conv_kernels", "conv_strides", "mlp_hidden"):
+            values = tuple(getattr(self, name))
+            if not all(is_int(v) and v >= 1 for v in values):
+                raise ConfigError(f"{name} entries must be positive integers, got {values}")
+            object.__setattr__(self, name, values)
         if self.arch not in ARCHS:
             raise ConfigError(f"arch must be one of {ARCHS}, got {self.arch!r}")
         if not (self.repr_dim > self.proj_dim > 0):
@@ -77,8 +77,6 @@ class EncoderConfig:
         _, h, w = self.input_shape
         plan = []
         for i, (k, s) in enumerate(zip(self.conv_kernels, self.conv_strides)):
-            if k < 1 or s < 1:
-                raise ConfigError(f"stage {i}: kernel and stride must be >= 1")
             if k > h or k > w:
                 raise ConfigError(f"stage {i}: kernel {k} exceeds spatial size {h}x{w}")
             h = (h - k) // s + 1

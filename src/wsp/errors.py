@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules, and the JSON config builder that maps bad values onto it."""
 
+import dataclasses
+import math
 import numbers
 
 
@@ -46,21 +48,41 @@ class FallbackRequired(WspError):
     the caller should switch to the balanced fallback sampler."""
 
 
+def is_int(value) -> bool:
+    """True for an integer; bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
-    """Raise ConfigError unless ``seed`` is a non-negative integer (bool is not one)."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+    """Raise ConfigError unless ``seed`` is a non-negative integer."""
+    if not is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+# What a JSON value must be for a field annotated with each scalar type, keyed
+# by the annotation's name (a string under ``from __future__ import annotations``).
+_FIELD_TYPES = {
+    "int": ("an integer", is_int),
+    "float": ("a finite number", lambda value: is_int(value) or (isinstance(value, float) and math.isfinite(value))),
+    "bool": ("true or false", lambda value: isinstance(value, bool)),
+}
 
 
 def build_config(cls, body: dict, error: type[WspError]):
     """Construct the config dataclass ``cls`` from a parsed JSON object.
 
-    Unknown keys, and values that ``cls`` rejects (including wrong types,
-    which surface as TypeError or ValueError), are raised as ``error``.
+    Unknown keys, values of a field annotated ``int``, ``float`` or ``bool``
+    that are not of that type (a float must be finite; an int is one), and
+    values that ``cls`` rejects (including wrong types, which surface as
+    TypeError or ValueError) are raised as ``error``.
     """
     unknown = set(body) - set(cls.__dataclass_fields__)
     if unknown:
         raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for field in dataclasses.fields(cls):
+        kind, valid = _FIELD_TYPES.get(getattr(field.type, "__name__", field.type), (None, None))
+        if kind and field.name in body and not valid(body[field.name]):
+            raise error(f"invalid {cls.__name__}: {field.name} must be {kind}, got {body[field.name]!r}")
     try:
         return cls(**body)
     except (TypeError, ValueError, ConfigError) as exc:

@@ -374,24 +374,28 @@ def sigma_sweep(
     seeds=None,
     aug_cfg=None,
 ) -> list[SweepRow]:
-    """Pretrain + probe per sigma with shared seeds; one row per sigma."""
+    """Pretrain + probe per sigma with shared seeds; one row per sigma.
+
+    Each run re-seeds the encoder and augment configs with the run's seed.
+    """
     if not sigmas:
         raise ConfigError("sigma list must not be empty")
     probe_cfg = probe_cfg or ProbeConfig()
     seeds = list(seeds) if seeds is not None else [optim_cfg.seed]
+    loss_cfgs = [replace(optim_cfg.loss, sigma=float(sigma)) for sigma in sigmas]  # all checked before any run
     rows = []
-    for sigma in sigmas:
+    for loss_cfg in loss_cfgs:
         fold_aucs: list[float] = []
         for seed in seeds:
-            loss_cfg = replace(optim_cfg.loss, sigma=float(sigma))
             run_cfg = replace(optim_cfg, loss=loss_cfg, seed=seed)
             enc_seeded = enc_cfg if enc_cfg.seed == seed else replace(enc_cfg, seed=seed)
-            ckpt, _ = pretrain(volumes, enc_seeded, run_cfg, aug_cfg)
+            aug_seeded = None if aug_cfg is None else replace(aug_cfg, seed=seed)
+            ckpt, _ = pretrain(volumes, enc_seeded, run_cfg, aug_seeded)
             report = run_probe_protocol(ckpt, volumes, probe_cfg)
             fold_aucs.extend(report.fold_auc_patient)
         rows.append(
             SweepRow(
-                sigma=float(sigma),
+                sigma=loss_cfg.sigma,
                 auc_mean=float(np.mean(fold_aucs)),
                 auc_std=float(np.std(fold_aucs)),
                 fold_aucs=fold_aucs,

@@ -54,10 +54,11 @@ class LossConfig:
     denominator_convention: str = "exclude_anchor"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        # Written so that NaN fails too: sigma_sweep builds configs with replace().
+        if not 0 < self.tau < np.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.denominator_convention not in DENOMINATOR_CONVENTIONS:

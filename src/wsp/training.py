@@ -31,28 +31,31 @@ class OptimConfig:
     batch_size: int = 32
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    cosine_granularity: str = "iteration"  # or "epoch"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     momentum: float = 0.9
-    sampler_mode: str = "auto"  # strict | fallback | auto
-    fallback_steps_per_epoch: int | None = None
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        # The float checks are written so that NaN fails them.
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not self.lr * self.weight_decay < 1:
+            raise ConfigError("lr * weight_decay must be < 1, so that the decay factor stays positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.batch_size < 2 or self.batch_size % 2 != 0:
+            raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.cosine_granularity not in ("iteration", "epoch"):
-            raise ConfigError("cosine_granularity must be 'iteration' or 'epoch'")
-        if self.sampler_mode not in ("strict", "fallback", "auto"):
-            raise ConfigError("sampler_mode must be 'strict', 'fallback' or 'auto'")
+        for name in ("beta1", "beta2", "momentum"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:
@@ -163,33 +166,16 @@ def pretrain(
     enc = init_encoder(enc_cfg)
     state = init_optim_state(enc.params)
     n_patients = len({v.patient_id for v in volumes})
-    strict = optim_cfg.sampler_mode == "strict" or (
-        optim_cfg.sampler_mode == "auto" and n_patients >= optim_cfg.batch_size
-    )
+    # With fewer patients than the batch, each epoch is one balanced batch in which patients repeat.
+    strict = n_patients >= optim_cfg.batch_size
+    mode = "one_slice_per_patient" if strict else "fallback_balanced"
     steps_per_epoch = math.ceil(n_patients / optim_cfg.batch_size)
-    if not strict and optim_cfg.fallback_steps_per_epoch:
-        steps_per_epoch = optim_cfg.fallback_steps_per_epoch
     total_iters = optim_cfg.epochs * steps_per_epoch
     curve: list[EpochRecord] = []
     global_step = 0
     for epoch in range(optim_cfg.epochs):
-        if strict:
-            batches = epoch_batches(
-                volumes, BatchSpec(optim_cfg.batch_size, "one_slice_per_patient", optim_cfg.seed, epoch)
-            )
-        else:
-            batches = [
-                sample_batch_fallback(
-                    volumes,
-                    BatchSpec(
-                        optim_cfg.batch_size,
-                        "fallback_balanced",
-                        optim_cfg.seed,
-                        epoch * steps_per_epoch + s,
-                    ),
-                )
-                for s in range(steps_per_epoch)
-            ]
+        spec = BatchSpec(optim_cfg.batch_size, mode, optim_cfg.seed, epoch)
+        batches = epoch_batches(volumes, spec) if strict else [sample_batch_fallback(volumes, spec)]
         epoch_losses = []
         epoch_lr = None
         for b_idx, batch in enumerate(batches):
@@ -210,10 +196,7 @@ def pretrain(
                     "d": [float(v) for v in meta.d],
                 }
                 raise err
-            if optim_cfg.cosine_granularity == "iteration":
-                lr_t = cosine_lr(global_step, total_iters, optim_cfg.lr)
-            else:
-                lr_t = cosine_lr(epoch, optim_cfg.epochs, optim_cfg.lr)
+            lr_t = cosine_lr(global_step, total_iters, optim_cfg.lr)
             if epoch_lr is None:
                 epoch_lr = lr_t
             grad_map = ad.backward(loss)

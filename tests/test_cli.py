@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import shutil
@@ -5,11 +6,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wsp.cli import build_parser, main
-from wsp.data import load_dataset
-from wsp.encoders import load_checkpoint
-from wsp.evaluation import ProbeConfig
+from wsp.cli import _FLAGS, build_parser, main
+from wsp.data import GeneratorConfig, central_view, load_dataset
+from wsp.encoders import EncoderConfig, load_checkpoint
+from wsp.evaluation import ProbeConfig, sigma_sweep, write_sweep_csv
 from wsp.losses import LossConfig
+from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig
 
 from oracles import rewrite_checkpoint_header
@@ -249,6 +251,38 @@ class TestSweep:
         assert lines[0] == "sigma,auc_mean,auc_std"
         assert len(lines) == 3
 
+    def test_augment_section_applies(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"augment": {"enabled": False}}))
+        flags = ["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,0.5", "--epochs", "1", "--batch", "4"]
+        assert run([*flags, "--config", str(cfg), "--out", str(tmp_path / "off.csv")]) == 0
+        assert run([*flags, "--out", str(tmp_path / "default.csv")]) == 0
+        assert json.loads((tmp_path / "off.csv.config.json").read_text())["augment"]["enabled"] is False
+
+        _, volumes = load_dataset(dataset_dir)
+        volumes = central_view(volumes)
+        h, w = volumes[0].slices[0].pixels.shape
+        rows = sigma_sweep(
+            volumes,
+            EncoderConfig(input_shape=(1, h, w)),
+            OptimConfig(epochs=1, batch_size=4),
+            ProbeConfig(),
+            sigmas=(0.1, 0.5),
+            aug_cfg=AugmentConfig(enabled=False),
+        )
+        write_sweep_csv(tmp_path / "api.csv", rows)
+        off = (tmp_path / "off.csv").read_bytes()
+        assert off == (tmp_path / "api.csv").read_bytes()
+        assert off != (tmp_path / "default.csv").read_bytes()
+
+    def test_non_finite_sigma_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,nan", "--epochs", "1", "--batch", "4",
+                    "--out", str(out)])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_sigma_grid_documented(self):
         parser = build_parser()
         help_text = parser.parse_args(["sweep", "--data", "d", "--out", "o"])
@@ -274,6 +308,22 @@ class TestParser:
         out = capsys.readouterr().out
         for name in ("generate", "pretrain", "probe", "project", "gradcheck", "sweep"):
             assert name in out
+
+    def test_dotted_flag_dests_name_config_fields(self):
+        sections = {
+            "data": GeneratorConfig,
+            "encoder": EncoderConfig,
+            "loss": LossConfig,
+            "optim": OptimConfig,
+            "probe": ProbeConfig,
+            "augment": AugmentConfig,
+        }
+        dotted = [dest for dest, _ in _FLAGS.values() if "." in dest]
+        assert dotted
+        for dest in dotted:
+            section, key = dest.split(".")
+            fields = {f.name for f in dataclasses.fields(sections[section])}
+            assert key in fields or dest == "data.central_fraction", dest
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -315,8 +365,26 @@ class TestParser:
             {"augment": {"crop_scale": 0.5}},
             {"data": {"central_fraction": "abc"}},
             {"data": {"central_fraction": 2.0}},
+            {"encoder": {"proj_dim": 1.5}},
+            {"encoder": {"conv_channels": [16, 0, 64, 128, 256]}},
+            {"loss": {"sigma": float("nan")}},
+            {"loss": {"tau": float("nan")}},
+            {"optim": {"lr": float("nan")}},
+            {"optim": {"lr": float("inf")}},
+            {"optim": {"beta1": 2.0}},
+            {"optim": {"eps": -1}},
+            {"optim": {"momentum": float("nan")}},
+            {"optim": {"weight_decay": float("nan")}},
+            {"optim": {"weight_decay": 1e308}},
+            {"optim": {"batch_size": True}},
+            {"augment": {"enabled": "no"}},
         ],
-        ids=["loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range"],
+        ids=[
+            "loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range",
+            "encoder.proj_dim-float", "encoder.conv_channels-zero", "loss.sigma-nan", "loss.tau-nan",
+            "optim.lr-nan", "optim.lr-inf", "optim.beta1-range", "optim.eps-negative", "optim.momentum-nan",
+            "optim.weight_decay-nan", "optim.weight_decay-huge", "optim.batch_size-bool", "augment.enabled-string",
+        ],
     )
     def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):
         cfg = tmp_path / "run.json"
@@ -325,7 +393,53 @@ class TestParser:
             ["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "c")]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("probe", {"probe": {"folds": 2.5}}),
+            ("probe", {"probe": {"max_iterations": 2.5}}),
+            ("generate", {"data": {"n_volumes": 2.5}}),
+        ],
+        ids=["probe.folds", "probe.max_iterations", "data.n_volumes"],
+    )
+    def test_non_integer_config_value_is_usage_error(self, dataset_dir, checkpoint, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        flags = ["--data", str(dataset_dir), "--ckpt", str(checkpoint)] if command == "probe" else []
+        code = run([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("cosine_granularity", "epoch"), ("sampler_mode", "strict"),
+                                            ("fallback_steps_per_epoch", 2)])
+    def test_deleted_optim_keys_are_usage_errors(self, dataset_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"optim": {key: value}}))
+        code = run(
+            ["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "3"], ["--sigma", "nan"], ["--lr", "inf"]],
+                             ids=["batch-zero", "batch-odd", "sigma-nan", "lr-inf"])
+    def test_bad_flag_value_is_usage_error(self, dataset_dir, tmp_path, capsys, flags):
+        code = run(["pretrain", "--data", str(dataset_dir), "--epochs", "1", *flags, "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_non_integer_checkpoint_header_value_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(
+            checkpoint.read_bytes(), lambda h: {**h, "config": {**h["config"], "proj_dim": 64.5}}
+        ))
+        code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert "data error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rotation", [float("nan"), float("inf"), 1e308], ids=["nan", "inf", "1e308"])
     def test_non_finite_rotation_range_is_usage_error(self, dataset_dir, tmp_path, capsys, rotation):

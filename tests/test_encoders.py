@@ -36,6 +36,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(arch="mlp", input_shape=(1, 8, 8))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"conv_channels": (16, 0, 64, 128, 256)},
+            {"conv_kernels": (3, 3, 0, 3, 1)},
+            {"conv_strides": (2, 2, 2, 2, 1.5)},
+            {"input_shape": (1, 32.0, 32)},
+            {"arch": "mlp", "input_shape": (1024,), "mlp_hidden": (128, True)},
+        ],
+        ids=["channel-zero", "kernel-zero", "stride-float", "shape-float", "hidden-bool"],
+    )
+    def test_stage_sizes_must_be_positive_integers(self, fields):
+        with pytest.raises(ConfigError):
+            EncoderConfig(**fields)
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):

@@ -22,6 +22,7 @@ from wsp.evaluation import (
     write_metrics_csv,
 )
 from wsp.losses import LossConfig
+from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig, pretrain
 
 from oracles import brute_force_auc
@@ -316,6 +317,23 @@ class TestSigmaSweep:
         for row in rows:
             assert len(row.fold_aucs) == 4
             assert 0.0 <= row.auc_mean <= 1.0
+
+    def test_non_finite_sigma_rejected_before_any_run(self, small_volumes, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pretrain ran")
+
+        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
+        with pytest.raises(ConfigError):
+            sigma_sweep(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4), sigmas=(0.1, float("nan")))
+
+    def test_augment_config_reseeded_per_run(self, small_volumes):
+        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
+        rows = [
+            sigma_sweep(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4), sigmas=(0.1,), seeds=(0, 3), aug_cfg=aug)
+            for aug in (None, AugmentConfig(seed=9))
+        ]
+        assert rows[0] == rows[1]
 
     def test_empty_sigma_list_rejected(self, small_volumes):
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)

@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LossConfig(denominator_convention="both")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["tau", "sigma"])
+    def test_non_finite_tau_and_sigma_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            LossConfig(**{name: value})
+
 
 class TestBatchMeta:
     def test_depth_range_enforced(self):

@@ -86,6 +86,32 @@ class TestOptimizerStep:
         with pytest.raises(ConfigError):
             OptimConfig(epochs=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"batch_size": 0},
+            {"batch_size": 3},
+            {"beta1": 2.0},
+            {"beta2": 1.0},
+            {"momentum": float("nan")},
+            {"eps": -1.0},
+            {"eps": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": 1e308},
+            {"lr": 0.5, "weight_decay": 2.0},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
+    )
+    def test_range_checks(self, fields):
+        with pytest.raises(ConfigError):
+            OptimConfig(**fields)
+
+    @pytest.mark.parametrize("name", ["cosine_granularity", "sampler_mode", "fallback_steps_per_epoch"])
+    def test_deleted_options_are_not_fields(self, name):
+        assert name not in OptimConfig.__dataclass_fields__
+
 
 class TestPretrain:
     def optim(self, kind="wsp", seed=0, epochs=2, sigma=0.1):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError, FormatError
+from .errors import ConfigError, ContractError, DomainError, FormatError, check_fields
 
 VOLUME_MAGIC = b"WSPV"
 VOLUME_VERSION = 1
@@ -126,44 +126,31 @@ class GeneratorConfig:
     slices_per_volume: int = 24
     height: int = 32
     width: int = 32
-    class_priors: tuple = (0.25, 0.25, 0.25, 0.25)
+    class_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     noise_rate: float = 0.1  # weak-label flip probability rho
-    contour_amplitudes: tuple = (0.12, 0.12, 0.12, 0.12)
+    contour_amplitudes: tuple[float, float, float, float] = (0.12, 0.12, 0.12, 0.12)
     amplitude_depth_coupling: float = 1.0  # irregularity drifts toward deep (high classes) or shallow (low) slices
     depth_gain: float = 0.45  # radius span across depth, fraction of half-height
     radius_base: float = 0.6
     aspect_jitter: float = 0.1
     center_jitter: float = 0.05  # fraction of height, per slice
-    lobes: tuple = (5, 9)
+    lobes: tuple[int, int] = (5, 9)
     pixel_noise: float = 30.0  # HU
     organ_intensity: float = 150.0  # HU
     background_intensity: float = -300.0  # HU
     edge_width: float = 1.5  # px
 
     def __post_init__(self):
-        object.__setattr__(self, "class_priors", tuple(self.class_priors))
-        object.__setattr__(self, "contour_amplitudes", tuple(self.contour_amplitudes))
-        object.__setattr__(self, "lobes", tuple(self.lobes))
-        if self.n_volumes < 1:
-            raise ConfigError("n_volumes must be >= 1")
-        if self.slices_per_volume < 1:
-            raise ConfigError("slices_per_volume must be >= 1")
-        if self.height < 4 or self.width < 4:
-            raise ConfigError("image size must be at least 4x4")
-        if len(self.class_priors) != 4 or any(p < 0 for p in self.class_priors):
-            raise ConfigError("class_priors must be four non-negative weights")
+        # aspect_jitter < 1 keeps every volume's aspect ratio, 1 +- aspect_jitter, positive.
+        check_fields(
+            self, n_volumes="[1, inf)", slices_per_volume="[1, inf)", height="[4, inf)", width="[4, inf)",
+            class_priors="[0, 1]", noise_rate="[0, 1]", contour_amplitudes="[0, inf)", lobes="[1, inf)",
+            amplitude_depth_coupling="[0, 1]", depth_gain="[0, inf)", radius_base="(0, inf)", edge_width="(0, inf)",
+            aspect_jitter="[0, 1)", center_jitter="[0, 1]", pixel_noise="[0, inf)",
+            organ_intensity="(-inf, inf)", background_intensity="(-inf, inf)",
+        )
         if abs(sum(self.class_priors) - 1.0) > 1e-9:
             raise ConfigError("class_priors must sum to 1")
-        if not 0 <= self.noise_rate <= 1:
-            raise ConfigError("noise_rate must lie in [0, 1]")
-        if len(self.contour_amplitudes) != 4 or any(a < 0 for a in self.contour_amplitudes):
-            raise ConfigError("contour_amplitudes must be four non-negative values")
-        if not 0 <= self.amplitude_depth_coupling <= 1:
-            raise ConfigError("amplitude_depth_coupling must lie in [0, 1]")
-        if self.depth_gain < 0 or self.radius_base <= 0:
-            raise ConfigError("depth_gain must be >= 0 and radius_base > 0")
-        if self.pixel_noise < 0 or self.edge_width <= 0:
-            raise ConfigError("pixel_noise must be >= 0 and edge_width > 0")
 
 
 def _render_slice(cfg: GeneratorConfig, d: float, amplitude: float, aspect: float, rng) -> np.ndarray:

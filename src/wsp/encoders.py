@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError, build_config, check_seed, is_int
+from .errors import ConfigError, FormatError, ShapeError, build_config, check_fields, check_value
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -31,31 +31,21 @@ ARCHS = ("tiny_cnn", "mlp")
 @dataclass(frozen=True)
 class EncoderConfig:
     arch: str = "tiny_cnn"
-    input_shape: tuple = (1, 32, 32)
-    conv_channels: tuple = (16, 32, 64, 128, 256)
-    conv_kernels: tuple = (3, 3, 3, 3, 1)
-    conv_strides: tuple = (2, 2, 2, 2, 1)
+    input_shape: tuple[int, ...] = (1, 32, 32)
+    conv_channels: tuple[int, ...] = (16, 32, 64, 128, 256)
+    conv_kernels: tuple[int, ...] = (3, 3, 3, 3, 1)
+    conv_strides: tuple[int, ...] = (2, 2, 2, 2, 1)
     repr_dim: int = 256
     proj_dim: int = 64
     proj_hidden: int = 128
-    mlp_hidden: tuple = (128, 128)
+    mlp_hidden: tuple[int, ...] = (128, 128)
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
-        for name in ("input_shape", "conv_channels", "conv_kernels", "conv_strides", "mlp_hidden"):
-            values = tuple(getattr(self, name))
-            if not all(is_int(v) and v >= 1 for v in values):
-                raise ConfigError(f"{name} entries must be positive integers, got {values}")
-            object.__setattr__(self, name, values)
-        if self.arch not in ARCHS:
-            raise ConfigError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        if not (self.repr_dim > self.proj_dim > 0):
-            raise ConfigError(
-                f"need repr_dim > proj_dim > 0, got {self.repr_dim}, {self.proj_dim}"
-            )
-        if self.proj_hidden <= 0:
-            raise ConfigError("proj_hidden must be positive")
+        sizes = "input_shape conv_channels conv_kernels conv_strides mlp_hidden repr_dim proj_dim proj_hidden".split()
+        check_fields(self, arch=ARCHS, **dict.fromkeys(sizes, "[1, inf)"))
+        if not self.repr_dim > self.proj_dim:
+            raise ConfigError(f"need repr_dim > proj_dim, got {self.repr_dim}, {self.proj_dim}")
         if self.arch == "tiny_cnn":
             if len(self.conv_channels) != 5:
                 raise ConfigError(
@@ -274,16 +264,18 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         params[name] = values.reshape(extents).astype(np.float64)
     if off != len(raw):
         raise FormatError("trailing bytes after last parameter", offset=off)
-    sigma = meta.get("loss_sigma")
+    step, loss_kind, sigma = meta.get("step", 0), meta.get("loss_kind", "none"), meta.get("loss_sigma")
     try:
-        step = int(meta.get("step", 0))
-        sigma = None if sigma is None else float(sigma)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad checkpoint step or loss_sigma: {exc}", offset=10) from exc
+        check_value("step", step, int, "[0, inf)")
+        check_value("loss_kind", loss_kind, str)
+        if sigma is not None:
+            check_value("loss_sigma", sigma, float)
+    except ConfigError as exc:
+        raise FormatError(f"bad checkpoint header: {exc}", offset=10) from exc
     return EncoderCheckpoint(
         config=cfg,
         params=params,
         step=step,
-        loss_kind=meta.get("loss_kind", "none"),
-        loss_sigma=sigma,
+        loss_kind=loss_kind,
+        loss_sigma=None if sigma is None else float(sigma),
     )

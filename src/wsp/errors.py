@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all modules, and the JSON config builder that maps bad values onto it."""
+"""Exception hierarchy shared by all modules, the one check of every config field, and the JSON config builder."""
 
-import dataclasses
+import functools
 import math
 import numbers
+import typing
 
 
 class WspError(Exception):
@@ -48,42 +49,93 @@ class FallbackRequired(WspError):
     the caller should switch to the balanced fallback sampler."""
 
 
-def is_int(value) -> bool:
-    """True for an integer; bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    """True for a real number (not a bool) whose float is finite; an int too large for a float is not."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def check_seed(seed) -> None:
-    """Raise ConfigError unless ``seed`` is a non-negative integer."""
-    if not is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-# What a JSON value must be for a field annotated with each scalar type, keyed
-# by the annotation's name (a string under ``from __future__ import annotations``).
-_FIELD_TYPES = {
-    "int": ("an integer", is_int),
-    "float": ("a finite number", lambda value: is_int(value) or (isinstance(value, float) and math.isfinite(value))),
-    "bool": ("true or false", lambda value: isinstance(value, bool)),
+# What a value must be for each annotated type, whether it comes from JSON, a
+# checkpoint header or a Python caller.
+_KINDS = {
+    int: ("an integer", lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool)),
+    float: ("a finite number", _is_finite_real),
+    bool: ("true or false", lambda value: isinstance(value, bool)),
+    str: ("a string", lambda value: isinstance(value, str)),
 }
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def check_value(name: str, value, kind: type, rule=None) -> None:
+    """Raise ConfigError unless ``value`` is of ``kind`` (a key of ``_KINDS``) and obeys ``rule``.
+
+    ``rule`` is None, a tuple of allowed values, or an interval string such as
+    ``"[0, 1)"`` or ``"(0, inf)"``: a bracket includes its bound, a parenthesis excludes it.
+    """
+    what, valid = _KINDS[kind]
+    if not valid(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"{name} must be one of {rule}, got {value!r}")
+    elif rule is not None:
+        lo, hi = map(float, rule[1:-1].split(","))
+        if not ((lo <= value if rule[0] == "[" else lo < value) and (value <= hi if rule[-1] == "]" else value < hi)):
+            raise ConfigError(f"{name} must lie in {rule}, got {value!r}")
+
+
+def check_fields(cfg, **rules) -> None:
+    """Check every field of the config dataclass ``cfg`` against its annotation and its rule.
+
+    A field annotated ``int``, ``float``, ``bool`` or ``str`` must hold that
+    kind (see ``_KINDS``). ``tuple[T, ...]`` is a list or tuple of T of any
+    length and ``tuple[T, T]`` one of exactly two; the field is stored as a
+    tuple and each entry obeys the rule. ``rules`` maps field names to rules
+    (see ``check_value``); ``seed`` defaults to ``"[0, inf)"``. A field
+    annotated with another class (a nested config, which checks itself) must
+    hold an instance of it. Raises ConfigError for a bad value, and
+    ContractError when a rule names no field or an ``int``/``float`` field has
+    no rule, so that no field can be added without one.
+    """
+    hints = _field_types(type(cfg))
+    unknown = set(rules) - set(hints)
+    if unknown:
+        raise ContractError(f"rules for unknown {type(cfg).__name__} fields: {sorted(unknown)}")
+    rules.setdefault("seed", "[0, inf)")
+    for name, hint in hints.items():
+        value = getattr(cfg, name)
+        if typing.get_origin(hint) is tuple:
+            kind, *rest = typing.get_args(hint)
+            length = None if rest == [Ellipsis] else 1 + len(rest)
+            if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+                raise ConfigError(f"{name} must be a list of {length or 'any number of'} values, got {value!r}")
+            entries, label = tuple(value), f"{name} entries"
+            object.__setattr__(cfg, name, entries)
+        elif hint in _KINDS:
+            kind, entries, label = hint, (value,), name
+        elif not isinstance(value, hint):
+            raise ConfigError(f"{name} must be a {hint.__name__}, got {value!r}")
+        else:
+            continue
+        if name not in rules and kind in (int, float):
+            raise ContractError(f"{type(cfg).__name__}.{name} has no declared range")
+        for entry in entries:
+            check_value(label, entry, kind, rules.get(name))
 
 
 def build_config(cls, body: dict, error: type[WspError]):
     """Construct the config dataclass ``cls`` from a parsed JSON object.
 
-    Unknown keys, values of a field annotated ``int``, ``float`` or ``bool``
-    that are not of that type (a float must be finite; an int is one), and
-    values that ``cls`` rejects (including wrong types, which surface as
-    TypeError or ValueError) are raised as ``error``.
+    Unknown keys and values that ``cls`` rejects (see ``check_fields``) are
+    raised as ``error``.
     """
     unknown = set(body) - set(cls.__dataclass_fields__)
     if unknown:
         raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    for field in dataclasses.fields(cls):
-        kind, valid = _FIELD_TYPES.get(getattr(field.type, "__name__", field.type), (None, None))
-        if kind and field.name in body and not valid(body[field.name]):
-            raise error(f"invalid {cls.__name__}: {field.name} must be {kind}, got {body[field.name]!r}")
     try:
         return cls(**body)
-    except (TypeError, ValueError, ConfigError) as exc:
+    except ConfigError as exc:
         raise error(f"invalid {cls.__name__}: {exc}") from exc

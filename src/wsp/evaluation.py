@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoders import EncoderCheckpoint
-from .errors import ConfigError, ContractError, DegenerateInputError, check_seed
+from .errors import ConfigError, ContractError, DegenerateInputError, check_fields
 from .training import OptimConfig, pretrain
 
 
@@ -28,13 +28,7 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_seed(self.seed)
-        if self.l2_strength < 0:
-            raise ConfigError("l2_strength must be >= 0")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.max_iterations < 1 or self.tolerance <= 0:
-            raise ConfigError("max_iterations must be >= 1 and tolerance > 0")
+        check_fields(self, l2_strength="[0, inf)", max_iterations="[1, inf)", tolerance="(0, inf)", folds="[2, inf)")
 
 
 @dataclass

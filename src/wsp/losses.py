@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_fields
 
 LOSS_KINDS = ("wsp", "supcon", "depth_aware", "infonce")
 DENOMINATOR_CONVENTIONS = ("exclude_anchor", "literal_paper")
@@ -54,18 +54,9 @@ class LossConfig:
     denominator_convention: str = "exclude_anchor"
 
     def __post_init__(self):
-        # Written so that NaN fails too: sigma_sweep builds configs with replace().
-        if not 0 < self.tau < np.inf:
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
-        if not 0 < self.sigma < np.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.denominator_convention not in DENOMINATOR_CONVENTIONS:
-            raise ConfigError(
-                f"denominator_convention must be one of {DENOMINATOR_CONVENTIONS},"
-                f" got {self.denominator_convention!r}"
-            )
+        check_fields(
+            self, tau="(0, inf)", sigma="(0, inf)", loss_kind=LOSS_KINDS, denominator_convention=DENOMINATOR_CONVENTIONS
+        )
 
 
 class BatchMeta:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FallbackRequired, check_seed
+from .errors import ConfigError, ContractError, FallbackRequired, check_fields
 
 SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
 
@@ -32,32 +32,24 @@ class BatchSpec:
     epoch: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.mode not in SAMPLER_MODES:
-            raise ConfigError(f"mode must be one of {SAMPLER_MODES}, got {self.mode!r}")
+        check_fields(self, batch_size="[2, inf)", mode=SAMPLER_MODES, epoch="[0, inf)")
+        if self.batch_size % 2 != 0:
+            raise ConfigError(f"batch_size must be even, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
     rotation_degrees: float = 15.0
-    crop_scale: tuple = (0.7, 1.0)
+    crop_scale: tuple[float, float] = (0.7, 1.0)
     flip_prob: float = 0.5
     seed: int = 0
     enabled: bool = True
 
     def __post_init__(self):
-        check_seed(self.seed)
-        object.__setattr__(self, "crop_scale", tuple(self.crop_scale))
-        if self.rotation_degrees < 0:
-            raise ConfigError("rotation range must be >= 0")
-        if not self.rotation_degrees <= sys.float_info.max / 2:
-            raise ConfigError(f"rotation range 2 * rotation_degrees must be finite, got {self.rotation_degrees}")
-        lo, hi = self.crop_scale
-        if not (0 < lo <= hi <= 1):
-            raise ConfigError(f"crop_scale must satisfy 0 < lo <= hi <= 1, got {self.crop_scale}")
-        if not 0 <= self.flip_prob <= 1:
-            raise ConfigError("flip_prob must lie in [0, 1]")
+        # At most half the largest float, so that the rotation range 2 * rotation_degrees stays finite.
+        check_fields(self, rotation_degrees=f"[0, {sys.float_info.max / 2}]", crop_scale="(0, 1]", flip_prob="[0, 1]")
+        if self.crop_scale[0] > self.crop_scale[1]:
+            raise ConfigError(f"crop_scale must satisfy lo <= hi, got {self.crop_scale}")
 
 
 @dataclass(frozen=True)

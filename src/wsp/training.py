@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
-from .errors import ConfigError, ContractError, NonFiniteError, check_seed
+from .errors import ConfigError, ContractError, NonFiniteError, check_fields
 from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches, sample_batch_fallback
 
@@ -37,25 +37,14 @@ class OptimConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        check_seed(self.seed)
-        # The float checks are written so that NaN fails them.
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        check_fields(
+            self, lr="(0, inf)", weight_decay="[0, inf)", optimizer=OPTIMIZERS, epochs="[1, inf)", batch_size="[2, inf)",
+            beta1="[0, 1)", beta2="[0, 1)", eps="(0, inf)", momentum="[0, 1)",
+        )
         if not self.lr * self.weight_decay < 1:
             raise ConfigError("lr * weight_decay must be < 1, so that the decay factor stays positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        for name in ("beta1", "beta2", "momentum"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if self.batch_size % 2 != 0:
+            raise ConfigError(f"batch_size must be even, got {self.batch_size}")
 
 
 def cosine_lr(step: int, total_steps: int, lr: float) -> float:

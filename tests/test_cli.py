@@ -378,12 +378,15 @@ class TestParser:
             {"optim": {"weight_decay": 1e308}},
             {"optim": {"batch_size": True}},
             {"augment": {"enabled": "no"}},
+            {"optim": {"lr": 10**400}},
+            {"loss": {"tau": 10**400}},
         ],
         ids=[
             "loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range",
             "encoder.proj_dim-float", "encoder.conv_channels-zero", "loss.sigma-nan", "loss.tau-nan",
             "optim.lr-nan", "optim.lr-inf", "optim.beta1-range", "optim.eps-negative", "optim.momentum-nan",
             "optim.weight_decay-nan", "optim.weight_decay-huge", "optim.batch_size-bool", "augment.enabled-string",
+            "optim.lr-huge-int", "loss.tau-huge-int",
         ],
     )
     def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):
@@ -414,6 +417,24 @@ class TestParser:
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body",
+        [{"lobes": [-3]}, {"aspect_jitter": -5.0}, {"aspect_jitter": 1e308}, {"lobes": [5.5, 9]},
+         {"class_priors": [float("nan"), 0.5, 0.25, 0.25]}, {"contour_amplitudes": [float("nan"), 0.1, 0.1, 0.1]},
+         {"pixel_noise": 10**400}],
+        ids=["lobes-short", "aspect_jitter-negative", "aspect_jitter-huge", "lobes-float", "class_priors-nan",
+             "contour_amplitudes-nan", "pixel_noise-huge-int"],
+    )
+    def test_bad_generator_value_is_usage_error(self, tmp_path, capsys, body):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"data": body}))
+        code = run(["generate", "--out", str(tmp_path / "d"), "--volumes", "4", "--slices", "4", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error: invalid GeneratorConfig:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("key, value", [("cosine_granularity", "epoch"), ("sampler_mode", "strict"),
                                             ("fallback_steps_per_epoch", 2)])
     def test_deleted_optim_keys_are_usage_errors(self, dataset_dir, tmp_path, capsys, key, value):
@@ -440,6 +461,15 @@ class TestParser:
         code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--out", str(tmp_path / "m.csv")])
         assert code == 3
         assert "data error:" in capsys.readouterr().err
+
+    def test_huge_checkpoint_sigma_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(checkpoint.read_bytes(), lambda h: {**h, "loss_sigma": 10**400}))
+        code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("rotation", [float("nan"), float("inf"), 1e308], ids=["nan", "inf", "1e308"])
     def test_non_finite_rotation_range_is_usage_error(self, dataset_dir, tmp_path, capsys, rotation):

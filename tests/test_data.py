@@ -150,6 +150,18 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             GeneratorConfig(contour_amplitudes=(0.1, 0.1))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depth_gain", float("nan")), ("center_jitter", float("nan")), ("aspect_jitter", -5.0),
+         ("aspect_jitter", 1e308), ("lobes", (-3,)), ("lobes", (5.5, 9)), ("pixel_noise", 10**400),
+         ("class_priors", (float("nan"), 0.5, 0.25, 0.25)), ("contour_amplitudes", (float("nan"), 0.1, 0.1, 0.1))],
+        ids=["depth_gain-nan", "center_jitter-nan", "aspect_jitter-negative", "aspect_jitter-huge", "lobes-short",
+             "lobes-float", "pixel_noise-huge-int", "class_priors-nan", "contour_amplitudes-nan"],
+    )
+    def test_bad_field_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GeneratorConfig(**{field: value})
+
 
 class TestDiskFormat:
     def test_round_trip_byte_identity(self, tmp_path):

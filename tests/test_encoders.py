@@ -196,8 +196,15 @@ class TestCheckpoint:
             lambda h: {**h, "config": {**h["config"], "seed": "abc"}},
             lambda h: {**h, "step": "abc"},
             lambda h: {**h, "loss_sigma": [0.1]},
+            lambda h: {**h, "step": 1.5},
+            lambda h: {**h, "step": "7"},
+            lambda h: {**h, "step": -3},
+            lambda h: {**h, "loss_sigma": "0.5"},
+            lambda h: {**h, "loss_sigma": 10**400},
+            lambda h: {**h, "loss_kind": 5},
         ],
-        ids=["list", "string", "config-list", "config-seed", "step", "loss_sigma"],
+        ids=["list", "string", "config-list", "config-seed", "step", "loss_sigma", "step-float", "step-string",
+             "step-negative", "loss_sigma-string", "loss_sigma-huge", "loss_kind-int"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "h.ckpt"

@@ -88,6 +88,11 @@ class TestLogisticProbe:
         with pytest.raises(ContractError):
             fit_logistic_probe(np.zeros((4, 2)), np.ones(4), ProbeConfig())
 
+    @pytest.mark.parametrize("field", ["tolerance", "l2_strength"])
+    def test_non_finite_config_value_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ProbeConfig(**{field: float("nan")})
+
 
 class TestAggregate:
     def test_mean(self):

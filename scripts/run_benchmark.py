@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from wsp.benchmark import BENCHMARK_METHODS, BENCHMARK_SEEDS, run_benchmark
+from wsp.benchmark import BENCHMARK_SEEDS, run_benchmark
 
 
 def main(argv=None) -> int:
@@ -22,19 +22,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
 
-    results = run_benchmark(seeds=seeds)
+    auc = run_benchmark(seeds=seeds, keep_checkpoints=())["auc"]
     print(f"{'method':<12} {'AUC mean':>9} {'std':>7}  per-seed")
-    for kind in BENCHMARK_METHODS:
-        values = [results["auc"][kind][s] for s in seeds]
+    for (kind, _), by_seed in auc.items():
+        values = [by_seed[s] for s in seeds]
         per_seed = " ".join(f"{v:.3f}" for v in values)
         print(f"{kind:<12} {np.mean(values):>9.3f} {np.std(values):>7.3f}  {per_seed}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("method,seed,auc_patient\n")
-            for kind in BENCHMARK_METHODS:
+            for (kind, _), by_seed in auc.items():
                 for s in seeds:
-                    fh.write(f"{kind},{s},{results['auc'][kind][s]!r}\n")
+                    fh.write(f"{kind},{s},{by_seed[s]!r}\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -7,8 +7,8 @@ import sys
 
 import numpy as np
 
-from wsp.benchmark import BENCHMARK_SEEDS, benchmark_dataset, benchmark_encoder, benchmark_optim
-from wsp.evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, sigma_sweep
+from wsp.benchmark import BENCHMARK_SEEDS, run_benchmark
+from wsp.evaluation import DEFAULT_SWEEP_SIGMAS
 
 
 def main(argv=None) -> int:
@@ -20,18 +20,11 @@ def main(argv=None) -> int:
     sigmas = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
     seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
 
-    # The probe seed follows the training seed, so each seed is its own sweep.
-    per_seed = {sigma: [] for sigma in sigmas}
-    for seed in seeds:
-        for row in sigma_sweep(
-            benchmark_dataset(seed),
-            benchmark_encoder(seed),
-            benchmark_optim("wsp", seed),
-            ProbeConfig(seed=seed),
-            sigmas=sigmas,
-        ):
-            per_seed[row.sigma].append(row.auc_mean)
-    rows = [(sigma, float(np.mean(aucs)), float(np.std(aucs))) for sigma, aucs in per_seed.items()]
+    auc = run_benchmark(seeds=seeds, cells=[("wsp", sigma) for sigma in sigmas], keep_checkpoints=())["auc"]
+    rows = []
+    for (_, sigma), by_seed in auc.items():
+        aucs = [by_seed[s] for s in seeds]
+        rows.append((sigma, float(np.mean(aucs)), float(np.std(aucs))))
     for sigma, mean, std in rows:
         print(f"sigma={sigma}: AUC {mean:.3f} +- {std:.3f}")
 

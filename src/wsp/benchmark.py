@@ -1,10 +1,11 @@
-"""Desk-scale benchmark recipe: dataset, training schedule, probe protocol.
+"""Desk-scale benchmark recipe and its experiment grid.
 
 One place defines the configuration used by the experiment scripts and the
 acceptance suite, so "the synthetic benchmark" always means the same runs:
 60 volumes x 24 slices at 32x32 with 10% label noise, 30 pretraining epochs
 per method, and a stratified 5-fold patient-level probe, repeated over five
-shared seeds.
+shared seeds. ``run_benchmark`` runs any grid of (method, sigma) cells over
+those seeds.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .data import GeneratorConfig, central_view, generate_synthetic_dataset
-from .encoders import EncoderCheckpoint, EncoderConfig, init_encoder
-from .evaluation import ProbeConfig, ProbeReport, run_probe_protocol
+from .encoders import EncoderConfig
+from .evaluation import ProbeConfig, pretrain_and_probe
 from .losses import LossConfig
-from .training import OptimConfig, pretrain
+from .training import OptimConfig
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
 BENCHMARK_METHODS = ("random", "infonce", "supcon", "depth_aware", "wsp")
@@ -24,6 +25,7 @@ BENCHMARK_TAU = 0.2
 BENCHMARK_LR = 1e-3
 BENCHMARK_EPOCHS = 30
 BENCHMARK_BATCH = 32
+BENCHMARK_CELLS = tuple((kind, BENCHMARK_SIGMA) for kind in BENCHMARK_METHODS)
 
 
 def benchmark_generator(**overrides) -> GeneratorConfig:
@@ -51,38 +53,31 @@ def benchmark_optim(kind: str, seed: int, sigma: float = BENCHMARK_SIGMA) -> Opt
     )
 
 
-def train_method(volumes, kind: str, seed: int, sigma: float = BENCHMARK_SIGMA) -> EncoderCheckpoint:
-    """Pretrained checkpoint for one method; 'random' skips training."""
-    if kind == "random":
-        return EncoderCheckpoint.from_encoder(init_encoder(benchmark_encoder(seed)), 0, "random")
-    ckpt, _ = pretrain(volumes, benchmark_encoder(seed), benchmark_optim(kind, seed, sigma))
-    return ckpt
+def run_benchmark(
+    seeds=BENCHMARK_SEEDS, cells=BENCHMARK_CELLS, keep_checkpoints=("random", "wsp"), **generator_overrides
+):
+    """Pretrain + probe every (method, sigma) cell on each seed's dataset, generated once with ``generator_overrides``.
 
-
-def probe_method(ckpt: EncoderCheckpoint, volumes, seed: int) -> ProbeReport:
-    return run_probe_protocol(ckpt, volumes, ProbeConfig(seed=seed))
-
-
-def run_benchmark(seeds=BENCHMARK_SEEDS, methods=BENCHMARK_METHODS, keep_checkpoints=("random", "wsp")):
-    """Pretrain + probe every method over the shared seeds.
-
-    Returns a dict with per-method fold-mean AUCs per seed, the retained
-    volumes per seed, and the checkpoints listed in ``keep_checkpoints``.
+    A cell listed twice runs once; "random" probes the untrained encoder and ignores its sigma.
+    Returns ``auc[cell][seed]`` (fold-mean patient AUC), ``volumes[seed]``, and
+    ``checkpoints[cell][seed]`` for the cells whose method is in ``keep_checkpoints``.
     """
+    cells = list(dict.fromkeys(cells))
+    for kind, sigma in cells:  # reject a bad cell before any run
+        if kind != "random":
+            benchmark_optim(kind, 0, sigma)
     results = {
-        "auc": {kind: {} for kind in methods},
-        "reports": {kind: {} for kind in methods},
+        "auc": {cell: {} for cell in cells},
         "volumes": {},
-        "checkpoints": {kind: {} for kind in keep_checkpoints},
+        "checkpoints": {cell: {} for cell in cells if cell[0] in keep_checkpoints},
     }
     for seed in seeds:
-        volumes = benchmark_dataset(seed)
+        volumes = benchmark_dataset(seed, **generator_overrides)
         results["volumes"][seed] = volumes
-        for kind in methods:
-            ckpt = train_method(volumes, kind, seed)
-            report = probe_method(ckpt, volumes, seed)
-            results["auc"][kind][seed] = report.mean_auc_patient
-            results["reports"][kind][seed] = report
+        for kind, sigma in cells:
+            optim = None if kind == "random" else benchmark_optim(kind, seed, sigma)
+            ckpt, report = pretrain_and_probe(volumes, benchmark_encoder(seed), optim, ProbeConfig(seed=seed))
+            results["auc"][(kind, sigma)][seed] = report.mean_auc_patient
             if kind in keep_checkpoints:
-                results["checkpoints"][kind][seed] = ckpt
+                results["checkpoints"][(kind, sigma)][seed] = ckpt
     return results

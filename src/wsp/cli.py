@@ -25,15 +25,8 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .encoders import (
-    ARCHS,
-    EncoderCheckpoint,
-    EncoderConfig,
-    init_encoder,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .errors import ConfigError, NonFiniteError, WspError, build_config
+from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
+from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value
 from .evaluation import (
     DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
@@ -84,9 +77,9 @@ def load_run_config(path) -> dict:
     unknown = set(doc) - _RUN_CONFIG_TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
-    for key, kind in (("seed", int), ("output_dir", str)):
-        if key in doc and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
-            raise ConfigError(f"run-config {key!r} must be {kind.__name__}, got {doc[key]!r}")
+    for key, kind, rule in (("seed", int, "[0, inf)"), ("output_dir", str, None)):
+        if key in doc:
+            check_value(f"run-config {key!r}", doc[key], kind, rule)
     for section, allowed in _RUN_CONFIG_SECTIONS.items():
         body = doc.get(section)
         if body is None:
@@ -181,8 +174,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 def _load_trimmed(doc: dict, args):
     """The central-slice fraction (flag, then config, then default) and the volumes trimmed to it."""
     fraction = _section(doc, args, "data").get("central_fraction", CENTRAL_FRACTION)
-    if type(fraction) not in (int, float) or not 0 < fraction <= 1:
-        raise ConfigError(f"central_fraction must be a number in (0, 1], got {fraction!r}")
+    check_value("central_fraction", fraction, float, "(0, 1]")
     _, volumes = load_dataset(args.data)
     return float(fraction), central_view(volumes, fraction)
 
@@ -240,9 +232,7 @@ def cmd_pretrain(doc: dict, args) -> int:
 
 def _resolve_checkpoint(doc: dict, args, volumes) -> EncoderCheckpoint:
     if args.ckpt == "random":
-        enc_cfg = _encoder_config(doc, args, volumes)
-        enc = init_encoder(enc_cfg)
-        return EncoderCheckpoint.from_encoder(enc, step=0, loss_kind="random")
+        return untrained_checkpoint(_encoder_config(doc, args, volumes))
     return load_checkpoint(args.ckpt)
 
 

@@ -151,6 +151,11 @@ class GeneratorConfig:
         )
         if abs(sum(self.class_priors) - 1.0) > 1e-9:
             raise ConfigError("class_priors must sum to 1")
+        # The shallowest slice's radius is radius_base - depth_gain / 2 half-heights.
+        if not self.depth_gain < 2 * self.radius_base:
+            raise ConfigError(f"depth_gain must be < 2 * radius_base, got {self.depth_gain} and {self.radius_base}")
+        if not math.isfinite(self.organ_intensity - self.background_intensity):
+            raise ConfigError("organ_intensity - background_intensity must be finite")
 
 
 def _render_slice(cfg: GeneratorConfig, d: float, amplitude: float, aspect: float, rng) -> np.ndarray:

@@ -204,6 +204,11 @@ class EncoderCheckpoint:
         return Encoder(self.config, params)
 
 
+def untrained_checkpoint(cfg: EncoderConfig) -> EncoderCheckpoint:
+    """The "random" baseline: the encoder at its seeded initialization."""
+    return EncoderCheckpoint.from_encoder(init_encoder(cfg), step=0, loss_kind="random")
+
+
 def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
     meta = {
         "config": asdict(ckpt.config),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tensor
-from .encoders import EncoderCheckpoint
+from .encoders import EncoderCheckpoint, untrained_checkpoint
 from .errors import ConfigError, ContractError, DegenerateInputError, check_fields
 from .training import OptimConfig, pretrain
 
@@ -348,6 +348,18 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
     )
 
 
+def pretrain_and_probe(volumes, enc_cfg, optim_cfg: OptimConfig | None, probe_cfg: ProbeConfig, aug_cfg=None):
+    """One seeded run: (checkpoint, ProbeReport) of pretraining, then probing on the same volumes.
+
+    With ``optim_cfg`` None nothing is trained: the untrained ("random") encoder is probed.
+    """
+    if optim_cfg is None:
+        ckpt = untrained_checkpoint(enc_cfg)
+    else:
+        ckpt, _ = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
+    return ckpt, run_probe_protocol(ckpt, volumes, probe_cfg)
+
+
 @dataclass
 class SweepRow:
     sigma: float
@@ -384,8 +396,7 @@ def sigma_sweep(
             run_cfg = replace(optim_cfg, loss=loss_cfg, seed=seed)
             enc_seeded = enc_cfg if enc_cfg.seed == seed else replace(enc_cfg, seed=seed)
             aug_seeded = None if aug_cfg is None else replace(aug_cfg, seed=seed)
-            ckpt, _ = pretrain(volumes, enc_seeded, run_cfg, aug_seeded)
-            report = run_probe_protocol(ckpt, volumes, probe_cfg)
+            _, report = pretrain_and_probe(volumes, enc_seeded, run_cfg, probe_cfg, aug_seeded)
             fold_aucs.extend(report.fold_auc_patient)
         rows.append(
             SweepRow(

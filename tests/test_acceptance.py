@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The heavy pieces (the five-method benchmark over five seeds, the bandwidth
-sweep and the negative control) are computed once in module-scoped fixtures
-and shared across criteria.
+The heavy pieces (one grid holding the five-method benchmark and the
+bandwidth sweep over five seeds, and the negative control) are computed once
+in module-scoped fixtures and shared across criteria.
 """
 
 import math
@@ -14,16 +14,7 @@ import pytest
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
-from wsp.benchmark import (
-    BENCHMARK_SEEDS,
-    BENCHMARK_SIGMA,
-    benchmark_dataset,
-    benchmark_encoder,
-    benchmark_optim,
-    probe_method,
-    run_benchmark,
-    train_method,
-)
+from wsp.benchmark import BENCHMARK_CELLS, BENCHMARK_METHODS, BENCHMARK_SEEDS, BENCHMARK_SIGMA, run_benchmark
 from wsp.cli import main
 from wsp.evaluation import (
     DEFAULT_SWEEP_SIGMAS,
@@ -32,7 +23,6 @@ from wsp.evaluation import (
     extract_representations,
     pca_project,
     probe_representations,
-    sigma_sweep,
     stratified_kfold,
 )
 from wsp.losses import LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
@@ -47,42 +37,27 @@ def ok(criterion: int, message: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def bench():
-    return run_benchmark()
+def grid():
+    """The five benchmark methods and the wsp bandwidth sweep over the benchmark seeds.
+
+    The sweep's sigma 0.1 cell is the benchmark's wsp cell, so it runs once.
+    """
+    return run_benchmark(cells=[*BENCHMARK_CELLS, *(("wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS)])
 
 
-@pytest.fixture(scope="module")
-def sweep_results(bench):
-    """Mean patient AUC per sigma over the benchmark seeds (sigma 0.1 reuses
-    the benchmark's wsp runs)."""
-    per_seed = {BENCHMARK_SIGMA: [bench["auc"]["wsp"][seed] for seed in BENCHMARK_SEEDS]}
-    sigmas = [sigma for sigma in DEFAULT_SWEEP_SIGMAS if sigma != BENCHMARK_SIGMA]
-    for seed in BENCHMARK_SEEDS:
-        rows = sigma_sweep(
-            bench["volumes"][seed],
-            benchmark_encoder(seed),
-            benchmark_optim("wsp", seed),
-            ProbeConfig(seed=seed),
-            sigmas=sigmas,
-        )
-        for row in rows:
-            per_seed.setdefault(row.sigma, []).append(row.auc_mean)
-    return {sigma: float(np.mean(aucs)) for sigma, aucs in per_seed.items()}
+def seed_mean(grid, kind, sigma=BENCHMARK_SIGMA) -> float:
+    return float(np.mean(list(grid["auc"][(kind, sigma)].values())))
 
 
 @pytest.fixture(scope="module")
 def null_control():
     """All five methods probed on a dataset with the class signal removed."""
-    seed = 0
-    volumes = benchmark_dataset(seed, contour_amplitudes=(0.0, 0.0, 0.0, 0.0))
+    grid = run_benchmark(seeds=(0,), keep_checkpoints=(), contour_amplitudes=(0.0, 0.0, 0.0, 0.0))
+    volumes = grid["volumes"][0]
     n_pos = sum(1 for v in volumes if v.y_strong == 1)
     n_neg = len(volumes) - n_pos
     sigma_bin = math.sqrt((n_pos + n_neg + 1) / (12.0 * n_pos * n_neg))
-    aucs = {}
-    for kind in ("random", "infonce", "supcon", "depth_aware", "wsp"):
-        ckpt = train_method(volumes, kind, seed)
-        aucs[kind] = probe_method(ckpt, volumes, seed).mean_auc_patient
-    return aucs, sigma_bin
+    return {kind: by_seed[0] for (kind, _), by_seed in grid["auc"].items()}, sigma_bin
 
 
 def test_criterion_01_gradient_correctness():
@@ -196,8 +171,8 @@ def test_criterion_05_sampler_properties(balanced_volumes):
     ok(5, "100 seeded epochs: distinct patients, balance <= 1, full coverage")
 
 
-def test_criterion_06_synthetic_benchmark(bench):
-    means = {kind: float(np.mean(list(per_seed.values()))) for kind, per_seed in bench["auc"].items()}
+def test_criterion_06_synthetic_benchmark(grid):
+    means = {kind: seed_mean(grid, kind) for kind in BENCHMARK_METHODS}
     gap = means["wsp"] - means["random"]
     rivals = max(means["infonce"], means["supcon"], means["depth_aware"])
     summary = " ".join(f"{kind}={means[kind]:.3f}" for kind in means)
@@ -215,21 +190,22 @@ def test_criterion_07_negative_control(null_control):
     ok(7, f"zero-amplitude AUCs within [{lo:.3f}, {hi:.3f}]: {summary}")
 
 
-def test_criterion_08_sigma_sweep_robustness(bench, sweep_results):
-    baseline = float(np.mean(list(bench["auc"]["random"].values())))
-    assert set(sweep_results) == set(DEFAULT_SWEEP_SIGMAS)
+def test_criterion_08_sigma_sweep_robustness(grid):
+    baseline = seed_mean(grid, "random")
+    assert {("wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS} <= set(grid["auc"])
+    sweep_results = {sigma: seed_mean(grid, "wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS}
     for sigma, value in sweep_results.items():
         assert value >= baseline, f"sigma={sigma}: {value:.3f} < random baseline {baseline:.3f}"
     summary = " ".join(f"{s}:{v:.3f}" for s, v in sorted(sweep_results.items()))
     ok(8, f"all sweep cells >= random baseline {baseline:.3f} | {summary}")
 
 
-def test_criterion_09_pca_structure(bench):
+def test_criterion_09_pca_structure(grid):
     stats = {"wsp": {"corr": [], "auc2d": []}, "random": {"corr": [], "auc2d": []}}
     for kind in ("wsp", "random"):
         for seed in BENCHMARK_SEEDS:
-            ckpt = bench["checkpoints"][kind][seed]
-            volumes = bench["volumes"][seed]
+            ckpt = grid["checkpoints"][(kind, BENCHMARK_SIGMA)][seed]
+            volumes = grid["volumes"][seed]
             table = extract_representations(ckpt, volumes)
             coords, _ = pca_project(table.repr, modes=2)
             corr = max(

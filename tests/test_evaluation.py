@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsp.benchmark import run_benchmark
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder
 from wsp.errors import ConfigError, ContractError, DegenerateInputError
 from wsp.evaluation import (
@@ -15,6 +16,7 @@ from wsp.evaluation import (
     fit_logistic_probe,
     pca_project,
     predict_probe,
+    pretrain_and_probe,
     probe_representations,
     run_probe_protocol,
     sigma_sweep,
@@ -303,6 +305,32 @@ class TestProbeProtocol:
         assert lines[0] == "method,sigma,fold,auc_patient,auc_slice,bacc"
         assert len(lines) == 5
         assert lines[1].startswith("random,0.1,0,")
+
+
+class TestPretrainAndProbe:
+    def test_trained_run_is_pretrain_then_probe(self, small_volumes):
+        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
+        ckpt, report = pretrain_and_probe(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4, seed=1))
+        expected, _ = pretrain(small_volumes, SMALL_ENC, optim)
+        assert (ckpt.step, ckpt.loss_kind) == (expected.step, "wsp")
+        for name, values in expected.params.items():
+            assert np.array_equal(ckpt.params[name], values)
+        assert report == run_probe_protocol(expected, small_volumes, ProbeConfig(folds=4, seed=1))
+
+    def test_no_optim_probes_the_untrained_encoder(self, small_volumes):
+        ckpt, report = pretrain_and_probe(small_volumes, SMALL_ENC, None, ProbeConfig(folds=4, seed=1))
+        assert (ckpt.step, ckpt.loss_kind) == (0, "random")
+        for name, param in init_encoder(SMALL_ENC).params.items():
+            assert np.array_equal(ckpt.params[name], param.data)
+        assert report == run_probe_protocol(ckpt, small_volumes, ProbeConfig(folds=4, seed=1))
+
+    def test_bad_grid_cell_rejected_before_any_run(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pretrain ran")
+
+        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        with pytest.raises(ConfigError):
+            run_benchmark(seeds=(0,), cells=[("wsp", 0.1), ("wsp", float("nan"))])
 
 
 class TestSigmaSweep:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestOptimizerStep:
             optimizer_step(params, grads, state, cfg, lr_t=lr)
         final = float((params["w"].data ** 2).sum())
         assert final <= 2.0 / 100.0
+
+    def test_sgd_momentum_matches_hand_update(self):
+        params = self.make_params([1.0, -2.0])
+        cfg = OptimConfig(lr=0.1, weight_decay=0.5, optimizer="sgd_momentum", momentum=0.9)
+        state = init_optim_state(params)
+        g1, g2 = np.array([0.5, 1.0]), np.array([-1.0, 2.0])
+        optimizer_step(params, {"w": g1}, state, cfg, lr_t=0.1)
+        optimizer_step(params, {"w": g2}, state, cfg, lr_t=0.05)
+        # Each step: decay the weights, fold the gradient into the velocity, step against the velocity.
+        w1 = np.array([1.0, -2.0]) * (1.0 - 0.1 * 0.5) - 0.1 * g1
+        w2 = w1 * (1.0 - 0.05 * 0.5) - 0.05 * (0.9 * g1 + g2)
+        np.testing.assert_allclose(params["w"].data, w2, rtol=1e-15)
+        assert state.step == 2
 
     def test_non_finite_gradient_aborts_with_name(self):
         params = self.make_params([1.0])
@@ -214,6 +228,14 @@ class TestPretrain:
         reference, _ = pretrain(small_volumes, enc_cfg, self.optim(seed=7))
         save_checkpoint(reference, tmp_path / "reference.ckpt")
         assert (tmp_path / "batched.ckpt").read_bytes() == (tmp_path / "reference.ckpt").read_bytes()
+
+    def test_sgd_momentum_trains_to_finite_loss(self, small_volumes):
+        enc_cfg = EncoderConfig(
+            seed=8, conv_channels=SMALL_ENC.conv_channels, repr_dim=32, proj_dim=8, proj_hidden=16
+        )
+        ckpt, curve = pretrain(small_volumes, enc_cfg, replace(self.optim(seed=8), optimizer="sgd_momentum"))
+        assert ckpt.step == len(curve) * 2
+        assert all(math.isfinite(rec.mean_loss) for rec in curve)
 
     def test_augmentation_disabled_still_trains(self, small_volumes):
         enc_cfg = EncoderConfig(

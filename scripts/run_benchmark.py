@@ -3,7 +3,7 @@
 each evaluated with a stratified 5-fold patient-level linear probe.
 
 Prints one row per method (mean +- std over seeds) and optionally writes the
-per-seed table as CSV.
+per-seed table as CSV. A bad --seeds list is a usage error (exit 2).
 """
 
 import argparse
@@ -12,6 +12,8 @@ import sys
 import numpy as np
 
 from wsp.benchmark import BENCHMARK_SEEDS, run_benchmark
+from wsp.cli import parse_list, run_with_exit_code
+from wsp.errors import write_csv
 
 
 def main(argv=None) -> int:
@@ -20,7 +22,7 @@ def main(argv=None) -> int:
                         help="comma-separated seeds (default 0,1,2,3,4)")
     parser.add_argument("--out", default=None, help="optional CSV path for per-seed AUCs")
     args = parser.parse_args(argv)
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    seeds = parse_list(args.seeds, "--seeds", int)
 
     auc = run_benchmark(seeds=seeds, keep_checkpoints=())["auc"]
     print(f"{'method':<12} {'AUC mean':>9} {'std':>7}  per-seed")
@@ -30,14 +32,11 @@ def main(argv=None) -> int:
         print(f"{kind:<12} {np.mean(values):>9.3f} {np.std(values):>7.3f}  {per_seed}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("method,seed,auc_patient\n")
-            for (kind, _), by_seed in auc.items():
-                for s in seeds:
-                    fh.write(f"{kind},{s},{by_seed[s]!r}\n")
+        rows = [(kind, s, by_seed[s]) for (kind, _), by_seed in auc.items() for s in seeds]
+        write_csv(args.out, ("method", "seed", "auc_patient"), rows)
         print(f"wrote {args.out}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_with_exit_code(main))

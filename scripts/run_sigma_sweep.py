@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Bandwidth robustness study: pretrain + probe the depth-weighted loss for
-each sigma on the benchmark dataset, with shared seeds across cells."""
+each sigma on the benchmark dataset, with shared seeds across cells. A bad
+--sigmas or --seeds list is a usage error (exit 2)."""
 
 import argparse
 import sys
@@ -8,6 +9,8 @@ import sys
 import numpy as np
 
 from wsp.benchmark import BENCHMARK_SEEDS, run_benchmark
+from wsp.cli import parse_list, run_with_exit_code
+from wsp.errors import write_csv
 from wsp.evaluation import DEFAULT_SWEEP_SIGMAS
 
 
@@ -17,8 +20,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default=",".join(str(s) for s in BENCHMARK_SEEDS))
     parser.add_argument("--out", default=None, help="optional CSV output path")
     args = parser.parse_args(argv)
-    sigmas = [float(tok) for tok in args.sigmas.split(",") if tok.strip()]
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    sigmas = parse_list(args.sigmas, "--sigmas", float)
+    seeds = parse_list(args.seeds, "--seeds", int)
 
     auc = run_benchmark(seeds=seeds, cells=[("wsp", sigma) for sigma in sigmas], keep_checkpoints=())["auc"]
     rows = []
@@ -29,13 +32,10 @@ def main(argv=None) -> int:
         print(f"sigma={sigma}: AUC {mean:.3f} +- {std:.3f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("sigma,auc_mean,auc_std\n")
-            for sigma, mean, std in rows:
-                fh.write(f"{sigma!r},{mean!r},{std!r}\n")
+        write_csv(args.out, ("sigma", "auc_mean", "auc_std"), rows)
         print(f"wrote {args.out}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_with_exit_code(main))

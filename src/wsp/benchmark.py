@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from .data import GeneratorConfig, central_view, generate_synthetic_dataset
 from .encoders import EncoderConfig
+from .errors import ConfigError
 from .evaluation import ProbeConfig, pretrain_and_probe
 from .losses import LossConfig
 from .training import OptimConfig
@@ -62,6 +63,8 @@ def run_benchmark(
     Returns ``auc[cell][seed]`` (fold-mean patient AUC), ``volumes[seed]``, and
     ``checkpoints[cell][seed]`` for the cells whose method is in ``keep_checkpoints``.
     """
+    if not seeds:
+        raise ConfigError("seed list must not be empty")
     cells = list(dict.fromkeys(cells))
     for kind, sigma in cells:  # reject a bad cell before any run
         if kind != "random":

@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -26,22 +25,12 @@ from .data import (
     save_dataset,
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
-from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value
-from .evaluation import (
-    DEFAULT_SWEEP_SIGMAS,
-    ProbeConfig,
-    extract_representations,
-    pca_project,
-    run_probe_protocol,
-    sigma_sweep,
-    write_embeddings_csv,
-    write_metrics_csv,
-    write_pca_csv,
-    write_sweep_csv,
-)
+from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value, parse_json, write_csv, write_json
+from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_probe_protocol
+from .evaluation import sigma_sweep
 from .losses import LossConfig, gradient_check
 from .sampling import AugmentConfig
-from .training import OptimConfig, pretrain, write_loss_curve
+from .training import OptimConfig, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,14 +55,11 @@ _RUN_CONFIG_TOP_KEYS = set(_RUN_CONFIG_SECTIONS) | {"output_dir", "seed"}
 def load_run_config(path) -> dict:
     """Parse and validate a run-config JSON document; unknown keys rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
+    doc = parse_json(raw, f"run config {path}", ConfigError)
     unknown = set(doc) - _RUN_CONFIG_TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
@@ -98,9 +84,7 @@ def _echo_config(primary_output: str, payload: dict) -> None:
         path = os.path.join(primary_output, "run_config.json")
     else:
         path = primary_output + ".config.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
@@ -164,11 +148,15 @@ def _parse_size(text: str | None) -> dict:
         raise ConfigError(f"--size must look like 32x32, got {text!r}") from exc
 
 
-def _parse_list(text: str, flag: str, kind) -> list:
+def parse_list(text: str, flag: str, kind) -> list:
+    """The non-empty comma-separated list of ``kind`` values that ``flag`` was given; else ConfigError."""
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag} must be comma-separated values of type {kind.__name__}, got {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{flag} must not be empty")
+    return values
 
 
 def _load_trimmed(doc: dict, args):
@@ -207,13 +195,11 @@ def cmd_pretrain(doc: dict, args) -> int:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
     except NonFiniteError as exc:
         dump_path = out + ".dump.json"
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            json.dump(getattr(exc, "details", {"error": str(exc)}), fh, indent=1)
-            fh.write("\n")
+        write_json(dump_path, getattr(exc, "details", {"error": str(exc)}))
         print(f"error: {exc}; batch dump written to {dump_path}", file=sys.stderr)
         return EXIT_NUMERIC
     save_checkpoint(ckpt, out)
-    write_loss_curve(out + ".loss.csv", curve)
+    write_csv(out + ".loss.csv", ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
     _echo_config(
         out,
         {
@@ -243,7 +229,9 @@ def cmd_probe(doc: dict, args) -> int:
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
     out = _resolve_out(doc, args.out)
-    write_metrics_csv(out, ckpt.loss_kind, sigma, report)
+    folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
+    rows = [(ckpt.loss_kind, sigma, f, *scores) for f, scores in enumerate(folds)]
+    write_csv(out, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
     _echo_config(
         out,
         {
@@ -267,13 +255,17 @@ def cmd_project(doc: dict, args) -> int:
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr, modes=2)
     out = _resolve_out(doc, args.out)
-    write_pca_csv(out, table, coords, explained)
+    slices = list(zip(table.patient_ids, table.slice_ids, table.d))
+    rows = [(*ids, y, *pc) for ids, y, pc in zip(slices, table.y_strong, coords)]
+    write_csv(out, ("patient_id", "slice_id", "d", "y_strong", "pc1", "pc2"), rows, ("explained_variance", *explained))
     svg = _resolve_out(doc, args.svg)
     if svg:
         write_pca_svg(svg, table, coords)
     embeddings = _resolve_out(doc, args.embeddings)
     if embeddings:
-        write_embeddings_csv(embeddings, table)
+        dims = [f"r{i}" for i in range(table.repr.shape[1])]
+        rows = [(*ids, *ys, *r) for ids, *ys, r in zip(slices, table.y_weak, table.y_strong, table.repr)]
+        write_csv(embeddings, ("patient_id", "slice_id", "d", "y_weak", "y_strong", *dims), rows)
     _echo_config(
         out,
         {"command": "project", "data_dir": args.data, "central_fraction": fraction, "checkpoint": args.ckpt},
@@ -297,17 +289,15 @@ def cmd_gradcheck(doc: dict, args) -> int:
 
 
 def cmd_sweep(doc: dict, args) -> int:
-    sigmas = _parse_list(args.sigmas, "--sigmas", float) if args.sigmas is not None else list(DEFAULT_SWEEP_SIGMAS)
-    if not sigmas:
-        raise ConfigError("--sigmas must not be empty")
-    seeds = _parse_list(args.seeds, "--seeds", int) if args.seeds else None
+    sigmas = parse_list(args.sigmas, "--sigmas", float) if args.sigmas is not None else list(DEFAULT_SWEEP_SIGMAS)
+    seeds = parse_list(args.seeds, "--seeds", int) if args.seeds is not None else None
     _, volumes = _load_trimmed(doc, args)
     enc_cfg = _encoder_config(doc, args, volumes)
     _, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
     rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds, aug_cfg=aug_cfg)
     out = _resolve_out(doc, args.out)
-    write_sweep_csv(out, rows)
+    write_csv(out, ("sigma", "auc_mean", "auc_std"), [(row.sigma, row.auc_mean, row.auc_std) for row in rows])
     _echo_config(
         out,
         {
@@ -449,9 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    config = getattr(args, "config", None)
+    return run_with_exit_code(lambda: args.func(load_run_config(config) if config else {}, args))
+
+
+def run_with_exit_code(func) -> int:
+    """``func()``'s exit code; a WspError or OSError it raises is reported on stderr and mapped to its exit code."""
     try:
-        doc = load_run_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(doc, args)
+        return func()
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,6 @@ flip noise.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -21,11 +20,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError, FormatError, check_fields
+from .errors import ByteReader, ConfigError, ContractError, DomainError, FormatError
+from .errors import check_fields, check_value, parse_json, write_json
 
 VOLUME_MAGIC = b"WSPV"
 VOLUME_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+MANIFEST_VERSION = 1
 
 CLIP_LO = -100.0
 CLIP_HI = 400.0
@@ -82,7 +83,7 @@ class Volume:
 
 @dataclass
 class DatasetManifest:
-    version: int = 1
+    version: int = MANIFEST_VERSION
     volumes: list = field(default_factory=list)  # dicts with the on-disk keys
     generator: dict | None = None
 
@@ -233,7 +234,6 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
         )
         severities[vid] = u
     manifest = DatasetManifest(
-        version=1,
         volumes=[
             {
                 "id": v.volume_id,
@@ -270,35 +270,26 @@ def write_volume_file(path, volume: Volume) -> None:
 
 def read_volume_file(path) -> tuple[list[Slice], int]:
     """Parse one volume file; returns (slices, v_max)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise FormatError(f"truncated volume file while reading {what}", offset=off)
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != VOLUME_MAGIC:
-        raise FormatError(f"bad volume magic in {path}", offset=0)
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != VOLUME_VERSION:
-        raise FormatError(f"unsupported volume version {version}", offset=4)
-    h, w, n_slices, v_max = struct.unpack("<IIII", take(16, "header"))
+    reader = ByteReader(path, VOLUME_MAGIC, VOLUME_VERSION, "volume file")
+    h, w, n_slices, v_max = reader.unpack("<IIII", "header")
     slices = []
     for _ in range(n_slices):
-        (p,) = struct.unpack("<I", take(4, "slice depth"))
-        pixels = np.frombuffer(take(4 * h * w, "slice pixels"), dtype="<f4").reshape(h, w)
+        (p,) = reader.unpack("<I", "slice depth")
+        pixels = np.frombuffer(reader.take(4 * h * w, "slice pixels"), dtype="<f4").reshape(h, w)
         slices.append(Slice(pixels=pixels.copy(), p=int(p), d=normalize_depth(int(p), v_max)))
-    if off != len(raw):
-        raise FormatError("trailing bytes after last slice", offset=off)
+    reader.finish()
     return slices, int(v_max)
 
 
-_MANIFEST_VOLUME_KEYS = {"id", "file", "patient_id", "v_max", "y_weak", "y_strong"}
+# Each key of a manifest volume record with its kind and rule (see check_value); y_strong may also be null.
+_RECORD_RULES = (
+    ("id", str, None),
+    ("file", str, None),
+    ("patient_id", str, None),
+    ("v_max", int, "[1, inf)"),
+    ("y_weak", int, "[0, 9223372036854775808)"),  # fits the int64 label arrays
+    ("y_strong", int, (0, 1)),
+)
 
 
 def save_dataset(manifest: DatasetManifest, volumes, out_dir) -> None:
@@ -307,59 +298,51 @@ def save_dataset(manifest: DatasetManifest, volumes, out_dir) -> None:
     for record in manifest.volumes:
         write_volume_file(os.path.join(out_dir, record["file"]), by_id[record["id"]])
     doc = {"version": manifest.version, "volumes": manifest.volumes, "generator": manifest.generator}
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, MANIFEST_NAME), doc)
 
 
 def load_dataset(path):
-    """Load (manifest, volumes) from a dataset directory or manifest path."""
+    """Load (manifest, volumes) from a dataset directory or manifest path; a patient's volumes must share labels."""
     manifest_path = path
     if os.path.isdir(path):
         manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FormatError(f"manifest not found: {manifest_path}")
     base = os.path.dirname(manifest_path)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc or "volumes" not in doc:
-        raise FormatError("manifest must contain 'version' and 'volumes'")
+    with open(manifest_path, "rb") as fh:
+        doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
+    check_value("manifest version", doc.get("version"), int, (MANIFEST_VERSION,), FormatError)
     generator = doc.get("generator")
     if generator is not None and not isinstance(generator, dict):
         raise FormatError("manifest 'generator' must be an object or null")
     severities = (generator or {}).get("latent_severity", {})
     if not isinstance(severities, dict):
         raise FormatError("manifest 'generator.latent_severity' must be an object")
-    if not isinstance(doc["volumes"], list):
+    if not isinstance(doc.get("volumes"), list):
         raise FormatError("manifest 'volumes' must be a list")
     manifest = DatasetManifest(version=doc["version"], volumes=doc["volumes"], generator=generator)
     root = os.path.realpath(base)
     seen = set()
+    labels_of_patient = {}
     volumes = []
-    for record in doc["volumes"]:
+    for index, record in enumerate(doc["volumes"]):
         if not isinstance(record, dict):
             raise FormatError(f"manifest volume record must be a JSON object, got {record!r}")
-        missing = _MANIFEST_VOLUME_KEYS - set(record)
+        missing = [key for key, _, _ in _RECORD_RULES if key not in record]
         if missing:
-            raise FormatError(f"manifest volume record missing keys: {sorted(missing)}")
-        for key in ("id", "patient_id", "file"):
-            if not isinstance(record[key], str):
-                raise FormatError(f"volume record: {key} must be a string, got {record[key]!r}")
-        vid = record["id"]
+            raise FormatError(f"manifest volume record missing keys: {missing}")
+        for key, kind, rule in _RECORD_RULES:
+            if record[key] is not None or key != "y_strong":
+                check_value(f"manifest volumes[{index}].{key}", record[key], kind, rule, FormatError)
+        vid, pid = record["id"], record["patient_id"]
         if vid in seen:
             raise FormatError(f"duplicate volume id {vid!r} in manifest")
         seen.add(vid)
-        for key in ("v_max", "y_weak", "y_strong"):
-            value = record[key]
-            if type(value) is not int and not (key == "y_strong" and value is None):
-                raise FormatError(f"volume {vid}: {key} must be an integer, got {value!r}")
-        if record["y_weak"] < 0:
-            raise FormatError(f"volume {vid}: y_weak must be >= 0, got {record['y_weak']}")
-        if record["y_strong"] not in (0, 1, None):
-            raise FormatError(f"volume {vid}: y_strong must be 0, 1 or null, got {record['y_strong']}")
+        labels = (record["y_weak"], record["y_strong"])
+        if labels_of_patient.setdefault(pid, labels) != labels:
+            raise FormatError(f"volume {vid}: labels {labels} differ from patient {pid}'s other volumes")
+        if "\0" in record["file"]:
+            raise FormatError(f"volume {vid}: file {record['file']!r} contains a NUL character")
         vol_path = os.path.realpath(os.path.join(base, record["file"]))
         if os.path.commonpath([root, vol_path]) != root:
             raise FormatError(f"volume {vid}: file {record['file']!r} lies outside the dataset directory")
@@ -371,7 +354,7 @@ def load_dataset(path):
         volumes.append(
             Volume(
                 volume_id=vid,
-                patient_id=record["patient_id"],
+                patient_id=pid,
                 v_max=v_max,
                 slices=slices,
                 y_weak=record["y_weak"],

@@ -12,6 +12,7 @@ full kernel/stride plan lives in the config so the architecture is auditable.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field, asdict
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError, build_config, check_fields, check_value
+from .errors import ByteReader, ConfigError, FormatError, ShapeError, build_config, check_fields, check_value, parse_json
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -233,50 +234,28 @@ def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderCheckpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=off)
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic", offset=0)
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    (blob_len,) = struct.unpack("<I", take(4, "header length"))
-    try:
-        meta = json.loads(take(blob_len, "config").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint config: {exc}", offset=10) from exc
-    if not isinstance(meta, dict) or not isinstance(meta.get("config", {}), dict):
-        raise FormatError("checkpoint header and its 'config' must be JSON objects", offset=10)
-    cfg = build_config(EncoderConfig, meta.get("config", {}), FormatError)
+    reader = ByteReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    (blob_len,) = reader.unpack("<I", "header length")
+    header_error = functools.partial(FormatError, offset=reader.off)
+    meta = parse_json(reader.take(blob_len, "header"), "checkpoint header", header_error)
+    if not isinstance(meta.get("config", {}), dict):
+        raise header_error("checkpoint header's 'config' must be a JSON object")
+    cfg = build_config(EncoderConfig, meta.get("config", {}), header_error)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(cfg).items():
-        (rank,) = struct.unpack("<B", take(1, f"{name} rank"))
-        extents = struct.unpack(f"<{rank}I", take(4 * rank, f"{name} extents"))
+        (rank,) = reader.unpack("<B", f"{name} rank")
+        extents = reader.unpack(f"<{rank}I", f"{name} extents")
         if tuple(extents) != shape:
-            raise FormatError(f"parameter {name} has extents {extents}, expected {shape}", offset=off)
+            raise FormatError(f"parameter {name} has extents {extents}, expected {shape}", offset=reader.off)
         count = int(np.prod(extents)) if extents else 1
-        values = np.frombuffer(take(8 * count, f"{name} values"), dtype="<f8")
+        values = np.frombuffer(reader.take(8 * count, f"{name} values"), dtype="<f8")
         params[name] = values.reshape(extents).astype(np.float64)
-    if off != len(raw):
-        raise FormatError("trailing bytes after last parameter", offset=off)
+    reader.finish()
     step, loss_kind, sigma = meta.get("step", 0), meta.get("loss_kind", "none"), meta.get("loss_sigma")
-    try:
-        check_value("step", step, int, "[0, inf)")
-        check_value("loss_kind", loss_kind, str)
-        if sigma is not None:
-            check_value("loss_sigma", sigma, float)
-    except ConfigError as exc:
-        raise FormatError(f"bad checkpoint header: {exc}", offset=10) from exc
+    check_value("checkpoint header step", step, int, "[0, inf)", header_error)
+    check_value("checkpoint header loss_kind", loss_kind, str, None, header_error)
+    if sigma is not None:
+        check_value("checkpoint header loss_sigma", sigma, float, None, header_error)
     return EncoderCheckpoint(
         config=cfg,
         params=params,

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules, the one check of every config field, and the JSON config builder."""
+"""Exceptions, the one check of every config field, the config builder, and one reader or writer per file kind."""
 
 import functools
+import json
 import math
 import numbers
+import struct
 import typing
 
 
@@ -69,22 +71,23 @@ _KINDS = {
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def check_value(name: str, value, kind: type, rule=None) -> None:
-    """Raise ConfigError unless ``value`` is of ``kind`` (a key of ``_KINDS``) and obeys ``rule``.
+def check_value(name: str, value, kind: type, rule=None, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is of ``kind`` (a key of ``_KINDS``) and obeys ``rule``.
 
     ``rule`` is None, a tuple of allowed values, or an interval string such as
     ``"[0, 1)"`` or ``"(0, inf)"``: a bracket includes its bound, a parenthesis excludes it.
+    ``error`` builds the exception from its message (FormatError for file contents).
     """
     what, valid = _KINDS[kind]
     if not valid(value):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise error(f"{name} must be {what}, got {value!r}")
     if isinstance(rule, tuple):
         if value not in rule:
-            raise ConfigError(f"{name} must be one of {rule}, got {value!r}")
+            raise error(f"{name} must be one of {rule}, got {value!r}")
     elif rule is not None:
         lo, hi = map(float, rule[1:-1].split(","))
         if not ((lo <= value if rule[0] == "[" else lo < value) and (value <= hi if rule[-1] == "]" else value < hi)):
-            raise ConfigError(f"{name} must lie in {rule}, got {value!r}")
+            raise error(f"{name} must lie in {rule}, got {value!r}")
 
 
 def check_fields(cfg, **rules) -> None:
@@ -139,3 +142,65 @@ def build_config(cls, body: dict, error: type[WspError]):
         return cls(**body)
     except ConfigError as exc:
         raise error(f"invalid {cls.__name__}: {exc}") from exc
+
+
+def parse_json(raw: bytes, what: str, error) -> dict:
+    """The JSON object in ``raw``, the one decode of every JSON input; anything else is raised as ``error``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise error(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    return doc
+
+
+class ByteReader:
+    """Bounds-checked reader of a framed binary file (magic, u16 version, fields); raises FormatError with offsets."""
+
+    def __init__(self, path, magic: bytes, version: int, what: str):
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        self.off, self.what = 0, what
+        if self.take(len(magic), "magic") != magic:
+            raise FormatError(f"bad {what} magic in {path}", offset=0)
+        (found,) = self.unpack("<H", "version")
+        if found != version:
+            raise FormatError(f"unsupported {what} version {found}", offset=len(magic))
+
+    def take(self, n: int, field: str) -> bytes:
+        if self.off + n > len(self.raw):
+            raise FormatError(f"truncated {self.what} while reading {field}", offset=self.off)
+        self.off += n
+        return self.raw[self.off - n : self.off]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def finish(self) -> None:
+        if self.off != len(self.raw):
+            raise FormatError(f"trailing bytes after the last field of the {self.what}", offset=self.off)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    return str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
+
+
+def write_csv(path, header, rows, comment=None) -> None:
+    """Write every output table: an optional ``# comment`` row, the header, then ``rows``.
+
+    Strings are written as they are, integers (numpy's too) as integers, other numbers as ``repr(float(v))``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write("# " + ",".join(map(_csv_cell, comment)) + "\n")
+        for row in (header, *rows):
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -384,10 +384,10 @@ def sigma_sweep(
 
     Each run re-seeds the encoder and augment configs with the run's seed.
     """
-    if not sigmas:
-        raise ConfigError("sigma list must not be empty")
-    probe_cfg = probe_cfg or ProbeConfig()
     seeds = list(seeds) if seeds is not None else [optim_cfg.seed]
+    if not sigmas or not seeds:
+        raise ConfigError(f"sigma and seed lists must not be empty, got {list(sigmas)} and {seeds}")
+    probe_cfg = probe_cfg or ProbeConfig()
     loss_cfgs = [replace(optim_cfg.loss, sigma=float(sigma)) for sigma in sigmas]  # all checked before any run
     rows = []
     for loss_cfg in loss_cfgs:
@@ -408,49 +408,3 @@ def sigma_sweep(
         )
     return rows
 
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-
-def write_metrics_csv(path, method: str, sigma: float, report: ProbeReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,sigma,fold,auc_patient,auc_slice,bacc\n")
-        for f in range(len(report.fold_auc_patient)):
-            fh.write(
-                f"{method},{float(sigma)!r},{f},"
-                f"{float(report.fold_auc_patient[f])!r},"
-                f"{float(report.fold_auc_slice[f])!r},"
-                f"{float(report.fold_bacc[f])!r}\n"
-            )
-
-
-def write_embeddings_csv(path, table: RepresentationTable) -> None:
-    dim = table.repr.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("patient_id,slice_id,d,y_weak,y_strong," + ",".join(f"r{i}" for i in range(dim)) + "\n")
-        for i in range(len(table)):
-            row = ",".join(repr(float(v)) for v in table.repr[i])
-            fh.write(
-                f"{table.patient_ids[i]},{table.slice_ids[i]},{float(table.d[i])!r},"
-                f"{int(table.y_weak[i])},{int(table.y_strong[i])},{row}\n"
-            )
-
-
-def write_pca_csv(path, table: RepresentationTable, coords: np.ndarray, explained: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# explained_variance," + ",".join(repr(float(v)) for v in explained) + "\n")
-        fh.write("patient_id,slice_id,d,y_strong,pc1,pc2\n")
-        for i in range(len(table)):
-            fh.write(
-                f"{table.patient_ids[i]},{table.slice_ids[i]},{float(table.d[i])!r},"
-                f"{int(table.y_strong[i])},{float(coords[i, 0])!r},{float(coords[i, 1])!r}\n"
-            )
-
-
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sigma,auc_mean,auc_std\n")
-        for row in rows:
-            fh.write(f"{row.sigma!r},{row.auc_mean!r},{row.auc_std!r}\n")

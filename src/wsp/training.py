@@ -202,9 +202,3 @@ def pretrain(
     )
     return ckpt, curve
 
-
-def write_loss_curve(path, curve: list[EpochRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss,lr\n")
-        for rec in curve:
-            fh.write(f"{rec.epoch},{float(rec.mean_loss)!r},{float(rec.lr)!r}\n")

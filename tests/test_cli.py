@@ -1,15 +1,19 @@
 import dataclasses
 import filecmp
+import importlib.util
 import json
 import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wsp.cli import _FLAGS, build_parser, main
+from wsp.cli import _FLAGS, build_parser, main, run_with_exit_code
 from wsp.data import GeneratorConfig, central_view, load_dataset
 from wsp.encoders import EncoderConfig, load_checkpoint
-from wsp.evaluation import ProbeConfig, sigma_sweep, write_sweep_csv
+from wsp.errors import write_csv
+from wsp.evaluation import ProbeConfig, sigma_sweep
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig
@@ -270,7 +274,8 @@ class TestSweep:
             sigmas=(0.1, 0.5),
             aug_cfg=AugmentConfig(enabled=False),
         )
-        write_sweep_csv(tmp_path / "api.csv", rows)
+        api_rows = [(row.sigma, row.auc_mean, row.auc_std) for row in rows]
+        write_csv(tmp_path / "api.csv", ("sigma", "auc_mean", "auc_std"), api_rows)
         off = (tmp_path / "off.csv").read_bytes()
         assert off == (tmp_path / "api.csv").read_bytes()
         assert off != (tmp_path / "default.csv").read_bytes()
@@ -293,6 +298,56 @@ class TestSweep:
             ["sweep", "--data", str(dataset_dir), "--sigmas", ",", "--out", str(tmp_path / "s.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("seeds", ["", ",", "x", "1.5"])
+    def test_bad_seed_list_is_usage_error(self, dataset_dir, tmp_path, capsys, seeds):
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--data", str(dataset_dir), "--seeds", seeds, "--epochs", "1", "--batch", "4",
+                    "--out", str(out)])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def script_main(name):
+    """The ``main`` of ``scripts/<name>.py``, which runs as ``run_with_exit_code(main)``."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent.parent / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize(
+    "script, flags",
+    [
+        ("run_benchmark", ["--seeds", ""]),
+        ("run_benchmark", ["--seeds", "x"]),
+        ("run_benchmark", ["--seeds", "-1"]),
+        ("run_sigma_sweep", ["--seeds", "x"]),
+        ("run_sigma_sweep", ["--seeds", ","]),
+        ("run_sigma_sweep", ["--sigmas", ""]),
+        ("run_sigma_sweep", ["--sigmas", "0.1,nan"]),
+    ],
+    ids=["benchmark-seeds-empty", "benchmark-seeds-x", "benchmark-seeds-negative", "sweep-seeds-x", "sweep-seeds-comma",
+         "sweep-sigmas-empty", "sweep-sigmas-nan"],
+)
+def test_script_bad_list_is_usage_error(tmp_path, capsys, script, flags):
+    out = tmp_path / "out.csv"
+    entry = script_main(script)
+    assert run_with_exit_code(lambda: entry([*flags, "--out", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_write_csv_formats_each_cell_kind(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [("a", np.int64(3), np.float32(0.1)), ("b", 7, 1.0), ("c", -1, np.float64(1 / 3))]
+    write_csv(path, ("name", "n", "x"), rows, comment=("note", 0.5, 2))
+    assert path.read_text() == (
+        "# note,0.5,2\nname,n,x\na,3,0.10000000149011612\nb,7,1.0\nc,-1,0.3333333333333333\n"
+    )
 
 
 class TestParser:

@@ -1,17 +1,22 @@
 """The per-field type-and-range rules of the config dataclasses, at every boundary that builds one."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import shutil
+import tempfile
 import typing
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsp.cli import main
-from wsp.data import GeneratorConfig
+from wsp.cli import load_run_config, main
+from wsp.data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
-from wsp.errors import ConfigError, ContractError, FormatError, build_config, check_fields
+from wsp.errors import ConfigError, ContractError, FormatError, WspError, build_config, check_fields
 from wsp.evaluation import ProbeConfig
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig, BatchSpec
@@ -128,6 +133,52 @@ class TestBoundaryFuzz:
         except FormatError:
             pass
 
+    @pytest.fixture(scope="class")
+    def valid_inputs(self, tmp_path_factory):
+        """A directory of valid inputs: a 2x2 dataset, an mlp checkpoint that fits it, and a run-config."""
+        root = tmp_path_factory.mktemp("inputs")
+        cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2, height=4, width=4)
+        save_dataset(*generate_synthetic_dataset(cfg, seed=1), root / "data")
+        enc_cfg = EncoderConfig(arch="mlp", input_shape=(16,), mlp_hidden=(4,), repr_dim=4, proj_dim=2, proj_hidden=3)
+        save_checkpoint(EncoderCheckpoint.from_encoder(init_encoder(enc_cfg)), root / "enc.ckpt")
+        (root / "run.json").write_text(json.dumps({"seed": 3, "output_dir": "out", "probe": {"folds": 2}}))
+        return root
+
+    # Input kind -> (file to corrupt, its loader, the exit code of main() when the loader rejects it).
+    BYTE_INPUTS = {
+        "volume": ("data/V000.wspv", lambda root: load_dataset(root / "data"), 3),
+        "manifest": ("data/manifest.json", lambda root: load_dataset(root / "data"), 3),
+        "checkpoint": ("enc.ckpt", lambda root: load_checkpoint(root / "enc.ckpt"), 3),
+        "run-config": ("run.json", lambda root: load_run_config(root / "run.json"), 2),
+    }
+
+    @pytest.mark.parametrize("kind", BYTE_INPUTS)
+    @settings(max_examples=60, deadline=None)
+    @given(truncate=st.booleans(), position=st.integers(0, 2**16), value=st.integers(0, 255))
+    @example(truncate=False, position=0, value=0xFF)  # not UTF-8 at the start of a JSON input
+    def test_corrupt_input_bytes_raise_wsp_error_and_exit_code(self, valid_inputs, kind, truncate, position, value):
+        name, loader, expected = self.BYTE_INPUTS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            shutil.copytree(valid_inputs, root, dirs_exist_ok=True)
+            raw = (root / name).read_bytes()
+            at = position % len(raw)
+            (root / name).write_bytes(raw[:at] if truncate else raw[:at] + bytes([value]) + raw[at + 1 :])
+            try:
+                loader(root)
+            except WspError:
+                pass  # any other exception fails the test
+            else:
+                return
+            ckpt = str(root / "enc.ckpt") if kind == "checkpoint" else "random"
+            config = ["--config", str(root / "run.json")] if kind == "run-config" else []
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["project", "--data", str(root / "data"), "--ckpt", ckpt, "--arch", "mlp", *config,
+                             "--out", str(root / "pca.csv")])
+            assert code == expected
+            assert "Traceback" not in stderr.getvalue()
+
 
 @pytest.mark.parametrize(
     "command, doc",
@@ -153,6 +204,19 @@ def test_hostile_config_value_exits_2_without_traceback(tmp_path, capsys, comman
     }[command]
     capsys.readouterr()
     code = main([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "usage error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [b'{"seed": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                         ids=["invalid-utf8", "deeply-nested"])
+def test_undecodable_run_config_exits_2_without_traceback(tmp_path, capsys, raw):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(raw)
+    code = main(["probe", "--data", str(tmp_path), "--ckpt", "random", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert "usage error:" in err

@@ -321,6 +321,62 @@ class TestDiskFormat:
         with pytest.raises(FormatError, match="y_weak"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("key, value", [("y_weak", 2**63), ("y_weak", 2**70), ("v_max", 0)])
+    def test_out_of_range_record_field_is_data_error(self, tmp_path, key, value):
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, key: value})
+        with pytest.raises(FormatError, match=key):
+            load_dataset(root)
+        assert main(["pretrain", "--data", str(root), "--out", str(tmp_path / "c.ckpt")]) == 3
+
+    def test_largest_int64_y_weak_loads(self, tmp_path):
+        _, volumes = load_dataset(self.dataset_with_record(tmp_path, lambda r: {**r, "y_weak": 2**63 - 1}))
+        assert volumes[1].y_weak == 2**63 - 1
+
+    @pytest.mark.parametrize("version", ["x", 2, 1.0, True, None])
+    def test_manifest_version_must_be_one(self, tmp_path, version):
+        root = self.dataset_with_record(tmp_path, lambda r: r)
+        doc = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps({**doc, "version": version}))
+        with pytest.raises(FormatError, match="version"):
+            load_dataset(root)
+
+    def test_file_name_with_nul_rejected(self, tmp_path):
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, "file": "V001\u0000.wspv"})
+        with pytest.raises(FormatError, match="NUL"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("raw", [b'{"version": 1, "volumes": [], "note": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["invalid-utf8", "deeply-nested"])
+    def test_undecodable_manifest_is_data_error(self, tmp_path, capsys, raw):
+        root = self.dataset_with_record(tmp_path, lambda r: r)
+        (root / "manifest.json").write_bytes(raw)
+        with pytest.raises(FormatError, match="not valid UTF-8 JSON"):
+            load_dataset(root)
+        assert main(["pretrain", "--data", str(root), "--out", str(tmp_path / "c.ckpt")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def one_patient_dataset(self, tmp_path, **second):
+        """A saved two-volume dataset whose volumes both belong to patient P000 with labels (2, 1); ``second``
+        overrides keys of the second record."""
+        root = self.dataset_with_record(tmp_path, lambda r: r)
+        doc = json.loads((root / "manifest.json").read_text())
+        for record in doc["volumes"]:
+            record.update(patient_id="P000", y_weak=2, y_strong=1)
+        doc["volumes"][1].update(second)
+        (root / "manifest.json").write_text(json.dumps(doc))
+        return root
+
+    @pytest.mark.parametrize("key, value", [("y_weak", 3), ("y_strong", 0), ("y_strong", None)])
+    def test_patient_volumes_must_agree_on_labels(self, tmp_path, key, value):
+        root = self.one_patient_dataset(tmp_path, **{key: value})
+        with pytest.raises(FormatError, match="P000"):
+            load_dataset(root)
+        assert main(["pretrain", "--data", str(root), "--out", str(tmp_path / "c.ckpt")]) == 3
+
+    def test_patient_volumes_with_equal_labels_load(self, tmp_path):
+        _, volumes = load_dataset(self.one_patient_dataset(tmp_path))
+        assert [(v.patient_id, v.y_weak, v.y_strong) for v in volumes] == [("P000", 2, 1)] * 2
+
     def test_volume_invariants_enforced(self):
         with pytest.raises(ContractError):
             make_volume(3, v_max=1)  # depth 2 exceeds V_max

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,18 @@ class TestCheckpoint:
         path.write_bytes(rewrite_checkpoint_header(path.read_bytes(), edit))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b'{"step": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["invalid-utf8", "deeply-nested"])
+    def test_undecodable_header_rejected_at_its_offset(self, tmp_path, header):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG)), path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[6:10])
+        path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + length :])
+        with pytest.raises(FormatError, match="not valid UTF-8 JSON") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 10
 
     def test_truncation_rejected_with_offset(self, tmp_path):
         enc = init_encoder(EncoderConfig(seed=4))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsp.benchmark import run_benchmark
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder
-from wsp.errors import ConfigError, ContractError, DegenerateInputError
+from wsp.errors import ConfigError, ContractError, DegenerateInputError, write_csv
 from wsp.evaluation import (
     DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
@@ -21,7 +21,6 @@ from wsp.evaluation import (
     run_probe_protocol,
     sigma_sweep,
     stratified_kfold,
-    write_metrics_csv,
 )
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
@@ -300,7 +299,9 @@ class TestProbeProtocol:
         ckpt = EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random")
         report = run_probe_protocol(ckpt, small_volumes, ProbeConfig(folds=4, seed=1))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, "random", 0.1, report)
+        folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
+        rows = [("random", 0.1, f, *scores) for f, scores in enumerate(folds)]
+        write_csv(path, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "method,sigma,fold,auc_patient,auc_slice,bacc"
         assert len(lines) == 5
@@ -331,6 +332,16 @@ class TestPretrainAndProbe:
         monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
         with pytest.raises(ConfigError):
             run_benchmark(seeds=(0,), cells=[("wsp", 0.1), ("wsp", float("nan"))])
+
+    def test_empty_seed_list_rejected_before_any_run(self, small_volumes, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pretrain ran")
+
+        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        with pytest.raises(ConfigError, match="seed"):
+            run_benchmark(seeds=())
+        with pytest.raises(ConfigError, match="seed"):
+            sigma_sweep(small_volumes, SMALL_ENC, OptimConfig(epochs=1, batch_size=8), seeds=[])
 
 
 class TestSigmaSweep:

@@ -7,7 +7,7 @@ import pytest
 from wsp.autodiff import Tensor
 from oracles import oracle_augment
 from wsp.encoders import EncoderConfig, save_checkpoint
-from wsp.errors import ConfigError, ContractError, NonFiniteError
+from wsp.errors import ConfigError, ContractError, NonFiniteError, write_csv
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
 from wsp.training import (
@@ -17,7 +17,6 @@ from wsp.training import (
     init_optim_state,
     optimizer_step,
     pretrain,
-    write_loss_curve,
 )
 
 SMALL_ENC = EncoderConfig(
@@ -249,7 +248,8 @@ class TestPretrain:
 
 def test_write_loss_curve(tmp_path):
     path = tmp_path / "curve.csv"
-    write_loss_curve(path, [EpochRecord(0, 1.5, 1e-3), EpochRecord(1, 1.25, 5e-4)])
+    curve = [EpochRecord(0, 1.5, 1e-3), EpochRecord(1, 1.25, 5e-4)]
+    write_csv(path, ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mean_loss,lr"
     assert lines[1] == "0,1.5,0.001"

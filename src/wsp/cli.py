@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+
+import numpy as np
 
 from .data import (
     CENTRAL_FRACTION,
@@ -26,8 +28,8 @@ from .data import (
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
 from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value, parse_json, write_csv, write_json
-from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_probe_protocol
-from .evaluation import sigma_sweep
+from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_grid
+from .evaluation import run_probe_protocol
 from .losses import LossConfig, gradient_check
 from .sampling import AugmentConfig
 from .training import OptimConfig, pretrain
@@ -295,23 +297,33 @@ def cmd_sweep(doc: dict, args) -> int:
     enc_cfg = _encoder_config(doc, args, volumes)
     _, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    rows = sigma_sweep(volumes, enc_cfg, optim_cfg, probe_cfg, sigmas=sigmas, seeds=seeds, aug_cfg=aug_cfg)
+    seeds = seeds if seeds is not None else [optim_cfg.seed]
+
+    def recipe(seed):  # the run's seed goes to the encoder, optim and augment configs; the probe keeps its own
+        enc, optim, aug = (replace(cfg, seed=seed) for cfg in (enc_cfg, optim_cfg, aug_cfg))
+        return volumes, enc, optim, probe_cfg, aug
+
+    reports, _ = run_grid([("wsp", sigma) for sigma in sigmas], seeds, recipe)
+    rows = []
+    for sigma in sigmas:  # auc_std is the spread of the fold AUCs of all seeds, pooled
+        aucs = [auc for seed in seeds for auc in reports[("wsp", sigma)][seed].fold_auc_patient]
+        rows.append((sigma, np.mean(aucs), np.std(aucs)))
     out = _resolve_out(doc, args.out)
-    write_csv(out, ("sigma", "auc_mean", "auc_std"), [(row.sigma, row.auc_mean, row.auc_std) for row in rows])
+    write_csv(out, ("sigma", "auc_mean", "auc_std"), rows)
     _echo_config(
         out,
         {
             "command": "sweep",
             "data_dir": args.data,
             "sigmas": sigmas,
-            "seeds": seeds if seeds is not None else [optim_cfg.seed],
+            "seeds": seeds,
             "optim": {k: v for k, v in asdict(optim_cfg).items() if k != "loss"},
             "probe": asdict(probe_cfg),
             "augment": asdict(aug_cfg),
         },
     )
-    for row in rows:
-        print(f"sigma={row.sigma}: AUC {row.auc_mean:.4f} +- {row.auc_std:.4f}")
+    for sigma, mean, std in rows:
+        print(f"sigma={sigma}: AUC {mean:.4f} +- {std:.4f}")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ByteReader, ConfigError, ContractError, DomainError, FormatError
+from .errors import ByteReader, ConfigError, ContractError, FormatError
 from .errors import check_fields, check_value, parse_json, write_json
 
 VOLUME_MAGIC = b"WSPV"
@@ -36,9 +36,9 @@ CENTRAL_FRACTION = 0.7
 def normalize_depth(p: int, v_max: int) -> float:
     """Map an integer depth coordinate onto [0, 1]."""
     if v_max <= 0:
-        raise DomainError(f"V_max must be positive, got {v_max}")
+        raise ContractError(f"V_max must be positive, got {v_max}")
     if not 0 <= p <= v_max:
-        raise DomainError(f"depth {p} outside [0, {v_max}]")
+        raise ContractError(f"depth {p} outside [0, {v_max}]")
     return p / v_max
 
 
@@ -72,11 +72,9 @@ class Volume:
             raise ContractError(f"V_max must be positive, got {self.v_max}")
         last = -1
         for s in self.slices:
-            if not 0 <= s.p <= self.v_max:
-                raise ContractError(f"slice depth {s.p} outside [0, {self.v_max}]")
             if s.p <= last:
                 raise ContractError("slice depths must be strictly increasing")
-            if s.d != s.p / self.v_max:
+            if s.d != normalize_depth(s.p, self.v_max):  # which rejects a depth outside [0, V_max]
                 raise ContractError(f"slice d={s.d} inconsistent with p/V_max={s.p / self.v_max}")
             last = s.p
 
@@ -269,14 +267,18 @@ def write_volume_file(path, volume: Volume) -> None:
 
 
 def read_volume_file(path) -> tuple[list[Slice], int]:
-    """Parse one volume file; returns (slices, v_max)."""
+    """Parse one volume file; returns (slices, v_max). V_max >= 1, depths lie in [0, V_max], pixels in [0, 1]."""
     reader = ByteReader(path, VOLUME_MAGIC, VOLUME_VERSION, "volume file")
     h, w, n_slices, v_max = reader.unpack("<IIII", "header")
+    if v_max < 1:
+        raise FormatError(f"V_max must be at least 1, got {v_max}", offset=reader.off - 4)
     slices = []
     for _ in range(n_slices):
         (p,) = reader.unpack("<I", "slice depth")
-        pixels = np.frombuffer(reader.take(4 * h * w, "slice pixels"), dtype="<f4").reshape(h, w)
-        slices.append(Slice(pixels=pixels.copy(), p=int(p), d=normalize_depth(int(p), v_max)))
+        if p > v_max:
+            raise FormatError(f"slice depth {p} exceeds V_max {v_max}", offset=reader.off - 4)
+        pixels = reader.array("<f4", h * w, "slice pixels", "in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+        slices.append(Slice(pixels=pixels.reshape(h, w).copy(), p=p, d=normalize_depth(p, v_max)))
     reader.finish()
     return slices, int(v_max)
 

@@ -117,9 +117,6 @@ class Encoder:
         self.config = config
         self.params = params
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def encode(self, x: Tensor) -> Tensor:
         """Representation vectors (not normalized); probes consume these."""
         cfg = self.config
@@ -248,7 +245,7 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         if tuple(extents) != shape:
             raise FormatError(f"parameter {name} has extents {extents}, expected {shape}", offset=reader.off)
         count = int(np.prod(extents)) if extents else 1
-        values = np.frombuffer(reader.take(8 * count, f"{name} values"), dtype="<f8")
+        values = reader.array("<f8", count, f"{name} values", "finite", np.isfinite)
         params[name] = values.reshape(extents).astype(np.float64)
     reader.finish()
     step, loss_kind, sigma = meta.get("step", 0), meta.get("loss_kind", "none"), meta.get("loss_sigma")

@@ -7,6 +7,8 @@ import numbers
 import struct
 import typing
 
+import numpy as np
+
 
 class WspError(Exception):
     """Base class for every error raised by this package."""
@@ -14,10 +16,6 @@ class WspError(Exception):
 
 class ShapeError(WspError):
     """Tensor extents incompatible with the requested operation."""
-
-
-class DomainError(WspError):
-    """Input value outside the mathematical domain of the operation."""
 
 
 class ConfigError(WspError):
@@ -44,11 +42,6 @@ class FormatError(WspError):
 
 class NonFiniteError(WspError):
     """A NaN or infinity appeared where a finite number is required."""
-
-
-class FallbackRequired(WspError):
-    """Strict one-slice-per-patient sampling is infeasible for this cohort;
-    the caller should switch to the balanced fallback sampler."""
 
 
 def _is_finite_real(value) -> bool:
@@ -176,6 +169,16 @@ class ByteReader:
 
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def array(self, dtype: str, count: int, field: str, rule: str, valid) -> np.ndarray:
+        """``count`` values of ``dtype``; FormatError at the first one where ``valid(values)`` is False."""
+        values = np.frombuffer(self.take(np.dtype(dtype).itemsize * count, field), dtype=dtype)
+        ok = valid(values)
+        if not ok.all():
+            bad = int(np.argmin(ok))  # the first False
+            at = self.off - values.nbytes + bad * values.itemsize
+            raise FormatError(f"{self.what} {field} must be {rule}, got {values[bad]}", offset=at)
+        return values
 
     def finish(self) -> None:
         if self.off != len(self.raw):

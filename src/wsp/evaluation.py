@@ -1,4 +1,4 @@
-"""Frozen-representation probing: logistic probe, CV, metrics, PCA, sigma sweep.
+"""Frozen-representation probing: logistic probe, CV, metrics, PCA, and the experiment grid.
 
 The probe is a full-batch damped Newton solve of L2-regularized logistic
 regression, run to a gradient-norm tolerance so results are deterministic.
@@ -283,7 +283,7 @@ def pca_project(x: np.ndarray, modes: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Probe protocol and the sigma sweep
+# Probe protocol and the experiment grid
 # ---------------------------------------------------------------------------
 
 
@@ -360,51 +360,30 @@ def pretrain_and_probe(volumes, enc_cfg, optim_cfg: OptimConfig | None, probe_cf
     return ckpt, run_probe_protocol(ckpt, volumes, probe_cfg)
 
 
-@dataclass
-class SweepRow:
-    sigma: float
-    auc_mean: float
-    auc_std: float
-    fold_aucs: list
-
-
 DEFAULT_SWEEP_SIGMAS = (0.01, 0.1, 0.2, 0.3, 0.5)
 
 
-def sigma_sweep(
-    volumes,
-    enc_cfg,
-    optim_cfg: OptimConfig,
-    probe_cfg: ProbeConfig | None = None,
-    sigmas=DEFAULT_SWEEP_SIGMAS,
-    seeds=None,
-    aug_cfg=None,
-) -> list[SweepRow]:
-    """Pretrain + probe per sigma with shared seeds; one row per sigma.
+def run_grid(cells, seeds, recipe, keep_checkpoints=()):
+    """The one experiment grid: pretrain + probe every (kind, sigma) cell on every seed.
 
-    Each run re-seeds the encoder and augment configs with the run's seed.
+    ``recipe(seed)`` gives ``(volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg)``. A cell sets
+    ``loss_kind`` and ``sigma`` on ``optim_cfg.loss``; "random" probes the untrained encoder. A cell
+    or seed listed twice runs once; every cell's loss config is built before the first run.
+    Returns ``reports[cell][seed]`` (ProbeReports) and ``checkpoints[cell][seed]`` for the cells
+    whose kind is in ``keep_checkpoints``.
     """
-    seeds = list(seeds) if seeds is not None else [optim_cfg.seed]
-    if not sigmas or not seeds:
-        raise ConfigError(f"sigma and seed lists must not be empty, got {list(sigmas)} and {seeds}")
-    probe_cfg = probe_cfg or ProbeConfig()
-    loss_cfgs = [replace(optim_cfg.loss, sigma=float(sigma)) for sigma in sigmas]  # all checked before any run
-    rows = []
-    for loss_cfg in loss_cfgs:
-        fold_aucs: list[float] = []
-        for seed in seeds:
-            run_cfg = replace(optim_cfg, loss=loss_cfg, seed=seed)
-            enc_seeded = enc_cfg if enc_cfg.seed == seed else replace(enc_cfg, seed=seed)
-            aug_seeded = None if aug_cfg is None else replace(aug_cfg, seed=seed)
-            _, report = pretrain_and_probe(volumes, enc_seeded, run_cfg, probe_cfg, aug_seeded)
-            fold_aucs.extend(report.fold_auc_patient)
-        rows.append(
-            SweepRow(
-                sigma=loss_cfg.sigma,
-                auc_mean=float(np.mean(fold_aucs)),
-                auc_std=float(np.std(fold_aucs)),
-                fold_aucs=fold_aucs,
-            )
-        )
-    return rows
-
+    cells, seeds = list(dict.fromkeys(cells)), list(dict.fromkeys(seeds))
+    if not cells or not seeds:
+        raise ConfigError(f"cell and seed lists must not be empty, got {cells} and {seeds}")
+    reports = {cell: {} for cell in cells}
+    checkpoints = {cell: {} for cell in cells if cell[0] in keep_checkpoints}
+    trained = [cell for cell in cells if cell[0] != "random"]
+    for seed in seeds:
+        volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg = recipe(seed)
+        losses = {cell: replace(optim_cfg.loss, loss_kind=cell[0], sigma=cell[1]) for cell in trained}
+        for cell in cells:
+            run_cfg = replace(optim_cfg, loss=losses[cell]) if cell in losses else None
+            ckpt, reports[cell][seed] = pretrain_and_probe(volumes, enc_cfg, run_cfg, probe_cfg, aug_cfg)
+            if cell in checkpoints:
+                checkpoints[cell][seed] = ckpt
+    return reports, checkpoints

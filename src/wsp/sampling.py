@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FallbackRequired, check_fields
+from .errors import ConfigError, ContractError, check_fields
 
 SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
 
@@ -64,7 +64,9 @@ class SliceSample:
 
 
 def _patients_by_class(volumes, label: str):
-    """Sorted map class -> sorted patient ids, plus patient -> volumes."""
+    """Sorted map class -> sorted patient ids, plus patient -> volumes; ContractError for no volumes."""
+    if not volumes:
+        raise ContractError("dataset is empty")
     patient_volumes: dict[str, list] = {}
     for v in volumes:
         patient_volumes.setdefault(v.patient_id, []).append(v)
@@ -97,7 +99,7 @@ def _balanced_quota(class_sizes: dict[int, int], n: int, rng, capped: bool) -> d
     """Per-class counts summing to n, as equal as the cohort allows.
 
     With ``capped`` the quota may not exceed a class's size; infeasible
-    balanced draws raise FallbackRequired.
+    balanced draws raise ContractError.
     """
     labels = list(class_sizes)
     k = len(labels)
@@ -106,26 +108,24 @@ def _balanced_quota(class_sizes: dict[int, int], n: int, rng, capped: bool) -> d
     if extras:
         eligible = [c for c in labels if not capped or class_sizes[c] > base]
         if len(eligible) < extras:
-            raise FallbackRequired("not enough patients per class for a balanced batch")
+            raise ContractError("not enough patients per class for a balanced batch")
         for idx in rng.permutation(len(eligible))[:extras]:
             quota[eligible[int(idx)]] += 1
     if capped:
         for c in labels:
             if quota[c] > class_sizes[c]:
-                raise FallbackRequired(f"class {c} has only {class_sizes[c]} patients")
+                raise ContractError(f"class {c} has only {class_sizes[c]} patients")
     return quota
 
 
 def sample_batch(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSample]:
     """One strict batch: N distinct patients, class counts within one of equal."""
     classes, patient_volumes = _patients_by_class(volumes, label)
-    if not classes:
-        raise ContractError("dataset is empty")
     n_patients = sum(len(v) for v in classes.values())
     if spec.mode != "one_slice_per_patient":
         raise ContractError("sample_batch is the strict sampler; use sample_batch_fallback")
     if n_patients < spec.batch_size:
-        raise FallbackRequired(
+        raise ContractError(
             f"{n_patients} patients < batch size {spec.batch_size}; use the fallback sampler"
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
@@ -142,8 +142,6 @@ def sample_batch(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSam
 def sample_batch_fallback(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSample]:
     """Class-balanced draws with patients allowed to repeat."""
     classes, patient_volumes = _patients_by_class(volumes, label)
-    if not classes:
-        raise ContractError("dataset is empty")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
     quota = _balanced_quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng, capped=False)
     batch: list[SliceSample] = []
@@ -163,8 +161,6 @@ def epoch_batches(volumes, spec: BatchSpec, label: str = "weak") -> list[list[Sl
     sizes are equal and N is a multiple of the class count).
     """
     classes, patient_volumes = _patients_by_class(volumes, label)
-    if not classes:
-        raise ContractError("dataset is empty")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
     queues = {c: [pids[int(i)] for i in rng.permutation(len(pids))] for c, pids in classes.items()}
     batches: list[list[SliceSample]] = []
@@ -459,11 +455,6 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
             cols = left[part][sel][:, None] + centers * sd / w - 0.5
             view[sel] = _bilinear_stack(view[sel], rows[:, :, None], cols[:, None, :])
     return out
-
-
-def augment(pixels: np.ndarray, cfg: AugmentConfig, draw_seed) -> np.ndarray:
-    """One view of one square image: ``augment_views`` on a batch of one."""
-    return augment_views([pixels], cfg, [draw_seed])[0]
 
 
 def make_views(sample: SliceSample, cfg: AugmentConfig, seed):

@@ -3,6 +3,7 @@ import filecmp
 import importlib.util
 import json
 import shutil
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import pytest
 
 from wsp.cli import _FLAGS, build_parser, main, run_with_exit_code
 from wsp.data import GeneratorConfig, central_view, load_dataset
-from wsp.encoders import EncoderConfig, load_checkpoint
+from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from wsp.errors import write_csv
-from wsp.evaluation import ProbeConfig, sigma_sweep
+from wsp.evaluation import ProbeConfig, run_grid
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig
@@ -149,6 +150,20 @@ class TestPretrain:
         assert code == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_nan_pixel_is_data_error(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "set"
+        shutil.copytree(dataset_dir, data)
+        victim = data / json.loads((data / "manifest.json").read_text())["volumes"][0]["file"]
+        blob = bytearray(victim.read_bytes())
+        blob[26:30] = struct.pack("<f", float("nan"))  # the first pixel of the first slice
+        victim.write_bytes(bytes(blob))
+        code = run(["pretrain", "--data", str(data), "--arch", "mlp", "--epochs", "1", "--batch", "4",
+                    "--out", str(tmp_path / "c.ckpt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert "Traceback" not in err
+
     def test_non_finite_loss_writes_batch_dump(self, dataset_dir, tmp_path, monkeypatch, capsys):
         from wsp.errors import NonFiniteError
 
@@ -188,6 +203,17 @@ class TestProbe:
         )
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("random,")
+
+    def test_infinite_checkpoint_parameter_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
+        ckpt = load_checkpoint(checkpoint)
+        ckpt.params["repr_b"][0] = float("inf")
+        bad = tmp_path / "inf.ckpt"
+        save_checkpoint(ckpt, bad)
+        code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--folds", "3", "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert "Traceback" not in err
 
     def test_too_many_folds_is_data_error(self, dataset_dir, checkpoint, tmp_path):
         code = run(
@@ -266,15 +292,11 @@ class TestSweep:
         _, volumes = load_dataset(dataset_dir)
         volumes = central_view(volumes)
         h, w = volumes[0].slices[0].pixels.shape
-        rows = sigma_sweep(
-            volumes,
-            EncoderConfig(input_shape=(1, h, w)),
-            OptimConfig(epochs=1, batch_size=4),
-            ProbeConfig(),
-            sigmas=(0.1, 0.5),
-            aug_cfg=AugmentConfig(enabled=False),
-        )
-        api_rows = [(row.sigma, row.auc_mean, row.auc_std) for row in rows]
+        runs = (volumes, EncoderConfig(input_shape=(1, h, w)), OptimConfig(epochs=1, batch_size=4), ProbeConfig(),
+                AugmentConfig(enabled=False))
+        reports, _ = run_grid([("wsp", 0.1), ("wsp", 0.5)], [0], lambda seed: runs)
+        folds = {sigma: by_seed[0].fold_auc_patient for (_, sigma), by_seed in reports.items()}
+        api_rows = [(sigma, np.mean(aucs), np.std(aucs)) for sigma, aucs in folds.items()]
         write_csv(tmp_path / "api.csv", ("sigma", "auc_mean", "auc_std"), api_rows)
         off = (tmp_path / "off.csv").read_bytes()
         assert off == (tmp_path / "api.csv").read_bytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from wsp.data import (
     save_dataset,
     select_central_slices,
 )
-from wsp.errors import ConfigError, ContractError, DomainError, FormatError
+from wsp.errors import ConfigError, ContractError, FormatError
 
 
 class TestNormalizeDepth:
@@ -27,11 +28,11 @@ class TestNormalizeDepth:
         assert normalize_depth(1, 3) == 1.0 / 3.0
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             normalize_depth(5, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             normalize_depth(-1, 10)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             normalize_depth(11, 10)
 
     def test_monotone(self):
@@ -213,6 +214,33 @@ class TestDiskFormat:
         with pytest.raises(FormatError) as err:
             load_dataset(tmp_path)
         assert err.value.offset is not None
+
+    @staticmethod
+    def _overwrite(tmp_path, offset, packed):
+        """A saved one-volume dataset whose volume file holds ``packed`` at byte ``offset``."""
+        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=1, slices_per_volume=2), seed=1)
+        save_dataset(manifest, volumes, tmp_path)
+        victim = tmp_path / manifest.volumes[0]["file"]
+        blob = bytearray(victim.read_bytes())
+        blob[offset : offset + len(packed)] = packed
+        victim.write_bytes(bytes(blob))
+
+    # Volume file layout: magic (4), version (2), h, w, n_slices, V_max (u32 each), then per slice p (u32) and pixels.
+    @pytest.mark.parametrize("offset, value, match", [(18, 0, "V_max"), (22, 2, "exceeds V_max")],
+                             ids=["v_max-zero", "depth-beyond-v_max"])
+    def test_bad_depth_header_rejected_with_offset(self, tmp_path, offset, value, match):
+        self._overwrite(tmp_path, offset, struct.pack("<I", value))
+        with pytest.raises(FormatError, match=match) as err:
+            load_dataset(tmp_path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.25, 1.5])
+    def test_pixel_outside_unit_range_rejected_with_offset(self, tmp_path, value):
+        at = 26 + 4 * 37  # the 38th pixel of the first slice
+        self._overwrite(tmp_path, at, struct.pack("<f", value))
+        with pytest.raises(FormatError, match="slice pixels") as err:
+            load_dataset(tmp_path)
+        assert err.value.offset == at
 
     def test_missing_file_named_in_error(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2)

@@ -72,8 +72,8 @@ class TestInit:
         # Closed-form count from the declared shapes:
         # convs 160 + 4640 + 18496 + 73856 + 33024, dense 65792,
         # projection 32896 + 8256.
-        enc = init_encoder(EncoderConfig())
-        assert enc.parameter_count() == 237120
+        params = init_encoder(EncoderConfig()).params
+        assert sum(p.data.size for p in params.values()) == 237120
         by_shape = sum(int(np.prod(s)) for s in parameter_shapes(EncoderConfig()).values())
         assert by_shape == 237120
 
@@ -226,6 +226,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="not valid UTF-8 JSON") as err:
             load_checkpoint(path)
         assert err.value.offset == 10
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected_at_its_offset(self, tmp_path, value):
+        ckpt = EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG))
+        ckpt.params["repr_w"][1, 2] = value
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(FormatError, match="repr_w values must be finite") as err:
+            load_checkpoint(path)
+        raw = path.read_bytes()
+        assert raw[err.value.offset : err.value.offset + 8] == struct.pack("<d", value)
 
     def test_truncation_rejected_with_offset(self, tmp_path):
         enc = init_encoder(EncoderConfig(seed=4))

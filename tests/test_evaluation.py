@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,8 @@ from wsp.evaluation import (
     predict_probe,
     pretrain_and_probe,
     probe_representations,
+    run_grid,
     run_probe_protocol,
-    sigma_sweep,
     stratified_kfold,
 )
 from wsp.losses import LossConfig
@@ -341,7 +343,23 @@ class TestPretrainAndProbe:
         with pytest.raises(ConfigError, match="seed"):
             run_benchmark(seeds=())
         with pytest.raises(ConfigError, match="seed"):
-            sigma_sweep(small_volumes, SMALL_ENC, OptimConfig(epochs=1, batch_size=8), seeds=[])
+            run_grid([("wsp", 0.1)], [], sweep_recipe(small_volumes, OptimConfig(epochs=1, batch_size=8), ProbeConfig()))
+
+
+def sweep_recipe(volumes, optim, probe, aug=None):
+    """The recipe of ``wsp sweep``: each run's seed goes to the encoder, optim and augment configs."""
+
+    def recipe(seed):
+        seeded_aug = None if aug is None else replace(aug, seed=seed)
+        return volumes, replace(SMALL_ENC, seed=seed), replace(optim, seed=seed), probe, seeded_aug
+
+    return recipe
+
+
+def sweep_grid(volumes, optim, probe, sigmas, seeds=(0,), aug=None):
+    """``reports[cell][seed]`` of the wsp loss at each sigma."""
+    reports, _ = run_grid([("wsp", sigma) for sigma in sigmas], seeds, sweep_recipe(volumes, optim, probe, aug))
+    return reports
 
 
 class TestSigmaSweep:
@@ -350,17 +368,11 @@ class TestSigmaSweep:
 
     def test_row_per_sigma(self, small_volumes):
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        rows = sigma_sweep(
-            small_volumes,
-            SMALL_ENC,
-            optim,
-            ProbeConfig(folds=4, seed=0),
-            sigmas=(0.1, 0.5),
-        )
-        assert [row.sigma for row in rows] == [0.1, 0.5]
-        for row in rows:
-            assert len(row.fold_aucs) == 4
-            assert 0.0 <= row.auc_mean <= 1.0
+        reports = sweep_grid(small_volumes, optim, ProbeConfig(folds=4, seed=0), sigmas=(0.1, 0.5))
+        assert [sigma for _, sigma in reports] == [0.1, 0.5]
+        for by_seed in reports.values():
+            assert len(by_seed[0].fold_auc_patient) == 4
+            assert 0.0 <= by_seed[0].mean_auc_patient <= 1.0
 
     def test_non_finite_sigma_rejected_before_any_run(self, small_volumes, monkeypatch):
         def no_training(*args, **kwargs):
@@ -369,17 +381,47 @@ class TestSigmaSweep:
         monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
         with pytest.raises(ConfigError):
-            sigma_sweep(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4), sigmas=(0.1, float("nan")))
+            sweep_grid(small_volumes, optim, ProbeConfig(folds=4), sigmas=(0.1, float("nan")))
 
     def test_augment_config_reseeded_per_run(self, small_volumes):
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        rows = [
-            sigma_sweep(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4), sigmas=(0.1,), seeds=(0, 3), aug_cfg=aug)
+        reports = [
+            sweep_grid(small_volumes, optim, ProbeConfig(folds=4), sigmas=(0.1,), seeds=(0, 3), aug=aug)
             for aug in (None, AugmentConfig(seed=9))
         ]
-        assert rows[0] == rows[1]
+        assert reports[0] == reports[1]
 
     def test_empty_sigma_list_rejected(self, small_volumes):
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
         with pytest.raises(ConfigError):
-            sigma_sweep(small_volumes, SMALL_ENC, optim, ProbeConfig(), sigmas=())
+            sweep_grid(small_volumes, optim, ProbeConfig(), sigmas=())
+
+    def test_each_report_is_its_run_alone_and_a_repeated_cell_runs_once(self, small_volumes, monkeypatch):
+        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
+        probe = ProbeConfig(folds=4, seed=1)
+        trained = []
+
+        def counting_pretrain(volumes, enc_cfg, optim_cfg, aug_cfg=None):
+            trained.append((optim_cfg.loss.loss_kind, optim_cfg.loss.sigma, optim_cfg.seed))
+            return pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
+
+        monkeypatch.setattr("wsp.evaluation.pretrain", counting_pretrain)
+        cells = [("wsp", 0.1), ("supcon", 0.5), ("random", 0.1), ("wsp", 0.1)]
+        recipe = sweep_recipe(small_volumes, optim, probe)
+        reports, checkpoints = run_grid(cells, [0, 3, 0], recipe, keep_checkpoints=("supcon",))
+        assert trained == [("wsp", 0.1, 0), ("supcon", 0.5, 0), ("wsp", 0.1, 3), ("supcon", 0.5, 3)]
+        assert list(reports) == cells[:3]
+        assert list(checkpoints) == [("supcon", 0.5)]
+        for (kind, sigma), by_seed in reports.items():
+            assert list(by_seed) == [0, 3]
+            for seed, report in by_seed.items():
+                volumes, enc, run_optim, _, aug = recipe(seed)
+                if kind == "random":
+                    run_optim = None
+                else:
+                    run_optim = replace(run_optim, loss=replace(optim.loss, loss_kind=kind, sigma=sigma))
+                ckpt, alone = pretrain_and_probe(volumes, enc, run_optim, probe, aug)
+                assert report == alone
+                if kind == "supcon":
+                    for name, values in ckpt.params.items():
+                        assert np.array_equal(checkpoints[(kind, sigma)][seed].params[name], values)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_augment
-from wsp.errors import ConfigError, ContractError, FallbackRequired
+from wsp.errors import ConfigError, ContractError
 from wsp.sampling import (
     _CHUNK_PIXELS,
     AugmentConfig,
     BatchSpec,
     _draw_values,
     _key_words,
-    augment,
     augment_views,
     epoch_batches,
     make_views,
@@ -95,7 +94,7 @@ class TestStrictSampler:
 
     def test_too_few_patients_signals_fallback(self, balanced_volumes):
         five = balanced_volumes[:5]
-        with pytest.raises(FallbackRequired):
+        with pytest.raises(ContractError):
             sample_batch(five, BatchSpec(batch_size=8, seed=0))
 
     def test_deterministic_given_seed_and_epoch(self, balanced_volumes):
@@ -164,38 +163,38 @@ class TestEpochPartition:
 class TestAugment:
     def test_null_augmentation_is_identity(self, rng):
         img = rng.random((16, 16))
-        out = augment(img, NULL_AUG, draw_seed=0)
+        out = augment_views([img], NULL_AUG, [0])[0]
         np.testing.assert_allclose(out, img, atol=1e-6)
 
     def test_flip_is_involution(self, rng):
         img = rng.random((12, 12))
         flip_only = AugmentConfig(rotation_degrees=0.0, crop_scale=(1.0, 1.0), flip_prob=1.0)
-        once = augment(img, flip_only, draw_seed=5)
-        twice = augment(once, flip_only, draw_seed=5)
+        once = augment_views([img], flip_only, [5])[0]
+        twice = augment_views([once], flip_only, [5])[0]
         assert np.array_equal(twice, img)
 
     def test_different_draws_differ(self, rng):
         img = rng.random((16, 16))
         cfg = AugmentConfig(seed=0)
-        a = augment(img, cfg, draw_seed=0)
-        b = augment(img, cfg, draw_seed=1)
+        a = augment_views([img], cfg, [0])[0]
+        b = augment_views([img], cfg, [1])[0]
         assert not np.array_equal(a, b)
 
     def test_bit_for_bit_determinism(self, rng):
         img = rng.random((16, 16))
         cfg = AugmentConfig(seed=7)
-        a = augment(img, cfg, draw_seed=(3, 4))
-        b = augment(img, cfg, draw_seed=(3, 4))
+        a = augment_views([img], cfg, [(3, 4)])[0]
+        b = augment_views([img], cfg, [(3, 4)])[0]
         assert np.array_equal(a, b)
 
     def test_shape_preserved(self, rng):
         img = rng.random((16, 16))
-        out = augment(img, AugmentConfig(seed=1), draw_seed=2)
+        out = augment_views([img], AugmentConfig(seed=1), [2])[0]
         assert out.shape == img.shape
 
     def test_square_required(self, rng):
         with pytest.raises(ContractError):
-            augment(rng.random((8, 10)), AugmentConfig(), draw_seed=0)
+            augment_views([rng.random((8, 10))], AugmentConfig(), [0])[0]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -246,7 +245,7 @@ class TestAugmentViews:
         view_a, view_b, _ = make_views(sample, cfg, seed=(2, 5))
         assert view_a.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 0)).tobytes()
         assert view_b.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 1)).tobytes()
-        assert augment(sample.pixels, cfg, 9).tobytes() == oracle_augment(sample.pixels, cfg, 9).tobytes()
+        assert augment_views([sample.pixels], cfg, [9])[0].tobytes() == oracle_augment(sample.pixels, cfg, 9).tobytes()
 
     def test_malformed_batches_rejected(self, rng):
         with pytest.raises(ContractError):

@@ -110,7 +110,7 @@ class Tape:
 
 
 class GradientMap:
-    """Gradients keyed by tensor uid; absent tensors read as zero."""
+    """Leaf gradients keyed by tensor uid; any other tensor reads as zero."""
 
     def __init__(self, grads: dict[int, np.ndarray]):
         self._grads = grads
@@ -126,16 +126,21 @@ def backward(scalar: Tensor) -> GradientMap:
     """Reverse-mode pass from a single-element tensor.
 
     Populates ``.grad`` on every requires_grad leaf reachable from ``scalar``
-    and returns the full gradient map. Leaves that never reached the tape are
-    reported as zero by the map.
+    and returns the map of those leaf gradients. An interior node's gradient
+    is dropped as soon as it has reached the node's parents, so at most one
+    frontier of interior gradients is alive at a time. Leaves that never
+    reached the tape are reported as zero by the map. The graph itself is
+    left intact, so a second pass gives the same gradients.
     """
     if scalar.data.size != 1:
         raise ContractError(f"backward() needs a scalar, got shape {scalar.shape}")
     tape = Tape(scalar)
     grads: dict[int, np.ndarray] = {scalar.uid: np.ones_like(scalar.data)}
     for node in reversed(tape.nodes):
-        gout = grads.get(node.uid)
-        if gout is None or node._backward_fn is None:
+        if node._backward_fn is None:
+            continue
+        gout = grads.pop(node.uid, None)
+        if gout is None:
             continue
         parent_grads = node._backward_fn(gout)
         for parent, g in zip(node._parents, parent_grads):
@@ -233,64 +238,109 @@ def l2_normalize(x: Tensor) -> Tensor:
     return make_op(y, (x,), bwd, "l2_normalize")
 
 
-def conv2d(x: Tensor, k: Tensor, stride: int = 1) -> Tensor:
-    """Valid cross-correlation of a B,C,H,W batch with an F,C,k,k kernel.
+def _conv(x: np.ndarray, k: np.ndarray, stride: int, need_gx: bool):
+    """Valid cross-correlation of a channels-last B,H,W,C batch with an F,C,kh,kw kernel.
 
-    Implemented as im2col + matmul so both passes run through BLAS.
+    Returns the B,hout,wout,F output and ``grads(gcols)``, which maps the
+    output gradient as a (B*hout*wout, F) matrix to (input gradient in
+    channels-last layout, or None unless ``need_gx``; kernel gradient). The
+    im2col columns are ordered (c, u, v), the kernel's own order, so both
+    passes are single BLAS GEMMs.
     """
-    if x.data.ndim != 4 or k.data.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {k.shape}")
+    if x.ndim != 4 or k.ndim != 4:
+        raise ShapeError(f"conv expects 4-d input and kernel, got {x.shape}, {k.shape}")
     if stride < 1:
         raise ContractError(f"stride must be >= 1, got {stride}")
-    batch, cin, h, w = x.shape
+    batch, h, w, cin = x.shape
     fout, kc, kh, kw = k.shape
     if kc != cin:
         raise ShapeError(f"kernel channels {kc} != input channels {cin}")
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    hout = (h - kh) // stride + 1
-    wout = (w - kw) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    hout, wout = windows.shape[1:3]
+    cols = windows.reshape(batch * hout * wout, cin * kh * kw)
+    kmat = k.reshape(fout, cin * kh * kw)
+    out = (cols @ kmat.T).reshape(batch, hout, wout, fout)
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * hout * wout, cin * kh * kw)
-    kmat = k.data.reshape(fout, cin * kh * kw)
-    out = (cols @ kmat.T).reshape(batch, hout, wout, fout).transpose(0, 3, 1, 2)
-
-    def bwd(g):
-        gcols = g.transpose(0, 2, 3, 1).reshape(batch * hout * wout, fout)
-        gk = (gcols.T @ cols).reshape(fout, cin, kh, kw)
-        if not x.requires_grad:
+    def grads(gcols):
+        gk = (gcols.T @ cols).reshape(k.shape)
+        if not need_gx:
             return None, gk
-        gwin = (gcols @ kmat).reshape(batch, hout, wout, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gx = np.zeros_like(x.data)
+        # One GEMM per kernel tap, added into the strided input positions in tap order. With one
+        # input channel a tap's product would be a BLAS matrix-vector product, whose sums can differ
+        # from the matrix-matrix kernel's in the last bit, so all taps then come from one GEMM.
+        every_tap = (gcols @ kmat).reshape(batch, hout, wout, cin, kh, kw) if cin == 1 else None
+        gx = np.zeros(x.shape, dtype=x.dtype)
         for u in range(kh):
             for v in range(kw):
-                gx[:, :, u : u + stride * hout : stride, v : v + stride * wout : stride] += gwin[
-                    ..., u, v
-                ]
+                if every_tap is None:
+                    tap = (gcols @ k[:, :, u, v]).reshape(batch, hout, wout, cin)
+                else:
+                    tap = every_tap[..., u, v]
+                gx[:, u : u + stride * hout : stride, v : v + stride * wout : stride] += tap
         return gx, gk
 
-    return make_op(np.ascontiguousarray(out), (x, k), bwd, "conv2d")
+    return out, grads
 
 
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-channel bias to a B,C,H,W activation."""
-    if x.data.ndim != 4 or b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"channel bias {b.shape} incompatible with input {x.shape}")
-    out = x.data + b.data[None, :, None, None]
-    return make_op(out, (x, b), lambda g: (g, g.sum(axis=(0, 2, 3))), "add_channel_bias")
+def conv2d(x: Tensor, k: Tensor, stride: int = 1) -> Tensor:
+    """Valid cross-correlation of a B,C,H,W batch with an F,C,k,k kernel; B,F,hout,wout out.
+
+    The channels-first form of the convolution inside ``conv_bias_relu``.
+    """
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {k.shape}")
+    out, grads = _conv(x.data.transpose(0, 2, 3, 1), k.data, stride, x.requires_grad)
+
+    def bwd(g):
+        gx, gk = grads(g.transpose(0, 2, 3, 1).reshape(-1, k.shape[0]))
+        return (None if gx is None else gx.transpose(0, 3, 1, 2)), gk
+
+    return make_op(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd, "conv2d")
+
+
+def conv_bias_relu(x: Tensor, k: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """One conv stage: relu(conv(x, k) + b) on a channels-last B,H,W,C batch, as one op.
+
+    The output stays channels-last (B, hout, wout, F). For the backward pass
+    the op keeps only the im2col columns and one ReLU mask.
+    """
+    if b.data.ndim != 1 or k.data.ndim != 4 or b.shape[0] != k.shape[0]:
+        raise ShapeError(f"bias {b.shape} incompatible with kernel {k.shape}")
+    out, grads = _conv(x.data, k.data, stride, x.requires_grad)
+    out += b.data
+    mask = out > 0
+    np.copyto(out, 0.0, where=~mask)
+
+    def bwd(g):
+        g = g * mask
+        gx, gk = grads(g.reshape(-1, k.shape[0]))
+        # Summed per (view, channel) over a contiguous H*W run, then over views: numpy's pairwise
+        # order for a channels-first array, on which the checkpoint bytes depend.
+        gb = np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+        return gx, gk, gb
+
+    return make_op(out, (x, k, b), bwd, "conv_bias_relu")
+
+
+def channels_last(x: Tensor) -> Tensor:
+    """A B,C,H,W batch as B,H,W,C (a view, no copy)."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"channels_last expects 4-d input, got {x.shape}")
+    return make_op(x.data.transpose(0, 2, 3, 1), (x,), lambda g: (g.transpose(0, 3, 1, 2),), "channels_last")
 
 
 def spatial_mean(x: Tensor) -> Tensor:
-    """Global average pool: B,C,H,W -> B,C."""
+    """Global average pool of a channels-last batch: B,H,W,C -> B,C."""
     if x.data.ndim != 4:
         raise ShapeError(f"spatial_mean expects 4-d input, got {x.shape}")
-    _, _, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
+    _, h, w, _ = x.shape
+    # Averaged per (view, channel) over a contiguous H*W run, in the same pairwise order as the bias gradient.
+    out = np.ascontiguousarray(x.data.transpose(0, 3, 1, 2)).mean(axis=(2, 3))
 
     def bwd(g):
-        return (np.broadcast_to(g[:, :, None, None], x.shape) / (h * w),)
+        return (np.broadcast_to(g[:, None, None, :], x.shape) / (h * w),)
 
     return make_op(out, (x,), bwd, "spatial_mean")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ByteReader, ConfigError, ContractError, FormatError
-from .errors import check_fields, check_value, parse_json, write_json
+from .errors import check_fields, check_value, parse_json, size_rule, write_json
 
 VOLUME_MAGIC = b"WSPV"
 VOLUME_VERSION = 1
@@ -142,8 +142,8 @@ class GeneratorConfig:
     def __post_init__(self):
         # aspect_jitter < 1 keeps every volume's aspect ratio, 1 +- aspect_jitter, positive.
         check_fields(
-            self, n_volumes="[1, inf)", slices_per_volume="[1, inf)", height="[4, inf)", width="[4, inf)",
-            class_priors="[0, 1]", noise_rate="[0, 1]", contour_amplitudes="[0, inf)", lobes="[1, inf)",
+            self, n_volumes=size_rule(1), slices_per_volume=size_rule(1), height=size_rule(4), width=size_rule(4),
+            class_priors="[0, 1]", noise_rate="[0, 1]", contour_amplitudes="[0, inf)", lobes=size_rule(1),
             amplitude_depth_coupling="[0, 1]", depth_gain="[0, inf)", radius_base="(0, inf)", edge_width="(0, inf)",
             aspect_jitter="[0, 1)", center_jitter="[0, 1]", pixel_noise="[0, inf)",
             organ_intensity="(-inf, inf)", background_intensity="(-inf, inf)",

@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ByteReader, ConfigError, FormatError, ShapeError, build_config, check_fields, check_value, parse_json
+from .errors import size_rule
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -44,7 +45,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         sizes = "input_shape conv_channels conv_kernels conv_strides mlp_hidden repr_dim proj_dim proj_hidden".split()
-        check_fields(self, arch=ARCHS, **dict.fromkeys(sizes, "[1, inf)"))
+        check_fields(self, arch=ARCHS, **dict.fromkeys(sizes, size_rule(1)))
         if not self.repr_dim > self.proj_dim:
             raise ConfigError(f"need repr_dim > proj_dim, got {self.repr_dim}, {self.proj_dim}")
         if self.arch == "tiny_cnn":
@@ -126,11 +127,9 @@ class Encoder:
                     f"expected batch of shape (B, {', '.join(map(str, cfg.input_shape))}),"
                     f" got {x.shape}"
                 )
-            h = x
+            h = ad.channels_last(x)  # activations stay (B, H, W, C) up to the pool
             for i, stride in enumerate(cfg.conv_strides, start=1):
-                h = ad.conv2d(h, self.params[f"conv{i}_w"], stride)
-                h = ad.add_channel_bias(h, self.params[f"conv{i}_b"])
-                h = ad.relu(h)
+                h = ad.conv_bias_relu(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"], stride)
             h = ad.spatial_mean(h)
         else:
             if x.data.ndim != 2 or x.shape[1] != cfg.input_shape[0]:
@@ -190,6 +189,7 @@ class EncoderCheckpoint:
         )
 
     def to_encoder(self) -> Encoder:
+        """A frozen encoder (parameters do not require grad), so its forward passes build no graph."""
         expected = parameter_shapes(self.config)
         if list(expected) != list(self.params):
             raise FormatError("checkpoint parameters do not match the architecture config")
@@ -198,7 +198,7 @@ class EncoderCheckpoint:
                 raise FormatError(
                     f"parameter {name} has shape {self.params[name].shape}, expected {shape}"
                 )
-        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in self.params.items()}
+        params = {k: Tensor(v.copy()) for k, v in self.params.items()}
         return Encoder(self.config, params)
 
 

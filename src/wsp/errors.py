@@ -63,6 +63,13 @@ _KINDS = {
 
 _field_types = functools.cache(typing.get_type_hints)
 
+U32_MAX = 2**32 - 1  # the largest extent or count the file formats store
+
+
+def size_rule(least: int) -> str:
+    """The rule of an integer size: at least ``least`` and at most ``U32_MAX``."""
+    return f"[{least}, {U32_MAX}]"
+
 
 def check_value(name: str, value, kind: type, rule=None, error=ConfigError) -> None:
     """Raise ``error`` unless ``value`` is of ``kind`` (a key of ``_KINDS``) and obeys ``rule``.

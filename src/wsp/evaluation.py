@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoders import EncoderCheckpoint, untrained_checkpoint
-from .errors import ConfigError, ContractError, DegenerateInputError, check_fields
+from .errors import ConfigError, ContractError, DegenerateInputError, check_fields, size_rule
 from .training import OptimConfig, pretrain
 
 
@@ -28,7 +28,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, l2_strength="[0, inf)", max_iterations="[1, inf)", tolerance="(0, inf)", folds="[2, inf)")
+        check_fields(
+            self, l2_strength="[0, inf)", max_iterations=size_rule(1), tolerance="(0, inf)", folds=size_rule(2)
+        )
 
 
 @dataclass
@@ -75,24 +77,25 @@ def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 
             depth.append(s.d)
             y_weak.append(vol.y_weak)
             y_strong.append(-1 if vol.y_strong is None else int(vol.y_strong))
-            images.append(np.asarray(s.pixels, dtype=np.float64))
+            images.append(s.pixels)
     if not images:
         raise ContractError("no retained slices to embed")
-    chunks = []
+    # The encoder is frozen, so no chunk records a graph; pixels become float64 one chunk at a time.
+    reprs = np.empty((len(images), enc.config.repr_dim))
     for start in range(0, len(images), batch_size):
-        block = np.stack(images[start : start + batch_size])
+        block = np.stack(images[start : start + batch_size]).astype(np.float64, copy=False)
         if enc.config.arch == "mlp":
             x = Tensor(block.reshape(len(block), -1))
         else:
             x = Tensor(block[:, None, :, :])
-        chunks.append(enc.encode(x).data)
+        reprs[start : start + len(block)] = enc.encode(x).data
     return RepresentationTable(
         patient_ids=patient_ids,
         slice_ids=slice_ids,
         d=np.asarray(depth),
         y_weak=np.asarray(y_weak, dtype=np.int64),
         y_strong=np.asarray(y_strong, dtype=np.int64),
-        repr=np.concatenate(chunks, axis=0),
+        repr=reprs,
     )
 
 
@@ -288,15 +291,15 @@ def pca_project(x: np.ndarray, modes: int = 2):
 
 
 def _patient_table(table: RepresentationTable):
-    patients = list(dict.fromkeys(table.patient_ids))
-    labels = []
-    for pid in patients:
-        idx = table.patient_ids.index(pid)
-        label = int(table.y_strong[idx])
+    """Patients in order of first appearance, each patient's first row, and their strong labels."""
+    first_row: dict = {}
+    for row, pid in enumerate(table.patient_ids):
+        first_row.setdefault(pid, row)
+    labels = np.asarray(table.y_strong[list(first_row.values())], dtype=np.int64)
+    for pid, label in zip(first_row, labels):
         if label < 0:
             raise ContractError(f"patient {pid} lacks a strong label")
-        labels.append(label)
-    return patients, np.asarray(labels, dtype=np.int64)
+    return list(first_row), first_row, labels
 
 
 def run_probe_protocol(ckpt: EncoderCheckpoint, volumes, cfg: ProbeConfig) -> ProbeReport:
@@ -310,7 +313,7 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
     x_all = table.repr if features is None else np.asarray(features, dtype=np.float64)
     if len(x_all) != len(table):
         raise ContractError("feature matrix does not match the representation table")
-    patients, patient_labels = _patient_table(table)
+    patients, first_row, patient_labels = _patient_table(table)
     folds = stratified_kfold(patients, patient_labels, cfg.folds, cfg.seed)
     fold_of_patient = {pid: int(f) for pid, f in zip(patients, folds)}
     slice_folds = np.asarray([fold_of_patient[pid] for pid in table.patient_ids], dtype=np.int64)
@@ -329,7 +332,7 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
         patient_probs.update(per_patient)
         pids_sorted = sorted(per_patient)
         p_scores = np.asarray([per_patient[pid] for pid in pids_sorted])
-        p_labels = np.asarray([patient_labels[patients.index(pid)] for pid in pids_sorted])
+        p_labels = np.asarray(table.y_strong[[first_row[pid] for pid in pids_sorted]], dtype=np.int64)
         fold_auc_patient.append(auc(p_scores, p_labels))
         fold_auc_slice.append(auc(probs, table.y_strong[test]))
         fold_bacc.append(balanced_accuracy(p_scores, p_labels))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_fields
+from .errors import ConfigError, ContractError, check_fields, size_rule
 
 SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
 
@@ -32,7 +32,7 @@ class BatchSpec:
     epoch: int = 0
 
     def __post_init__(self):
-        check_fields(self, batch_size="[2, inf)", mode=SAMPLER_MODES, epoch="[0, inf)")
+        check_fields(self, batch_size=size_rule(2), mode=SAMPLER_MODES, epoch=size_rule(0))
         if self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even, got {self.batch_size}")
 

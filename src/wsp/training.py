@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
-from .errors import ConfigError, ContractError, NonFiniteError, check_fields
+from .errors import ConfigError, ContractError, NonFiniteError, check_fields, size_rule
 from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches, sample_batch_fallback
 
@@ -38,8 +38,8 @@ class OptimConfig:
 
     def __post_init__(self):
         check_fields(
-            self, lr="(0, inf)", weight_decay="[0, inf)", optimizer=OPTIMIZERS, epochs="[1, inf)", batch_size="[2, inf)",
-            beta1="[0, 1)", beta2="[0, 1)", eps="(0, inf)", momentum="[0, 1)",
+            self, lr="(0, inf)", weight_decay="[0, inf)", optimizer=OPTIMIZERS, epochs=size_rule(1),
+            batch_size=size_rule(2), beta1="[0, 1)", beta2="[0, 1)", eps="(0, inf)", momentum="[0, 1)",
         )
         if not self.lr * self.weight_decay < 1:
             raise ConfigError("lr * weight_decay must be < 1, so that the decay factor stays positive")
@@ -191,6 +191,8 @@ def pretrain(
             grad_map = ad.backward(loss)
             grads = {name: grad_map.wrt(p) for name, p in enc.params.items()}
             optimizer_step(enc.params, grads, state, optim_cfg, lr_t)
+            # Drop the spent step graph and its gradients before the next forward pass.
+            del x, z, loss, grad_map, grads
             epoch_losses.append(value)
             global_step += 1
         curve.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(epoch_losses)), lr=float(epoch_lr)))

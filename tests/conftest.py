@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,3 +38,18 @@ def balanced_volumes():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn)``: the peak bytes that tracemalloc traces while ``fn()`` runs."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

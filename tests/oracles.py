@@ -199,3 +199,52 @@ def oracle_augment(pixels, cfg, draw_seed):
         cc = left + (np.arange(w, dtype=np.float64) + 0.5) * side / w - 0.5
         img = _oracle_bilinear(img, rr[:, None], cc[None, :])
     return img
+
+
+def im2col_conv2d(x, k, stride):
+    """Channels-first valid cross-correlation: B,C,H,W input, F,C,kh,kw kernel.
+
+    Returns the B,F,hout,wout output and ``backward(g, need_gx)``, which maps
+    a B,F,hout,wout output gradient to (input gradient, or None unless
+    ``need_gx``; kernel gradient). All taps of the input gradient come from
+    one GEMM and are scattered back in tap order.
+    """
+    batch, cin, h, w = x.shape
+    fout, _, kh, kw = k.shape
+    hout = (h - kh) // stride + 1
+    wout = (w - kw) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * hout * wout, cin * kh * kw)
+    kmat = k.reshape(fout, cin * kh * kw)
+    out = (cols @ kmat.T).reshape(batch, hout, wout, fout).transpose(0, 3, 1, 2)
+
+    def backward(g, need_gx):
+        gcols = g.transpose(0, 2, 3, 1).reshape(batch * hout * wout, fout)
+        gk = (gcols.T @ cols).reshape(fout, cin, kh, kw)
+        if not need_gx:
+            return None, gk
+        gwin = (gcols @ kmat).reshape(batch, hout, wout, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        gx = np.zeros_like(x)
+        for u in range(kh):
+            for v in range(kw):
+                gx[:, :, u : u + stride * hout : stride, v : v + stride * wout : stride] += gwin[..., u, v]
+        return gx, gk
+
+    return np.ascontiguousarray(out), backward
+
+
+def conv_bias_relu_stage(x, k, b, stride, g, need_gx):
+    """One channels-first conv stage, relu(conv(x, k) + b), with its gradients for output gradient ``g``.
+
+    Three separate steps, as a textbook writes them: ``im2col_conv2d``, a
+    per-channel bias add, then ReLU. Returns (output, input gradient or None,
+    kernel gradient, bias gradient), all channels-first.
+    """
+    conv, conv_backward = im2col_conv2d(x, k, stride)
+    pre = conv + b[None, :, None, None]
+    mask = pre > 0
+    out = np.where(mask, pre, 0.0)
+    g_pre = g * mask
+    gx, gk = conv_backward(g_pre, need_gx)
+    return out, gx, gk, g_pre.sum(axis=(0, 2, 3))

@@ -9,6 +9,8 @@ from wsp.autodiff import Tensor
 from wsp.errors import ContractError, DegenerateInputError, ShapeError
 from wsp.losses import pairwise_logsumexp
 
+from oracles import conv_bias_relu_stage as oracle_stage, im2col_conv2d
+
 
 def square(t):
     """A smooth nonlinearity (t * t) so gradient checks see non-constant slopes."""
@@ -116,6 +118,59 @@ class TestConv2d:
         assert gx_frozen is None
         assert gx_full.shape == x.shape
         assert np.array_equal(gk_frozen, gk_full)
+
+
+# The five stages of the default EncoderConfig on a 32x32 input: (in channels, side, out channels, kernel, stride).
+CANONICAL_STAGES = [(1, 32, 16, 3, 2), (16, 15, 32, 3, 2), (32, 7, 64, 3, 2), (64, 3, 128, 3, 2), (128, 1, 256, 1, 1)]
+
+
+class TestConvBiasRelu:
+    """The channels-last fused stage and the channels-first conv2d equal the textbook im2col stage bit for bit."""
+
+    @pytest.mark.parametrize("views", [64, 128])
+    @pytest.mark.parametrize("stage", range(len(CANONICAL_STAGES)), ids=lambda i: f"conv{i + 1}")
+    @pytest.mark.parametrize("input_grad", [True, False], ids=["input_grad", "frozen_input"])
+    def test_bit_identical_to_im2col_oracle(self, views, stage, input_grad):
+        cin, side, cout, ksize, stride = CANONICAL_STAGES[stage]
+        rng = np.random.default_rng([views, stage])
+        x = rng.uniform(-1, 1, (views, cin, side, side))
+        k = rng.uniform(-0.3, 0.3, (cout, cin, ksize, ksize))
+        b = rng.uniform(-0.1, 0.1, cout)
+        hout = (side - ksize) // stride + 1
+        g = rng.normal(size=(views, cout, hout, hout))
+        out, gx, gk, gb = oracle_stage(x, k, b, stride, g, input_grad)
+
+        fused = ad.conv_bias_relu(
+            Tensor(x.transpose(0, 2, 3, 1), requires_grad=input_grad),
+            Tensor(k, requires_grad=True),
+            Tensor(b, requires_grad=True),
+            stride,
+        )
+        assert np.array_equal(fused.data, out.transpose(0, 2, 3, 1))
+        fgx, fgk, fgb = fused._backward_fn(np.ascontiguousarray(g.transpose(0, 2, 3, 1)))
+        assert np.array_equal(fgk, gk)
+        assert np.array_equal(fgb, gb)
+        if input_grad:
+            assert np.array_equal(fgx, gx.transpose(0, 2, 3, 1))
+        else:
+            assert fgx is None
+
+        conv, conv_backward = im2col_conv2d(x, k, stride)
+        plain = ad.conv2d(Tensor(x, requires_grad=input_grad), Tensor(k, requires_grad=True), stride)
+        assert np.array_equal(plain.data, conv)
+        pgx, pgk = plain._backward_fn(g)
+        ogx, ogk = conv_backward(g, input_grad)
+        assert np.array_equal(pgk, ogk)
+        assert (pgx is None) if not input_grad else np.array_equal(pgx, ogx)
+
+    def test_relu_zeroes_negative_pre_activations(self):
+        x = Tensor(np.array([[[[1.0], [-2.0]]]]))  # one 1x2 single-channel image, channels-last
+        out = ad.conv_bias_relu(x, Tensor(np.ones((1, 1, 1, 1))), Tensor([0.5]))
+        np.testing.assert_array_equal(out.data, [[[[1.5], [0.0]]]])
+
+    def test_bias_must_match_kernel(self):
+        with pytest.raises(ShapeError):
+            ad.conv_bias_relu(Tensor(np.ones((1, 3, 3, 1))), Tensor(np.ones((2, 1, 1, 1))), Tensor(np.zeros(3)))
 
 
 class TestElementwise:
@@ -258,18 +313,27 @@ class TestCompositePrimitives:
         fd_check(lambda t: ad.sum_all(ad.mul(ad.sub(t, w), ad.sub(w, ad.mul_const(t, -1.0)))), x)
 
     def test_channel_bias_and_spatial_mean(self, rng):
-        x = rng.uniform(-1, 1, (2, 3, 4, 4))
+        # A 1x1 conv stage (channel bias and ReLU included) on a channels-last batch, then the pool.
+        x = rng.uniform(-1, 1, (2, 4, 4, 3))
+        k = rng.uniform(-1, 1, (3, 3, 1, 1))
         b = rng.uniform(-1, 1, 3)
+        pre = x @ k[:, :, 0, 0].T + b
+        assert np.abs(pre).min() > 1e-3  # no pre-activation within a finite-difference step of the ReLU kink
 
         def f(t):
-            return ad.sum_all(square(ad.spatial_mean(ad.add_channel_bias(t, Tensor(b)))))
+            return ad.sum_all(square(ad.spatial_mean(ad.conv_bias_relu(t, Tensor(k), Tensor(b)))))
 
         fd_check(f, x)
 
         def g(t):
-            return ad.sum_all(square(ad.spatial_mean(ad.add_channel_bias(Tensor(x), t))))
+            return ad.sum_all(square(ad.spatial_mean(ad.conv_bias_relu(Tensor(x), Tensor(k), t))))
 
         fd_check(g, b)
+
+        def h(t):
+            return ad.sum_all(square(ad.spatial_mean(ad.conv_bias_relu(Tensor(x), t, Tensor(b)))))
+
+        fd_check(h, k)
 
     def test_add_rejects_mismatched_shapes(self):
         for op in (ad.sub, ad.mul):

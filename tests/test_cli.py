@@ -464,6 +464,8 @@ class TestParser:
             {"data": {"central_fraction": True}},
             {"data": {"central_fraction": float("nan")}},
             {"data": {"central_fraction": 0.0}},
+            {"encoder": {"proj_hidden": 10**400}},
+            {"encoder": {"mlp_hidden": [128, 2**32]}},
         ],
         ids=[
             "loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range",
@@ -471,7 +473,8 @@ class TestParser:
             "optim.lr-nan", "optim.lr-inf", "optim.beta1-range", "optim.eps-negative", "optim.momentum-nan",
             "optim.weight_decay-nan", "optim.weight_decay-huge", "optim.batch_size-bool", "augment.enabled-string",
             "optim.lr-huge-int", "loss.tau-huge-int", "seed-bool", "seed-nan", "seed-negative", "output_dir-bool",
-            "fraction-bool", "fraction-nan", "fraction-zero",
+            "fraction-bool", "fraction-nan", "fraction-zero", "encoder.proj_hidden-huge-int",
+            "encoder.mlp_hidden-above-u32",
         ],
     )
     def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):
@@ -507,10 +510,10 @@ class TestParser:
         [{"lobes": [-3]}, {"aspect_jitter": -5.0}, {"aspect_jitter": 1e308}, {"lobes": [5.5, 9]},
          {"class_priors": [float("nan"), 0.5, 0.25, 0.25]}, {"contour_amplitudes": [float("nan"), 0.1, 0.1, 0.1]},
          {"pixel_noise": 10**400}, {"depth_gain": 1.2}, {"depth_gain": 1.5},
-         {"organ_intensity": 1e308, "background_intensity": -1e308}],
+         {"organ_intensity": 1e308, "background_intensity": -1e308}, {"lobes": [10**400, 9]}, {"lobes": [5, 2**32]}],
         ids=["lobes-short", "aspect_jitter-negative", "aspect_jitter-huge", "lobes-float", "class_priors-nan",
              "contour_amplitudes-nan", "pixel_noise-huge-int", "depth_gain-zero-radius", "depth_gain-negative-radius",
-             "intensity-difference-overflow"],
+             "intensity-difference-overflow", "lobes-huge-int", "lobes-above-u32"],
     )
     def test_bad_generator_value_is_usage_error(self, tmp_path, capsys, body):
         cfg = tmp_path / "run.json"

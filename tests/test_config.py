@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from wsp.cli import load_run_config, main
 from wsp.data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
-from wsp.errors import ConfigError, ContractError, FormatError, WspError, build_config, check_fields
+from wsp.errors import U32_MAX, ConfigError, ContractError, FormatError, WspError, build_config, check_fields
 from wsp.evaluation import ProbeConfig
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig, BatchSpec
@@ -27,6 +27,16 @@ from oracles import rewrite_checkpoint_header
 CONFIG_CLASSES = [GeneratorConfig, EncoderConfig, LossConfig, OptimConfig, ProbeConfig, AugmentConfig, BatchSpec]
 SCALARS = (int, float, bool, str)
 FIELDS = [(cls, field.name) for cls in CONFIG_CLASSES for field in dataclasses.fields(cls)]
+
+
+def entry_kind(cls, name):
+    """The annotated type of a field, or of its entries for a tuple field."""
+    hint = typing.get_type_hints(cls)[name]
+    return typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+
+
+# Every int field but a seed is a size, count or index, which the file formats store as u32.
+SIZE_FIELDS = [(cls, name) for cls, name in FIELDS if name != "seed" and entry_kind(cls, name) is int]
 HOSTILE = [float("nan"), float("inf"), float("-inf"), 10**400, -1, True, "x", None, [], {}]
 
 
@@ -94,6 +104,13 @@ class TestRuleTable:
         for value in outside:
             with pytest.raises(ConfigError, match=r"x must lie in"):
                 One(value)
+
+    @pytest.mark.parametrize("cls, name", SIZE_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in SIZE_FIELDS])
+    def test_every_integer_size_is_capped_at_u32(self, cls, name):
+        default = getattr(cls(), name)
+        too_big = (*default[:-1], U32_MAX + 1) if isinstance(default, tuple) else U32_MAX + 1
+        with pytest.raises(ConfigError, match=rf"{name}( entries)? must lie in \[\d, {U32_MAX}\]"):
+            cls(**{name: too_big})
 
     def test_tuple_fields_are_stored_as_tuples(self):
         cfg = GeneratorConfig(lobes=[3, 4], class_priors=[0.5, 0.5, 0.0, 0.0])

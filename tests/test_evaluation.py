@@ -51,6 +51,26 @@ class TestExtract:
         b = extract_representations(trained_ckpt, small_volumes)
         assert not np.allclose(a.repr, b.repr)
 
+    def test_to_encoder_is_frozen(self):
+        enc = EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random").to_encoder()
+        assert not any(p.requires_grad for p in enc.params.values())
+
+    @pytest.mark.parametrize("arch", ["tiny_cnn", "mlp"])
+    def test_peak_memory_grows_only_with_the_output_table(self, small_volumes, traced_peak, arch):
+        # 48 and 96 slices: three and six full chunks of 16. No graph and no float64 copy of the
+        # cohort may grow with the chunk count; the table, with its Python lists, may.
+        cfg = EncoderConfig(arch=arch, input_shape=(1024,)) if arch == "mlp" else EncoderConfig()
+        ckpt = EncoderCheckpoint.from_encoder(init_encoder(cfg), 0, "random")
+        tables = {}
+
+        def extract(n_volumes):
+            tables[n_volumes] = extract_representations(ckpt, small_volumes[:n_volumes], batch_size=16)
+
+        small, large = traced_peak(lambda: extract(8)), traced_peak(lambda: extract(16))
+        assert (len(tables[8]), len(tables[16])) == (48, 96)
+        table_bytes = {n: sum(a.nbytes for a in (t.repr, t.d, t.y_weak, t.y_strong)) for n, t in tables.items()}
+        assert large - small <= table_bytes[16] - table_bytes[8] + 48 * 512
+
 
 class TestLogisticProbe:
     def test_separable_points_reach_perfect_accuracy(self):

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError
 
 _uid_counter = itertools.count()
 
@@ -29,7 +29,7 @@ class Tensor:
     in-place parameter updates are only legal between forward passes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "uid", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "uid", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -37,7 +37,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.uid = next(_uid_counter)
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
@@ -46,10 +45,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._backward_fn is None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -125,12 +120,12 @@ class GradientMap:
 def backward(scalar: Tensor) -> GradientMap:
     """Reverse-mode pass from a single-element tensor.
 
-    Populates ``.grad`` on every requires_grad leaf reachable from ``scalar``
-    and returns the map of those leaf gradients. An interior node's gradient
-    is dropped as soon as it has reached the node's parents, so at most one
-    frontier of interior gradients is alive at a time. Leaves that never
-    reached the tape are reported as zero by the map. The graph itself is
-    left intact, so a second pass gives the same gradients.
+    Returns the map of the gradients of the requires_grad leaves reachable
+    from ``scalar``, the one place a gradient is kept. An interior node's
+    gradient is dropped as soon as it has reached the node's parents, so at
+    most one frontier of interior gradients is alive at a time. Leaves that
+    never reached the tape are reported as zero by the map. The graph itself
+    is left intact, so a second pass gives the same gradients.
     """
     if scalar.data.size != 1:
         raise ContractError(f"backward() needs a scalar, got shape {scalar.shape}")
@@ -148,9 +143,6 @@ def backward(scalar: Tensor) -> GradientMap:
                 continue
             acc = grads.get(parent.uid)
             grads[parent.uid] = g if acc is None else acc + g
-    for node in tape.nodes:
-        if node.is_leaf and node.requires_grad:
-            node.grad = grads.get(node.uid, np.zeros_like(node.data))
     return GradientMap(grads)
 
 
@@ -162,11 +154,11 @@ def backward(scalar: Tensor) -> GradientMap:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-batched dense layer: out[r, c] = sum_k x[r, k] w[k, c] + b[c]."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(
+        raise ContractError(
             f"affine expects x:2d, w:2d, b:1d, got {x.shape}, {w.shape}, {b.shape}"
         )
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"affine dimension mismatch: {x.shape} @ {w.shape} + {b.shape}")
+        raise ContractError(f"affine dimension mismatch: {x.shape} @ {w.shape} + {b.shape}")
     out = x.data @ w.data + b.data
 
     def bwd(g):
@@ -178,7 +170,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def bwd(g):
@@ -189,13 +181,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
+        raise ContractError(f"transpose expects a matrix, got {x.shape}")
     return make_op(x.data.T.copy(), (x,), lambda g: (g.T,), "transpose")
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
+        raise ContractError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -225,10 +217,10 @@ def sum_all(x: Tensor) -> Tensor:
 def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row of a matrix to unit Euclidean norm."""
     if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize expects a matrix, got {x.shape}")
+        raise ContractError(f"l2_normalize expects a matrix, got {x.shape}")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
     if np.any(norms == 0.0):
-        raise DegenerateInputError("l2_normalize: zero row")
+        raise ContractError("l2_normalize: zero row")
     y = x.data / norms
 
     def bwd(g):
@@ -248,15 +240,15 @@ def _conv(x: np.ndarray, k: np.ndarray, stride: int, need_gx: bool):
     passes are single BLAS GEMMs.
     """
     if x.ndim != 4 or k.ndim != 4:
-        raise ShapeError(f"conv expects 4-d input and kernel, got {x.shape}, {k.shape}")
+        raise ContractError(f"conv expects 4-d input and kernel, got {x.shape}, {k.shape}")
     if stride < 1:
         raise ContractError(f"stride must be >= 1, got {stride}")
     batch, h, w, cin = x.shape
     fout, kc, kh, kw = k.shape
     if kc != cin:
-        raise ShapeError(f"kernel channels {kc} != input channels {cin}")
+        raise ContractError(f"kernel channels {kc} != input channels {cin}")
     if kh > h or kw > w:
-        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+        raise ContractError(f"kernel {kh}x{kw} larger than input {h}x{w}")
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     hout, wout = windows.shape[1:3]
     cols = windows.reshape(batch * hout * wout, cin * kh * kw)
@@ -290,7 +282,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1) -> Tensor:
     The channels-first form of the convolution inside ``conv_bias_relu``.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {k.shape}")
+        raise ContractError(f"conv2d expects 4-d input and kernel, got {x.shape}, {k.shape}")
     out, grads = _conv(x.data.transpose(0, 2, 3, 1), k.data, stride, x.requires_grad)
 
     def bwd(g):
@@ -307,7 +299,7 @@ def conv_bias_relu(x: Tensor, k: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     the op keeps only the im2col columns and one ReLU mask.
     """
     if b.data.ndim != 1 or k.data.ndim != 4 or b.shape[0] != k.shape[0]:
-        raise ShapeError(f"bias {b.shape} incompatible with kernel {k.shape}")
+        raise ContractError(f"bias {b.shape} incompatible with kernel {k.shape}")
     out, grads = _conv(x.data, k.data, stride, x.requires_grad)
     out += b.data
     mask = out > 0
@@ -327,14 +319,14 @@ def conv_bias_relu(x: Tensor, k: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 def channels_last(x: Tensor) -> Tensor:
     """A B,C,H,W batch as B,H,W,C (a view, no copy)."""
     if x.data.ndim != 4:
-        raise ShapeError(f"channels_last expects 4-d input, got {x.shape}")
+        raise ContractError(f"channels_last expects 4-d input, got {x.shape}")
     return make_op(x.data.transpose(0, 2, 3, 1), (x,), lambda g: (g.transpose(0, 3, 1, 2),), "channels_last")
 
 
 def spatial_mean(x: Tensor) -> Tensor:
     """Global average pool of a channels-last batch: B,H,W,C -> B,C."""
     if x.data.ndim != 4:
-        raise ShapeError(f"spatial_mean expects 4-d input, got {x.shape}")
+        raise ContractError(f"spatial_mean expects 4-d input, got {x.shape}")
     _, h, w, _ = x.shape
     # Averaged per (view, channel) over a contiguous H*W run, in the same pairwise order as the bias gradient.
     out = np.ascontiguousarray(x.data.transpose(0, 3, 1, 2)).mean(axis=(2, 3))

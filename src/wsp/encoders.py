@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ByteReader, ConfigError, FormatError, ShapeError, build_config, check_fields, check_value, parse_json
-from .errors import size_rule
+from .errors import ByteReader, ConfigError, ContractError, FormatError, build_config, check_fields, check_value
+from .errors import parse_json, size_rule
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -123,7 +123,7 @@ class Encoder:
         cfg = self.config
         if cfg.arch == "tiny_cnn":
             if x.data.ndim != 4 or x.shape[1:] != cfg.input_shape:
-                raise ShapeError(
+                raise ContractError(
                     f"expected batch of shape (B, {', '.join(map(str, cfg.input_shape))}),"
                     f" got {x.shape}"
                 )
@@ -133,7 +133,7 @@ class Encoder:
             h = ad.spatial_mean(h)
         else:
             if x.data.ndim != 2 or x.shape[1] != cfg.input_shape[0]:
-                raise ShapeError(f"expected batch of shape (B, {cfg.input_shape[0]}), got {x.shape}")
+                raise ContractError(f"expected batch of shape (B, {cfg.input_shape[0]}), got {x.shape}")
             h = x
             for i in range(1, len(cfg.mlp_hidden) + 1):
                 h = ad.relu(ad.affine(h, self.params[f"fc{i}_w"], self.params[f"fc{i}_b"]))
@@ -142,7 +142,7 @@ class Encoder:
     def project(self, representation: Tensor) -> Tensor:
         """Two dense layers then row normalization; unit-norm loss input."""
         if representation.data.ndim != 2 or representation.shape[1] != self.config.repr_dim:
-            raise ShapeError(
+            raise ContractError(
                 f"expected (B, {self.config.repr_dim}) representations, got {representation.shape}"
             )
         h = ad.relu(ad.affine(representation, self.params["proj1_w"], self.params["proj1_b"]))

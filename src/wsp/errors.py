@@ -14,20 +14,12 @@ class WspError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ShapeError(WspError):
-    """Tensor extents incompatible with the requested operation."""
-
-
 class ConfigError(WspError):
     """Invalid configuration value."""
 
 
 class ContractError(WspError):
-    """A documented precondition was violated by the caller."""
-
-
-class DegenerateInputError(WspError):
-    """Input is structurally valid but degenerate (e.g. a zero row)."""
+    """A documented precondition was violated by the caller (e.g. mismatched extents, a zero row)."""
 
 
 class FormatError(WspError):

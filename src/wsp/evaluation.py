@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoders import EncoderCheckpoint, untrained_checkpoint
-from .errors import ConfigError, ContractError, DegenerateInputError, check_fields, size_rule
+from .errors import ConfigError, ContractError, check_fields, size_rule
 from .training import OptimConfig, pretrain
 
 
@@ -272,7 +272,7 @@ def pca_project(x: np.ndarray, modes: int = 2):
     cov = centered.T @ centered / (len(x) - 1)
     total = float(np.trace(cov))
     if total <= 0.0:
-        raise DegenerateInputError("data has zero variance")
+        raise ContractError("data has zero variance")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:modes]
     components = eigvecs[:, order]

@@ -282,8 +282,8 @@ def gradient_check(
                 return compute_loss(ad.l2_normalize(t), meta, cfg)
 
             leaf = Tensor(x, requires_grad=True)
-            ad.backward(f(leaf))
+            analytic = ad.backward(f(leaf)).wrt(leaf)
             numeric = ad.finite_diff_gradient(f, Tensor(x), eps).data
-            worst = max(worst, ad.max_relative_error(leaf.grad, numeric))
+            worst = max(worst, ad.max_relative_error(analytic, numeric))
         results[kind] = worst
     return results

@@ -1,9 +1,10 @@
 """Patient-balanced batch construction and the two-view augmentation pipeline.
 
-Strict mode draws one slice per patient with class counts balanced within one;
-an epoch is a shuffled partition of the cohort so every patient appears exactly
-once before any repeats. The fallback sampler keeps class balance but lets
-patients repeat, for cohorts smaller than the batch size.
+Every sampler balances its batches across weak classes by one rule,
+``_quota``. The strict sampler draws one slice per patient and raises when the
+class counts cannot be kept within one; an epoch is a shuffled partition of the
+cohort so every patient appears exactly once before any repeats. The fallback
+sampler lets patients repeat, for cohorts smaller than the batch size.
 
 All randomness is derived from explicit integer keys via SeedSequence, so any
 draw is reproducible in isolation. Augmentation evaluates SeedSequence and PCG64
@@ -63,8 +64,8 @@ class SliceSample:
     patient_id: str
 
 
-def _patients_by_class(volumes, label: str):
-    """Sorted map class -> sorted patient ids, plus patient -> volumes; ContractError for no volumes."""
+def _patients_by_class(volumes):
+    """Sorted map weak class -> sorted patient ids, plus patient -> volumes; ContractError for no volumes."""
     if not volumes:
         raise ContractError("dataset is empty")
     patient_volumes: dict[str, list] = {}
@@ -72,11 +73,7 @@ def _patients_by_class(volumes, label: str):
         patient_volumes.setdefault(v.patient_id, []).append(v)
     classes: dict[int, list[str]] = {}
     for pid in sorted(patient_volumes):
-        vol = patient_volumes[pid][0]
-        value = vol.y_weak if label == "weak" else vol.y_strong
-        if value is None:
-            raise ContractError(f"patient {pid} lacks a {label} label")
-        classes.setdefault(int(value), []).append(pid)
+        classes.setdefault(int(patient_volumes[pid][0].y_weak), []).append(pid)
     return dict(sorted(classes.items())), patient_volumes
 
 
@@ -95,32 +92,32 @@ def _draw_slice(patient_volumes, pid: str, rng) -> SliceSample:
     )
 
 
-def _balanced_quota(class_sizes: dict[int, int], n: int, rng, capped: bool) -> dict[int, int]:
-    """Per-class counts summing to n, as equal as the cohort allows.
+def _quota(sizes: dict[int, int], n: int, rng) -> dict[int, int]:
+    """Per-class draw counts summing to n, for classes with ``sizes`` patients; n <= sum of sizes.
 
-    With ``capped`` the quota may not exceed a class's size; infeasible
-    balanced draws raise ContractError.
+    Each of the k classes gets n // k. The n mod k extra draws go to a random
+    pick of the classes with room for more than n // k, or of all classes if
+    too few have room. Each count is then capped at its class size, and any
+    shortfall goes, one draw at a time, to the class with the most room left
+    (the lowest class on ties).
     """
-    labels = list(class_sizes)
-    k = len(labels)
-    base, extras = divmod(n, k)
-    quota = {c: base for c in labels}
+    base, extras = divmod(n, len(sizes))
+    quota = dict.fromkeys(sizes, base)
     if extras:
-        eligible = [c for c in labels if not capped or class_sizes[c] > base]
-        if len(eligible) < extras:
-            raise ContractError("not enough patients per class for a balanced batch")
-        for idx in rng.permutation(len(eligible))[:extras]:
-            quota[eligible[int(idx)]] += 1
-    if capped:
-        for c in labels:
-            if quota[c] > class_sizes[c]:
-                raise ContractError(f"class {c} has only {class_sizes[c]} patients")
+        roomy = [c for c in sizes if sizes[c] > base]
+        pool = roomy if len(roomy) >= extras else list(sizes)
+        for idx in rng.permutation(len(pool))[:extras]:
+            quota[pool[int(idx)]] += 1
+    for c in sizes:
+        quota[c] = min(quota[c], sizes[c])
+    for _ in range(n - sum(quota.values())):
+        quota[max(sizes, key=lambda c: (sizes[c] - quota[c], -c))] += 1
     return quota
 
 
-def sample_batch(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSample]:
+def sample_batch(volumes, spec: BatchSpec) -> list[SliceSample]:
     """One strict batch: N distinct patients, class counts within one of equal."""
-    classes, patient_volumes = _patients_by_class(volumes, label)
+    classes, patient_volumes = _patients_by_class(volumes)
     n_patients = sum(len(v) for v in classes.values())
     if spec.mode != "one_slice_per_patient":
         raise ContractError("sample_batch is the strict sampler; use sample_batch_fallback")
@@ -129,7 +126,9 @@ def sample_batch(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSam
             f"{n_patients} patients < batch size {spec.batch_size}; use the fallback sampler"
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
-    quota = _balanced_quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng, capped=True)
+    quota = _quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng)
+    if max(quota.values()) - min(quota.values()) > 1:
+        raise ContractError("not enough patients per class for a balanced batch")
     batch: list[SliceSample] = []
     for c, pids in classes.items():
         chosen = rng.choice(len(pids), size=quota[c], replace=False)
@@ -139,11 +138,11 @@ def sample_batch(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSam
     return [batch[int(i)] for i in order]
 
 
-def sample_batch_fallback(volumes, spec: BatchSpec, label: str = "weak") -> list[SliceSample]:
+def sample_batch_fallback(volumes, spec: BatchSpec) -> list[SliceSample]:
     """Class-balanced draws with patients allowed to repeat."""
-    classes, patient_volumes = _patients_by_class(volumes, label)
+    classes, patient_volumes = _patients_by_class(volumes)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
-    quota = _balanced_quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng, capped=False)
+    quota = _quota(dict.fromkeys(classes, spec.batch_size), spec.batch_size, rng)
     batch: list[SliceSample] = []
     for c, pids in classes.items():
         for _ in range(quota[c]):
@@ -153,45 +152,24 @@ def sample_batch_fallback(volumes, spec: BatchSpec, label: str = "weak") -> list
     return [batch[int(i)] for i in order]
 
 
-def epoch_batches(volumes, spec: BatchSpec, label: str = "weak") -> list[list[SliceSample]]:
-    """Shuffled partition of all patients into batches of at most N.
+def epoch_batches(volumes, spec: BatchSpec) -> list[list[SliceSample]]:
+    """One epoch of batches under ``spec.mode``.
 
-    Every patient appears exactly once per epoch; per-batch class counts are
-    kept as even as the remaining queue allows (exactly within one when class
-    sizes are equal and N is a multiple of the class count).
+    Strict: a shuffled partition of all patients into batches of at most N,
+    each batch's class counts given by ``_quota`` on what is left of each
+    class. Fallback: one ``sample_batch_fallback`` batch.
     """
-    classes, patient_volumes = _patients_by_class(volumes, label)
+    if spec.mode == "fallback_balanced":
+        return [sample_batch_fallback(volumes, spec)]
+    classes, patient_volumes = _patients_by_class(volumes)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
     queues = {c: [pids[int(i)] for i in rng.permutation(len(pids))] for c, pids in classes.items()}
     batches: list[list[SliceSample]] = []
     remaining = sum(len(q) for q in queues.values())
     while remaining:
         n_this = min(spec.batch_size, remaining)
-        present = [c for c in queues if queues[c]]
-        base, extras = divmod(n_this, len(present))
-        quota = {c: base for c in present}
-        if extras:
-            eligible = [c for c in present if len(queues[c]) > base]
-            if len(eligible) >= extras:
-                picks = [eligible[int(i)] for i in rng.permutation(len(eligible))[:extras]]
-            else:
-                picks = [present[int(i)] for i in rng.permutation(len(present))[:extras]]
-            for c in picks:
-                quota[c] += 1
-        for c in present:
-            quota[c] = min(quota[c], len(queues[c]))
-        deficit = n_this - sum(quota.values())
-        while deficit > 0:
-            slack = {c: len(queues[c]) - quota[c] for c in present}
-            c_star = max(present, key=lambda c: (slack[c], -c))
-            if slack[c_star] == 0:
-                raise ContractError("partition bookkeeping failed")  # unreachable
-            quota[c_star] += 1
-            deficit -= 1
-        batch = []
-        for c in present:
-            for _ in range(quota[c]):
-                batch.append(_draw_slice(patient_volumes, queues[c].pop(0), rng))
+        quota = _quota({c: len(q) for c, q in queues.items() if q}, n_this, rng)
+        batch = [_draw_slice(patient_volumes, queues[c].pop(0), rng) for c in quota for _ in range(quota[c])]
         order = rng.permutation(len(batch))
         batches.append([batch[int(i)] for i in order])
         remaining -= n_this

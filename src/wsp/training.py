@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
 from .errors import ConfigError, ContractError, NonFiniteError, check_fields, size_rule
 from .losses import BatchMeta, LossConfig, compute_loss
-from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches, sample_batch_fallback
+from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches
 
 OPTIMIZERS = ("adaptive_moments", "sgd_momentum")
 
@@ -156,21 +156,23 @@ def pretrain(
     state = init_optim_state(enc.params)
     n_patients = len({v.patient_id for v in volumes})
     # With fewer patients than the batch, each epoch is one balanced batch in which patients repeat.
-    strict = n_patients >= optim_cfg.batch_size
-    mode = "one_slice_per_patient" if strict else "fallback_balanced"
+    mode = "one_slice_per_patient" if n_patients >= optim_cfg.batch_size else "fallback_balanced"
     steps_per_epoch = math.ceil(n_patients / optim_cfg.batch_size)
     total_iters = optim_cfg.epochs * steps_per_epoch
     curve: list[EpochRecord] = []
     global_step = 0
     for epoch in range(optim_cfg.epochs):
-        spec = BatchSpec(optim_cfg.batch_size, mode, optim_cfg.seed, epoch)
-        batches = epoch_batches(volumes, spec) if strict else [sample_batch_fallback(volumes, spec)]
+        batches = epoch_batches(volumes, BatchSpec(optim_cfg.batch_size, mode, optim_cfg.seed, epoch))
         epoch_losses = []
         epoch_lr = None
         for b_idx, batch in enumerate(batches):
             x, meta = _assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg.arch)
             z = enc.project(enc.encode(x))
             loss = compute_loss(z, meta, optim_cfg.loss)
+            # The previous step's gradients go now, before the backward pass, where a step peaks. Freed
+            # with the rest of their step, they would let glibc's malloc hand the whole heap top back to
+            # the system at every step boundary, and each step would then fault it in again.
+            grads = None
             value = loss.item()
             if not math.isfinite(value):
                 err = NonFiniteError(
@@ -191,8 +193,8 @@ def pretrain(
             grad_map = ad.backward(loss)
             grads = {name: grad_map.wrt(p) for name, p in enc.params.items()}
             optimizer_step(enc.params, grads, state, optim_cfg, lr_t)
-            # Drop the spent step graph and its gradients before the next forward pass.
-            del x, z, loss, grad_map, grads
+            # Drop the spent step graph before the next forward pass.
+            del x, z, loss, grad_map
             epoch_losses.append(value)
             global_step += 1
         curve.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(epoch_losses)), lr=float(epoch_lr)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsp.benchmark import run_benchmark
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder
-from wsp.errors import ConfigError, ContractError, DegenerateInputError, write_csv
+from wsp.errors import ConfigError, ContractError, write_csv
 from wsp.evaluation import (
     DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
@@ -252,7 +252,7 @@ class TestPca:
         np.testing.assert_allclose(coords_b, coords_a[perm], atol=1e-9)
 
     def test_rank_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ContractError):
             pca_project(np.ones((5, 3)))
 
     def test_too_few_rows_rejected(self):

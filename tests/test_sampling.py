@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_augment
+from wsp.data import GeneratorConfig, Slice, Volume, central_view, generate_synthetic_dataset, normalize_depth
 from wsp.errors import ConfigError, ContractError
 from wsp.sampling import (
     _CHUNK_PIXELS,
@@ -158,6 +160,98 @@ class TestEpochPartition:
         subset = balanced_volumes[:10]
         batches = epoch_batches(subset, BatchSpec(batch_size=8, seed=0))
         assert [len(b) for b in batches] == [8, 2]
+
+    def test_fallback_mode_is_one_fallback_batch(self, balanced_volumes):
+        spec = BatchSpec(batch_size=8, mode="fallback_balanced", seed=3, epoch=1)
+        batches = epoch_batches(balanced_volumes[:3], spec)
+        assert [[s.slice_id for s in b] for b in batches] == [
+            [s.slice_id for s in sample_batch_fallback(balanced_volumes[:3], spec)]
+        ]
+
+
+def uneven_cohort():
+    """37 patients of one volume each, weak classes of 2, 11, 7 and 17 patients."""
+    cfg = GeneratorConfig(n_volumes=37, slices_per_volume=4, class_priors=(0.1, 0.2, 0.3, 0.4))
+    return central_view(generate_synthetic_dataset(cfg, seed=5)[1])
+
+
+def cohort_of_sizes(sizes):
+    """One single-slice volume per patient; class c has sizes[c] patients (0 means absent)."""
+    pixels = np.zeros((2, 2), np.float32)
+    return [
+        Volume(f"V{c}.{i}", f"P{c}.{i}", 1, [Slice(pixels, 0, normalize_depth(0, 1))], y_weak=c)
+        for c, size in enumerate(sizes)
+        for i in range(size)
+    ]
+
+
+def slice_ids(sampler, volumes, spec):
+    """The drawn slice ids, batches separated by '|', or the name of the error raised."""
+    try:
+        out = sampler(volumes, spec)
+    except ContractError:
+        return "ContractError"
+    batches = out if sampler is epoch_batches else [out]
+    return "|".join(",".join(s.slice_id for s in batch) for batch in batches)
+
+
+# sha256 of the slice-id sequences over seeds 0-2 and epochs 0-2 on the uneven cohort. They pin
+# the samplers' draws and numpy's Generator.choice, integers and permutation streams; sample_batch
+# raises on every batch of 14 (class 0 has 2 patients, fewer than 14 // 4).
+GOLDEN_DIGESTS = {
+    ("sample_batch", 6): "24b73ce22f172f0b38503348e20b45b7aba25f760ae98bda7b5dc7586209f7f1",
+    ("sample_batch", 10): "9f9b30614fa3894c552897a13bc63b3846ffe3ebc10bb38bc82e3357cfc30c8b",
+    ("sample_batch", 14): "182187f39e35ca80b8d7a5f0b9b9703dfe434de3e27fc26f217677cc1b9ef61f",
+    ("sample_batch_fallback", 6): "31e446dec71751424825779e8ae53410a4b804115524dbdf6b95b9c4e1309ed5",
+    ("sample_batch_fallback", 10): "228e346d29f147fee7b4bfa80a466c33325720452a0d4cba28bd6d90e7b0667b",
+    ("sample_batch_fallback", 14): "b8be00086509e03b4195964b10952feedef107961f3ed5a3bc35319573f48009",
+    ("epoch_batches", 6): "41c26ce2ccc6025a59480bc1b465c7f2b99dfa130177dd85c0e142360ab6c3c3",
+    ("epoch_batches", 10): "4284feca9b3a1fe8fec1e710b15e825135a62d557b787ad02362bcb6e841b9bf",
+    ("epoch_batches", 14): "7c82d38baaea1d4a68a978e1691fe68244174a06e73ce830d8f665ad2723adaf",
+}
+
+
+class TestQuotaRule:
+    @pytest.mark.parametrize("name, batch_size", sorted(GOLDEN_DIGESTS))
+    def test_golden_slice_sequences(self, name, batch_size):
+        sampler = {"sample_batch": sample_batch, "sample_batch_fallback": sample_batch_fallback,
+                   "epoch_batches": epoch_batches}[name]
+        volumes = uneven_cohort()
+        text = "\n".join(
+            slice_ids(sampler, volumes, BatchSpec(batch_size, "one_slice_per_patient", seed, epoch))
+            for seed in range(3)
+            for epoch in range(3)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name, batch_size]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any), st.integers(1, 12), st.integers(0, 3))
+    def test_epoch_is_a_partition_into_full_batches(self, sizes, half_batch, seed):
+        volumes = cohort_of_sizes(sizes)
+        batches = epoch_batches(volumes, BatchSpec(2 * half_batch, seed=seed))
+        remaining = len(volumes)
+        for batch in batches:
+            assert len(batch) == min(2 * half_batch, remaining)
+            assert len({s.patient_id for s in batch}) == len(batch)
+            remaining -= len(batch)
+        assert sorted(s.patient_id for b in batches for s in b) == sorted(v.patient_id for v in volumes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any), st.integers(1, 12), st.integers(0, 3))
+    def test_strict_batch_is_balanced_iff_the_classes_allow(self, sizes, half_batch, seed):
+        n = 2 * half_batch
+        present = [size for size in sizes if size]
+        base, extras = divmod(n, len(present))
+        infeasible = min(present) < base or sum(size > base for size in present) < extras
+        volumes = cohort_of_sizes(sizes)
+        if infeasible:
+            with pytest.raises(ContractError):
+                sample_batch(volumes, BatchSpec(n, seed=seed))
+            return
+        batch = sample_batch(volumes, BatchSpec(n, seed=seed))
+        counts = class_counts(batch)
+        assert len(batch) == n and len({s.patient_id for s in batch}) == n
+        assert max(counts.values()) - min(counts.values()) <= 1
 
 
 class TestAugment:

@@ -6,7 +6,7 @@ import pytest
 
 from wsp.autodiff import Tensor
 from oracles import oracle_augment
-from wsp.encoders import EncoderConfig, parameter_shapes, save_checkpoint
+from wsp.encoders import EncoderConfig, save_checkpoint
 from wsp.errors import ConfigError, ContractError, NonFiniteError, write_csv
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
@@ -247,13 +247,12 @@ class TestPretrain:
 
 
 def test_spent_step_graph_is_released_before_the_next_step(small_volumes, traced_peak):
-    # With batch 16 each epoch of the 16-patient cohort is one step. Later steps may add one set of
-    # parameter-sized gradients (the leaves' .grad of the previous step), not a second step graph.
+    # With batch 16 each epoch of the 16-patient cohort is one step. Nothing of a spent step, neither
+    # its graph nor its gradients, may be alive during the next one, so later steps add no peak.
     enc_cfg = EncoderConfig()
     one = traced_peak(lambda: pretrain(small_volumes, enc_cfg, OptimConfig(epochs=1, batch_size=16)))
     three = traced_peak(lambda: pretrain(small_volumes, enc_cfg, OptimConfig(epochs=3, batch_size=16)))
-    param_bytes = sum(8 * int(np.prod(shape)) for shape in parameter_shapes(enc_cfg).values())
-    assert three - one <= param_bytes + 2**19
+    assert three - one <= 2**19
 
 
 def test_write_loss_curve(tmp_path):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 
@@ -80,13 +80,19 @@ def load_run_config(path) -> dict:
     return doc
 
 
-def _echo_config(primary_output: str, payload: dict) -> None:
-    """Write the effective configuration next to a command's main output."""
-    if os.path.isdir(primary_output):
-        path = os.path.join(primary_output, "run_config.json")
-    else:
-        path = primary_output + ".config.json"
-    write_json(path, payload)
+def _echo_config(primary_output: str, args, configs: dict, **inputs) -> None:
+    """Write the effective configuration next to a command's main output; the one builder of every echo.
+
+    The echo holds the command, its input paths, ``inputs`` and each config under its run-config
+    section name, less any field holding a nested config (that config has its own section).
+    """
+    given = vars(args)
+    paths = {key: given[dest] for key, dest in (("data_dir", "data"), ("checkpoint", "ckpt")) if dest in given}
+    payload = {"command": args.command, **paths, **inputs}
+    for section, cfg in configs.items():
+        payload[section] = {key: value for key, value in asdict(cfg).items() if not is_dataclass(getattr(cfg, key))}
+    is_dir = os.path.isdir(primary_output)
+    write_json(os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json", payload)
 
 
 def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
@@ -134,7 +140,7 @@ def cmd_generate(doc: dict, args) -> int:
     out = _resolve_out(doc, args.out)
     manifest, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(manifest, volumes, out)
-    _echo_config(out, {"command": "generate", "data": asdict(cfg), "seed": seed})
+    _echo_config(out, args, {"data": cfg}, seed=seed)
     print(f"wrote {len(volumes)} volumes to {out}")
     return EXIT_OK
 
@@ -151,9 +157,9 @@ def _parse_size(text: str | None) -> dict:
 
 
 def parse_list(text: str, flag: str, kind) -> list:
-    """The non-empty comma-separated list of ``kind`` values that ``flag`` was given; else ConfigError."""
+    """The distinct ``kind`` values, in first-seen order, of the comma-separated ``flag`` list; else ConfigError."""
     try:
-        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = list(dict.fromkeys(kind(tok) for tok in text.split(",") if tok.strip()))
     except ValueError as exc:
         raise ConfigError(f"{flag} must be comma-separated values of type {kind.__name__}, got {text!r}") from exc
     if not values:
@@ -202,18 +208,8 @@ def cmd_pretrain(doc: dict, args) -> int:
         return EXIT_NUMERIC
     save_checkpoint(ckpt, out)
     write_csv(out + ".loss.csv", ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
-    _echo_config(
-        out,
-        {
-            "command": "pretrain",
-            "data_dir": args.data,
-            "central_fraction": fraction,
-            "encoder": asdict(enc_cfg),
-            "loss": asdict(loss_cfg),
-            "optim": {k: v for k, v in asdict(optim_cfg).items() if k != "loss"},
-            "augment": asdict(aug_cfg),
-        },
-    )
+    configs = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
+    _echo_config(out, args, configs, central_fraction=fraction)
     print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6f}")
     return EXIT_OK
 
@@ -234,16 +230,7 @@ def cmd_probe(doc: dict, args) -> int:
     folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
     rows = [(ckpt.loss_kind, sigma, f, *scores) for f, scores in enumerate(folds)]
     write_csv(out, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
-    _echo_config(
-        out,
-        {
-            "command": "probe",
-            "data_dir": args.data,
-            "central_fraction": fraction,
-            "checkpoint": args.ckpt,
-            "probe": asdict(probe_cfg),
-        },
-    )
+    _echo_config(out, args, {"encoder": ckpt.config, "probe": probe_cfg}, central_fraction=fraction)
     print(
         f"patient AUC {report.mean_auc_patient:.4f} +- {report.std_auc_patient:.4f} "
         f"(bACC {report.mean_bacc:.4f} +- {report.std_bacc:.4f}) over {probe_cfg.folds} folds"
@@ -268,16 +255,15 @@ def cmd_project(doc: dict, args) -> int:
         dims = [f"r{i}" for i in range(table.repr.shape[1])]
         rows = [(*ids, *ys, *r) for ids, *ys, r in zip(slices, table.y_weak, table.y_strong, table.repr)]
         write_csv(embeddings, ("patient_id", "slice_id", "d", "y_weak", "y_strong", *dims), rows)
-    _echo_config(
-        out,
-        {"command": "project", "data_dir": args.data, "central_fraction": fraction, "checkpoint": args.ckpt},
-    )
+    _echo_config(out, args, {"encoder": ckpt.config}, central_fraction=fraction)
     print(f"wrote {len(table)} projected slices; explained variance {explained[0]:.3f}, {explained[1]:.3f}")
     return EXIT_OK
 
 
 def cmd_gradcheck(doc: dict, args) -> int:
-    results = gradient_check(seed=args.seed or 0)
+    seed = args.seed or 0
+    check_value("--seed", seed, int, "[0, inf)")
+    results = gradient_check(seed=seed)
     failed = []
     for kind, err in results.items():
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -293,9 +279,9 @@ def cmd_gradcheck(doc: dict, args) -> int:
 def cmd_sweep(doc: dict, args) -> int:
     sigmas = parse_list(args.sigmas, "--sigmas", float) if args.sigmas is not None else list(DEFAULT_SWEEP_SIGMAS)
     seeds = parse_list(args.seeds, "--seeds", int) if args.seeds is not None else None
-    _, volumes = _load_trimmed(doc, args)
+    fraction, volumes = _load_trimmed(doc, args)
     enc_cfg = _encoder_config(doc, args, volumes)
-    _, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
+    loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
     seeds = seeds if seeds is not None else [optim_cfg.seed]
 
@@ -310,18 +296,8 @@ def cmd_sweep(doc: dict, args) -> int:
         rows.append((sigma, np.mean(aucs), np.std(aucs)))
     out = _resolve_out(doc, args.out)
     write_csv(out, ("sigma", "auc_mean", "auc_std"), rows)
-    _echo_config(
-        out,
-        {
-            "command": "sweep",
-            "data_dir": args.data,
-            "sigmas": sigmas,
-            "seeds": seeds,
-            "optim": {k: v for k, v in asdict(optim_cfg).items() if k != "loss"},
-            "probe": asdict(probe_cfg),
-            "augment": asdict(aug_cfg),
-        },
-    )
+    configs = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "probe": probe_cfg, "augment": aug_cfg}
+    _echo_config(out, args, configs, central_fraction=fraction, sigmas=sigmas, seeds=seeds)
     for sigma, mean, std in rows:
         print(f"sigma={sigma}: AUC {mean:.4f} +- {std:.4f}")
     return EXIT_OK

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -329,6 +330,67 @@ class TestSweep:
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_seeds_and_sigmas_count_once(self, dataset_dir, tmp_path):
+        flags = ["sweep", "--data", str(dataset_dir), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
+        repeated, distinct = tmp_path / "repeated.csv", tmp_path / "distinct.csv"
+        assert run([*flags, "--seeds", "0,0,1", "--sigmas", "0.1,0.1", "--out", str(repeated)]) == 0
+        assert run([*flags, "--seeds", "0,1", "--sigmas", "0.1", "--out", str(distinct)]) == 0
+        assert repeated.read_bytes() == distinct.read_bytes()
+        echo = json.loads((tmp_path / "repeated.csv.config.json").read_text())
+        assert echo["seeds"] == [0, 1] and echo["sigmas"] == [0.1]
+
+
+class TestEcho:
+    # sha256 of the fixtures' echoes, re-serialized as written, without data_dir (a
+    # temporary path): generate and pretrain echoes must stay byte-identical.
+    GOLDEN = {
+        "generate": "9dca73dc81d26b1b4ab6bf7635303a6d4574721eb9285b7cb3eecf5945f70a71",
+        "pretrain": "0b1d3780e150f92edfac2fb315fe38a375f06300888bfe2e8027a54b128f3aea",
+    }
+
+    def test_generate_and_pretrain_echoes_match_golden(self, dataset_dir, checkpoint):
+        paths = {"generate": dataset_dir / "run_config.json", "pretrain": Path(f"{checkpoint}.config.json")}
+        for command, path in paths.items():
+            echo = json.loads(path.read_text())
+            echo.pop("data_dir", None)
+            digest = hashlib.sha256(json.dumps(echo, sort_keys=True, indent=1).encode()).hexdigest()
+            assert digest == self.GOLDEN[command], command
+
+    @pytest.mark.parametrize("command", ["probe", "project"])
+    def test_random_checkpoint_echo_records_encoder(self, dataset_dir, tmp_path, command):
+        out = tmp_path / "o.csv"
+        assert run([command, "--data", str(dataset_dir), "--ckpt", "random", "--arch", "mlp", "--out", str(out)]) == 0
+        echo = json.loads((tmp_path / "o.csv.config.json").read_text())
+        assert echo["encoder"]["arch"] == "mlp"
+        assert echo["checkpoint"] == "random"
+
+    def test_sweep_echo_records_encoder_loss_and_fraction(self, dataset_dir, tmp_path):
+        out = tmp_path / "s.csv"
+        flags = ["--arch", "mlp", "--tau", "0.5", "--fraction", "0.5", "--sigmas", "0.1", "--epochs", "1"]
+        assert run(["sweep", "--data", str(dataset_dir), *flags, "--batch", "4", "--out", str(out)]) == 0
+        echo = json.loads((tmp_path / "s.csv.config.json").read_text())
+        assert echo["encoder"]["arch"] == "mlp"
+        assert echo["loss"]["tau"] == 0.5
+        assert echo["central_fraction"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain", "probe", "project", "gradcheck", "sweep"])
+def test_negative_seed_is_usage_error(dataset_dir, tmp_path, capsys, command):
+    out = str(tmp_path / "o")
+    flags = {
+        "generate": ["--out", out, "--volumes", "4", "--slices", "4"],
+        "pretrain": ["--data", str(dataset_dir), "--epochs", "1", "--batch", "4", "--out", out],
+        "probe": ["--data", str(dataset_dir), "--ckpt", "random", "--out", out],
+        "project": ["--data", str(dataset_dir), "--ckpt", "random", "--out", out],
+        "gradcheck": [],
+        "sweep": ["--data", str(dataset_dir), "--sigmas", "0.1", "--epochs", "1", "--batch", "4", "--out", out],
+    }[command]
+    assert run([command, *flags, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def script_main(name):

@@ -26,7 +26,8 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
+from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
+from .encoders import untrained_checkpoint
 from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value, parse_json, write_csv, write_json
 from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_grid
 from .evaluation import run_probe_protocol
@@ -178,8 +179,7 @@ def _load_trimmed(doc: dict, args):
 def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
     body = _section(doc, args, "encoder")
     if "input_shape" not in body:
-        h, w = volumes[0].slices[0].pixels.shape
-        body["input_shape"] = (1, h, w) if body.get("arch", "tiny_cnn") == "tiny_cnn" else (h * w,)
+        body["input_shape"] = input_shape(body.get("arch", "tiny_cnn"), volumes[0].slices[0].pixels.shape)
     return build_config(EncoderConfig, body, ConfigError)
 
 

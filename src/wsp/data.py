@@ -90,7 +90,7 @@ def select_central_slices(volume: Volume, fraction: float = CENTRAL_FRACTION) ->
     """Keep round(fraction * n) slices as a window centered in index space.
 
     Rounding is half-up; floor((n - k) / 2) slices are dropped from the start
-    and the remainder from the end.
+    and the remainder from the end. A fraction that keeps no slice is a ConfigError.
     """
     if not 0 < fraction <= 1:
         raise ContractError(f"fraction must be in (0, 1], got {fraction}")
@@ -98,6 +98,8 @@ def select_central_slices(volume: Volume, fraction: float = CENTRAL_FRACTION) ->
     if n == 0:
         raise ContractError(f"volume {volume.volume_id} has no slices")
     k = int(math.floor(fraction * n + 0.5))
+    if k == 0:
+        raise ConfigError(f"central fraction {fraction} keeps none of volume {volume.volume_id}'s {n} slices")
     start = (n - k) // 2
     return Volume(
         volume_id=volume.volume_id,
@@ -320,8 +322,8 @@ def load_dataset(path):
     severities = (generator or {}).get("latent_severity", {})
     if not isinstance(severities, dict):
         raise FormatError("manifest 'generator.latent_severity' must be an object")
-    if not isinstance(doc.get("volumes"), list):
-        raise FormatError("manifest 'volumes' must be a list")
+    if not isinstance(doc.get("volumes"), list) or not doc["volumes"]:
+        raise FormatError("manifest 'volumes' must be a non-empty list")
     manifest = DatasetManifest(version=doc["version"], volumes=doc["volumes"], generator=generator)
     root = os.path.realpath(base)
     seen = set()

@@ -103,12 +103,21 @@ def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if name.endswith("_b"):
-        return shape[0]
+def _fan_in(shape: tuple[int, ...]) -> int:
     if len(shape) == 4:  # conv kernel: F, C, k, k
         return shape[1] * shape[2] * shape[3]
     return shape[0]  # dense: in, out
+
+
+def input_shape(arch: str, image_shape: tuple[int, int]) -> tuple[int, ...]:
+    """One H x W image's encoder input: (1, H, W) for tiny_cnn, (H*W,) flat pixels for mlp."""
+    h, w = image_shape
+    return (1, h, w) if arch == "tiny_cnn" else (h * w,)
+
+
+def input_batch(cfg: EncoderConfig, images: np.ndarray) -> Tensor:
+    """B x H x W float64 images in ``cfg.arch``'s input layout; a mis-sized image still fails ``encode``."""
+    return Tensor(images.reshape(len(images), *input_shape(cfg.arch, images.shape[1:])))
 
 
 class Encoder:
@@ -158,7 +167,7 @@ def init_encoder(cfg: EncoderConfig) -> Encoder:
         if name.endswith("_b"):
             values = np.zeros(shape)
         else:
-            limit = 1.0 / np.sqrt(_fan_in(name, shape))
+            limit = 1.0 / np.sqrt(_fan_in(shape))
             values = rng.uniform(-limit, limit, size=shape)
         params[name] = Tensor(values, requires_grad=True)
     return Encoder(cfg, params)

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor
-from .encoders import EncoderCheckpoint, untrained_checkpoint
+from .encoders import EncoderCheckpoint, input_batch, untrained_checkpoint
 from .errors import ConfigError, ContractError, check_fields, size_rule
-from .training import OptimConfig, pretrain
+from .training import pretrain
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,9 @@ class ProbeReport:
     fold_bacc: list
     mean_auc_patient: float
     std_auc_patient: float
-    mean_auc_slice: float
     mean_bacc: float
     std_bacc: float
     patient_probabilities: dict
-    patient_labels: dict
-    config: ProbeConfig
 
 
 def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 128) -> RepresentationTable:
@@ -84,11 +80,7 @@ def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 
     reprs = np.empty((len(images), enc.config.repr_dim))
     for start in range(0, len(images), batch_size):
         block = np.stack(images[start : start + batch_size]).astype(np.float64, copy=False)
-        if enc.config.arch == "mlp":
-            x = Tensor(block.reshape(len(block), -1))
-        else:
-            x = Tensor(block[:, None, :, :])
-        reprs[start : start + len(block)] = enc.encode(x).data
+        reprs[start : start + len(block)] = enc.encode(input_batch(enc.config, block)).data
     return RepresentationTable(
         patient_ids=patient_ids,
         slice_ids=slice_ids,
@@ -342,32 +334,17 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
         fold_bacc=fold_bacc,
         mean_auc_patient=float(np.mean(fold_auc_patient)),
         std_auc_patient=float(np.std(fold_auc_patient)),
-        mean_auc_slice=float(np.mean(fold_auc_slice)),
         mean_bacc=float(np.mean(fold_bacc)),
         std_bacc=float(np.std(fold_bacc)),
         patient_probabilities=patient_probs,
-        patient_labels={pid: int(lbl) for pid, lbl in zip(patients, patient_labels)},
-        config=cfg,
     )
-
-
-def pretrain_and_probe(volumes, enc_cfg, optim_cfg: OptimConfig | None, probe_cfg: ProbeConfig, aug_cfg=None):
-    """One seeded run: (checkpoint, ProbeReport) of pretraining, then probing on the same volumes.
-
-    With ``optim_cfg`` None nothing is trained: the untrained ("random") encoder is probed.
-    """
-    if optim_cfg is None:
-        ckpt = untrained_checkpoint(enc_cfg)
-    else:
-        ckpt, _ = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
-    return ckpt, run_probe_protocol(ckpt, volumes, probe_cfg)
 
 
 DEFAULT_SWEEP_SIGMAS = (0.01, 0.1, 0.2, 0.3, 0.5)
 
 
 def run_grid(cells, seeds, recipe, keep_checkpoints=()):
-    """The one experiment grid: pretrain + probe every (kind, sigma) cell on every seed.
+    """The one experiment grid: every (kind, sigma) cell on every seed is one seeded run, pretrain then probe.
 
     ``recipe(seed)`` gives ``(volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg)``. A cell sets
     ``loss_kind`` and ``sigma`` on ``optim_cfg.loss``; "random" probes the untrained encoder. A cell
@@ -385,8 +362,11 @@ def run_grid(cells, seeds, recipe, keep_checkpoints=()):
         volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg = recipe(seed)
         losses = {cell: replace(optim_cfg.loss, loss_kind=cell[0], sigma=cell[1]) for cell in trained}
         for cell in cells:
-            run_cfg = replace(optim_cfg, loss=losses[cell]) if cell in losses else None
-            ckpt, reports[cell][seed] = pretrain_and_probe(volumes, enc_cfg, run_cfg, probe_cfg, aug_cfg)
+            if cell in losses:
+                ckpt, _ = pretrain(volumes, enc_cfg, replace(optim_cfg, loss=losses[cell]), aug_cfg)
+            else:
+                ckpt = untrained_checkpoint(enc_cfg)
+            reports[cell][seed] = run_probe_protocol(ckpt, volumes, probe_cfg)
             if cell in checkpoints:
                 checkpoints[cell][seed] = ckpt
     return reports, checkpoints

@@ -31,6 +31,7 @@ set is empty (only possible for two views under ``exclude_anchor``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +58,8 @@ class LossConfig:
         check_fields(
             self, tau="(0, inf)", sigma="(0, inf)", loss_kind=LOSS_KINDS, denominator_convention=DENOMINATOR_CONVENTIONS
         )
+        if not 2 * self.sigma * self.sigma >= 1 / sys.float_info.max:  # the depth kernel's 1 / (2 sigma^2) is finite
+            raise ConfigError(f"sigma {self.sigma} is too small: 1 / (2 * sigma**2) overflows")
 
 
 class BatchMeta:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import Encoder, EncoderCheckpoint, EncoderConfig, init_encoder
+from .encoders import EncoderCheckpoint, EncoderConfig, init_encoder, input_batch
 from .errors import ConfigError, ContractError, NonFiniteError, check_fields, size_rule
 from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec, SliceSample, augment_views, epoch_batches
@@ -120,22 +120,18 @@ class EpochRecord:
     lr: float
 
 
-def _assemble_batch(batch: list[SliceSample], aug_cfg: AugmentConfig, key, arch: str):
-    """Two views per slice, augmented as one stack, with matching metadata."""
+def _assemble_batch(batch: list[SliceSample], aug_cfg: AugmentConfig, key, enc_cfg: EncoderConfig):
+    """Two views per slice, augmented as one stack, in the encoder's input layout, with matching metadata."""
     samples = [sample for sample in batch for _ in range(2)]
     seeds = [(*key, pos, view) for pos in range(len(batch)) for view in range(2)]
     views = augment_views([s.pixels for s in samples], aug_cfg, seeds)
-    if arch == "mlp":
-        x = views.reshape(len(views), -1)
-    else:
-        x = views[:, None, :, :]
     meta = BatchMeta(
         [s.y for s in samples],
         [s.d for s in samples],
         [s.slice_id for s in samples],
         [s.patient_id for s in samples],
     )
-    return Tensor(x), meta
+    return input_batch(enc_cfg, views), meta
 
 
 def pretrain(
@@ -148,8 +144,6 @@ def pretrain(
 
     Returns (EncoderCheckpoint, list of per-epoch records).
     """
-    if not volumes:
-        raise ContractError("dataset is empty")
     if aug_cfg is None:
         aug_cfg = AugmentConfig(seed=optim_cfg.seed)
     enc = init_encoder(enc_cfg)
@@ -166,7 +160,7 @@ def pretrain(
         epoch_losses = []
         epoch_lr = None
         for b_idx, batch in enumerate(batches):
-            x, meta = _assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg.arch)
+            x, meta = _assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg)
             z = enc.project(enc.encode(x))
             loss = compute_loss(z, meta, optim_cfg.loss)
             # The previous step's gradients go now, before the backward pass, where a step peaks. Freed

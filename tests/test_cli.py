@@ -311,6 +311,20 @@ class TestSweep:
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sigma_whose_depth_kernel_overflows_is_usage_error_before_any_run(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pretrain ran")
+
+        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,1e-200", "--epochs", "1", "--batch", "4",
+                    "--out", str(out)])
+        assert code == 2
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_sigma_grid_documented(self):
         parser = build_parser()
         help_text = parser.parse_args(["sweep", "--data", "d", "--out", "o"])
@@ -389,6 +403,39 @@ def test_negative_seed_is_usage_error(dataset_dir, tmp_path, capsys, command):
     assert run([command, *flags, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def data_command_flags(command, data, out):
+    """Flags of a one-epoch run of ``command`` on the dataset ``data``, writing ``out``."""
+    return {
+        "pretrain": ["--data", data, "--epochs", "1", "--batch", "4", "--out", out],
+        "probe": ["--data", data, "--ckpt", "random", "--out", out],
+        "project": ["--data", data, "--ckpt", "random", "--out", out],
+        "sweep": ["--data", data, "--sigmas", "0.1", "--epochs", "1", "--batch", "4", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe", "project", "sweep"])
+def test_fraction_that_keeps_no_slice_is_usage_error(dataset_dir, tmp_path, capsys, command):
+    # The fixture's volumes have 6 slices, and round(0.01 * 6) is 0.
+    flags = data_command_flags(command, str(dataset_dir), str(tmp_path / "o"))
+    assert run([command, *flags, "--fraction", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe", "project", "sweep"])
+def test_manifest_without_volumes_is_data_error(tmp_path, capsys, command):
+    data = tmp_path / "empty"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"version": 1, "volumes": [], "generator": None}))
+    assert run([command, *data_command_flags(command, str(data), str(tmp_path / "o"))]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
@@ -598,8 +645,9 @@ class TestParser:
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "3"], ["--sigma", "nan"], ["--lr", "inf"]],
-                             ids=["batch-zero", "batch-odd", "sigma-nan", "lr-inf"])
+    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "3"], ["--sigma", "nan"], ["--sigma", "1e-200"],
+                                       ["--lr", "inf"]],
+                             ids=["batch-zero", "batch-odd", "sigma-nan", "sigma-underflow", "lr-inf"])
     def test_bad_flag_value_is_usage_error(self, dataset_dir, tmp_path, capsys, flags):
         code = run(["pretrain", "--data", str(dataset_dir), "--epochs", "1", *flags, "--out", str(tmp_path / "c")])
         assert code == 2

@@ -77,6 +77,8 @@ class TestSelectCentral:
         empty.slices = []
         with pytest.raises(ContractError):
             select_central_slices(empty, 0.7)
+        with pytest.raises(ConfigError, match="volume V.s 6 slices"):
+            select_central_slices(make_volume(6), 0.01)  # keeps round(0.06) = 0 slices
 
 
 class TestClipIntensity:

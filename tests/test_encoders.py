@@ -9,6 +9,8 @@ from wsp.encoders import (
     EncoderCheckpoint,
     EncoderConfig,
     init_encoder,
+    input_batch,
+    input_shape,
     load_checkpoint,
     parameter_shapes,
     save_checkpoint,
@@ -91,6 +93,18 @@ class TestForward:
         enc = init_encoder(EncoderConfig(seed=1))
         with pytest.raises(ContractError):
             enc.encode(Tensor(np.zeros((2, 1, 16, 16))))
+
+    @pytest.mark.parametrize("arch", ["tiny_cnn", "mlp"])
+    def test_input_batch_is_the_configured_input_layout(self, arch, rng):
+        cfg = EncoderConfig(arch=arch, input_shape=input_shape(arch, (32, 32)))
+        assert cfg.input_shape == {"tiny_cnn": (1, 32, 32), "mlp": (1024,)}[arch]
+        images = rng.random((3, 32, 32))
+        x = input_batch(cfg, images)
+        assert x.shape == (3, *cfg.input_shape)
+        assert np.array_equal(x.data.reshape(images.shape), images)
+        assert init_encoder(cfg).encode(x).shape == (3, cfg.repr_dim)
+        with pytest.raises(ContractError):
+            init_encoder(cfg).encode(input_batch(cfg, rng.random((3, 32, 30))))
 
     def test_representation_is_not_normalized_but_projection_is(self, rng):
         enc = init_encoder(EncoderConfig(seed=2))

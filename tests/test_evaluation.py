@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsp.benchmark import run_benchmark
-from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder
+from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, untrained_checkpoint
 from wsp.errors import ConfigError, ContractError, write_csv
 from wsp.evaluation import (
     DEFAULT_SWEEP_SIGMAS,
@@ -18,7 +18,6 @@ from wsp.evaluation import (
     fit_logistic_probe,
     pca_project,
     predict_probe,
-    pretrain_and_probe,
     probe_representations,
     run_grid,
     run_probe_protocol,
@@ -330,10 +329,16 @@ class TestProbeProtocol:
         assert lines[1].startswith("random,0.1,0,")
 
 
+def one_run(volumes, cell, optim, probe):
+    """(checkpoint, ProbeReport) of the one-cell, one-seed grid of ``cell`` under this recipe."""
+    reports, checkpoints = run_grid([cell], [0], lambda seed: (volumes, SMALL_ENC, optim, probe, None), (cell[0],))
+    return checkpoints[cell][0], reports[cell][0]
+
+
 class TestPretrainAndProbe:
     def test_trained_run_is_pretrain_then_probe(self, small_volumes):
         optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        ckpt, report = pretrain_and_probe(small_volumes, SMALL_ENC, optim, ProbeConfig(folds=4, seed=1))
+        ckpt, report = one_run(small_volumes, ("wsp", 0.1), optim, ProbeConfig(folds=4, seed=1))
         expected, _ = pretrain(small_volumes, SMALL_ENC, optim)
         assert (ckpt.step, ckpt.loss_kind) == (expected.step, "wsp")
         for name, values in expected.params.items():
@@ -341,7 +346,7 @@ class TestPretrainAndProbe:
         assert report == run_probe_protocol(expected, small_volumes, ProbeConfig(folds=4, seed=1))
 
     def test_no_optim_probes_the_untrained_encoder(self, small_volumes):
-        ckpt, report = pretrain_and_probe(small_volumes, SMALL_ENC, None, ProbeConfig(folds=4, seed=1))
+        ckpt, report = one_run(small_volumes, ("random", 0.1), OptimConfig(), ProbeConfig(folds=4, seed=1))
         assert (ckpt.step, ckpt.loss_kind) == (0, "random")
         for name, param in init_encoder(SMALL_ENC).params.items():
             assert np.array_equal(ckpt.params[name], param.data)
@@ -437,10 +442,11 @@ class TestSigmaSweep:
             for seed, report in by_seed.items():
                 volumes, enc, run_optim, _, aug = recipe(seed)
                 if kind == "random":
-                    run_optim = None
+                    ckpt = untrained_checkpoint(enc)
                 else:
                     run_optim = replace(run_optim, loss=replace(optim.loss, loss_kind=kind, sigma=sigma))
-                ckpt, alone = pretrain_and_probe(volumes, enc, run_optim, probe, aug)
+                    ckpt, _ = pretrain(volumes, enc, run_optim, aug)
+                alone = run_probe_protocol(ckpt, volumes, probe)
                 assert report == alone
                 if kind == "supcon":
                     for name, values in ckpt.params.items():

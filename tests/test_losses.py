@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LossConfig(**{name: value})
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+    def test_sigma_whose_depth_kernel_overflows_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma"):
+            LossConfig(sigma=sigma)
+        assert LossConfig(sigma=1e-154).sigma == 1e-154
+
 
 class TestBatchMeta:
     def test_depth_range_enforced(self):

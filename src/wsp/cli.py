@@ -139,8 +139,8 @@ def cmd_generate(doc: dict, args) -> int:
     cfg = build_config(GeneratorConfig, body, ConfigError)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     out = _resolve_out(doc, args.out)
-    manifest, volumes = generate_synthetic_dataset(cfg, seed)
-    save_dataset(manifest, volumes, out)
+    generator, volumes = generate_synthetic_dataset(cfg, seed)
+    save_dataset(generator, volumes, out)
     _echo_config(out, args, {"data": cfg}, seed=seed)
     print(f"wrote {len(volumes)} volumes to {out}")
     return EXIT_OK

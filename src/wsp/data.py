@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -79,11 +79,9 @@ class Volume:
             last = s.p
 
 
-@dataclass
-class DatasetManifest:
-    version: int = MANIFEST_VERSION
-    volumes: list = field(default_factory=list)  # dicts with the on-disk keys
-    generator: dict | None = None
+def slice_id(volume: Volume, s: Slice) -> str:
+    """The id ``<volume_id>/<p>`` of slice ``s`` of ``volume``."""
+    return f"{volume.volume_id}/{s.p}"
 
 
 def select_central_slices(volume: Volume, fraction: float = CENTRAL_FRACTION) -> Volume:
@@ -101,15 +99,7 @@ def select_central_slices(volume: Volume, fraction: float = CENTRAL_FRACTION) ->
     if k == 0:
         raise ConfigError(f"central fraction {fraction} keeps none of volume {volume.volume_id}'s {n} slices")
     start = (n - k) // 2
-    return Volume(
-        volume_id=volume.volume_id,
-        patient_id=volume.patient_id,
-        v_max=volume.v_max,
-        slices=volume.slices[start : start + k],
-        y_weak=volume.y_weak,
-        y_strong=volume.y_strong,
-        latent_severity=volume.latent_severity,
-    )
+    return replace(volume, slices=volume.slices[start : start + k])
 
 
 def central_view(volumes, fraction: float = CENTRAL_FRACTION) -> list:
@@ -188,11 +178,10 @@ def _render_slice(cfg: GeneratorConfig, d: float, amplitude: float, aspect: floa
 
 
 def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
-    """Deterministically build (manifest, volumes) from (cfg, seed)."""
+    """Deterministically build (generator, volumes) from (cfg, seed); ``generator`` is the manifest's audit record."""
     if seed < 0:
         raise ConfigError("seed must be non-negative")
     volumes: list[Volume] = []
-    severities: dict[str, float] = {}
     n = cfg.slices_per_volume
     v_max = n - 1 if n >= 2 else 1
     for v_idx in range(cfg.n_volumes):
@@ -220,10 +209,9 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
             slices.append(
                 Slice(pixels=_render_slice(cfg, d, amp_slice, aspect, rng), p=p, d=d)
             )
-        vid = f"V{v_idx:03d}"
         volumes.append(
             Volume(
-                volume_id=vid,
+                volume_id=f"V{v_idx:03d}",
                 patient_id=f"P{v_idx:03d}",
                 v_max=v_max,
                 slices=slices,
@@ -232,22 +220,8 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
                 latent_severity=u,
             )
         )
-        severities[vid] = u
-    manifest = DatasetManifest(
-        volumes=[
-            {
-                "id": v.volume_id,
-                "file": f"{v.volume_id}.wspv",
-                "patient_id": v.patient_id,
-                "v_max": v.v_max,
-                "y_weak": v.y_weak,
-                "y_strong": v.y_strong,
-            }
-            for v in volumes
-        ],
-        generator={"config": asdict(cfg), "seed": seed, "latent_severity": severities},
-    )
-    return manifest, volumes
+    severities = {v.volume_id: v.latent_severity for v in volumes}
+    return {"config": asdict(cfg), "seed": seed, "latent_severity": severities}, volumes
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +270,29 @@ _RECORD_RULES = (
 )
 
 
-def save_dataset(manifest: DatasetManifest, volumes, out_dir) -> None:
+def save_dataset(generator: dict | None, volumes, out_dir) -> None:
+    """Write each volume to ``<volume_id>.wspv`` in ``out_dir`` and a manifest whose records are built from the
+    volumes; ``generator`` is stored as given. An id that is not a plain, unique file name is a ContractError."""
+    seen = set()
+    for vid in (v.volume_id for v in volumes):
+        if (not isinstance(vid, str) or vid in seen or vid in ("", ".", "..")
+                or os.path.basename(vid) != vid or "\0" in vid):
+            raise ContractError(f"volume id {vid!r} is not a plain file name unique in the dataset")
+        seen.add(vid)
     os.makedirs(out_dir, exist_ok=True)
-    by_id = {v.volume_id: v for v in volumes}
-    for record in manifest.volumes:
-        write_volume_file(os.path.join(out_dir, record["file"]), by_id[record["id"]])
-    doc = {"version": manifest.version, "volumes": manifest.volumes, "generator": manifest.generator}
+    records = []
+    for v in volumes:
+        file = f"{v.volume_id}.wspv"
+        write_volume_file(os.path.join(out_dir, file), v)
+        records.append({"id": v.volume_id, "file": file, "patient_id": v.patient_id,
+                        "v_max": v.v_max, "y_weak": v.y_weak, "y_strong": v.y_strong})
+    doc = {"version": MANIFEST_VERSION, "volumes": records, "generator": generator}
     write_json(os.path.join(out_dir, MANIFEST_NAME), doc)
 
 
 def load_dataset(path):
-    """Load (manifest, volumes) from a dataset directory or manifest path; a patient's volumes must share labels."""
+    """Load (generator, volumes) from a dataset directory or manifest path; ``generator`` is the manifest's audit
+    record or None. A patient's volumes must share labels, and every slice one H x W, each at least 1."""
     manifest_path = path
     if os.path.isdir(path):
         manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -324,10 +310,10 @@ def load_dataset(path):
         raise FormatError("manifest 'generator.latent_severity' must be an object")
     if not isinstance(doc.get("volumes"), list) or not doc["volumes"]:
         raise FormatError("manifest 'volumes' must be a non-empty list")
-    manifest = DatasetManifest(version=doc["version"], volumes=doc["volumes"], generator=generator)
     root = os.path.realpath(base)
     seen = set()
     labels_of_patient = {}
+    first = None  # (volume id, image size) of the dataset's first slice
     volumes = []
     for index, record in enumerate(doc["volumes"]):
         if not isinstance(record, dict):
@@ -355,6 +341,14 @@ def load_dataset(path):
         slices, v_max = read_volume_file(vol_path)
         if v_max != record["v_max"]:
             raise FormatError(f"volume {vid}: V_max {v_max} disagrees with manifest {record['v_max']}")
+        if slices:  # a volume file gives all of its slices one image size
+            shape = slices[0].pixels.shape
+            first = first or (vid, shape)
+            if shape != first[1]:
+                raise FormatError(f"volume {vid}: image size {shape} differs from {first[1]} in volume {first[0]}; "
+                                  "every slice of a dataset needs one H x W")
+            if 0 in shape:
+                raise FormatError(f"volume {vid}: image size {shape} is empty; H and W must each be at least 1")
         volumes.append(
             Volume(
                 volume_id=vid,
@@ -366,4 +360,4 @@ def load_dataset(path):
                 latent_severity=severities.get(vid),
             )
         )
-    return manifest, volumes
+    return generator, volumes

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import slice_id
 from .encoders import EncoderCheckpoint, input_batch, untrained_checkpoint
 from .errors import ConfigError, ContractError, check_fields, size_rule
 from .training import pretrain
@@ -69,7 +70,7 @@ def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 
     for vol in volumes:
         for s in vol.slices:
             patient_ids.append(vol.patient_id)
-            slice_ids.append(f"{vol.volume_id}/{s.p}")
+            slice_ids.append(slice_id(vol, s))
             depth.append(s.d)
             y_weak.append(vol.y_weak)
             y_strong.append(-1 if vol.y_strong is None else int(vol.y_strong))

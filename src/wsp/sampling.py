@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import slice_id
 from .errors import ConfigError, ContractError, check_fields, size_rule
 
 SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
@@ -87,7 +88,7 @@ def _draw_slice(patient_volumes, pid: str, rng) -> SliceSample:
         pixels=s.pixels,
         y=vol.y_weak,
         d=s.d,
-        slice_id=f"{vol.volume_id}/{s.p}",
+        slice_id=slice_id(vol, s),
         patient_id=vol.patient_id,
     )
 

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from wsp.cli import _FLAGS, build_parser, main, run_with_exit_code
-from wsp.data import GeneratorConfig, central_view, load_dataset
+from wsp.data import (
+    GeneratorConfig,
+    Slice,
+    Volume,
+    central_view,
+    generate_synthetic_dataset,
+    load_dataset,
+    save_dataset,
+)
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from wsp.errors import write_csv
 from wsp.evaluation import ProbeConfig, run_grid
@@ -70,7 +78,7 @@ class TestGenerate:
         assert run(["generate", "--out", str(tmp_path / "x"), "--volumes", "0"]) == 2
 
     def test_manifest_loads(self, dataset_dir):
-        manifest, volumes = load_dataset(dataset_dir)
+        _, volumes = load_dataset(dataset_dir)
         assert len(volumes) == 14
 
     def test_config_echo_written(self, dataset_dir):
@@ -436,6 +444,31 @@ def test_manifest_without_volumes_is_data_error(tmp_path, capsys, command):
     assert run([command, *data_command_flags(command, str(data), str(tmp_path / "o"))]) == 3
     err = capsys.readouterr().err
     assert "data error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def one_image_size_violation(kind):
+    """Volumes of which no dataset may hold all: 32x32 volumes plus a 16x16 one, or one volume of 0x0 images."""
+    if kind == "empty":
+        slices = [Slice(pixels=np.zeros((0, 0), dtype=np.float32), p=p, d=p / 3) for p in range(4)]
+        return [Volume(volume_id="V000", patient_id="P000", v_max=3, slices=slices, y_weak=0, y_strong=0)]
+    _, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=12, slices_per_volume=4), seed=0)
+    _, small = generate_synthetic_dataset(GeneratorConfig(n_volumes=1, slices_per_volume=4, height=16, width=16), 0)
+    return [*volumes, dataclasses.replace(small[0], volume_id="V012", patient_id="P012")]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("mixed", "data error: volume V012: image size (16, 16) differs from (32, 32) in volume V000"),
+    ("empty", "data error: volume V000: image size (0, 0) is empty"),
+])
+@pytest.mark.parametrize("command", ["pretrain", "probe", "project", "sweep"])
+def test_dataset_without_one_image_size_is_data_error(tmp_path, capsys, command, kind, message):
+    data = tmp_path / "set"
+    save_dataset(None, one_image_size_violation(kind), data)
+    assert run([command, *data_command_flags(command, str(data), str(tmp_path / "o"))]) == 3
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

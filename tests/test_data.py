@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from wsp.data import (
     GeneratorConfig,
     Slice,
     Volume,
+    central_view,
     clip_intensity,
     generate_synthetic_dataset,
     load_dataset,
@@ -103,9 +106,9 @@ class TestClipIntensity:
 class TestGenerator:
     def test_deterministic(self):
         cfg = GeneratorConfig(n_volumes=4, slices_per_volume=5)
-        m1, v1 = generate_synthetic_dataset(cfg, seed=3)
-        m2, v2 = generate_synthetic_dataset(cfg, seed=3)
-        assert m1 == m2
+        g1, v1 = generate_synthetic_dataset(cfg, seed=3)
+        g2, v2 = generate_synthetic_dataset(cfg, seed=3)
+        assert g1 == g2
         for a, b in zip(v1, v2):
             assert a.y_weak == b.y_weak and a.y_strong == b.y_strong
             for sa, sb in zip(a.slices, b.slices):
@@ -169,19 +172,19 @@ class TestGenerator:
 class TestDiskFormat:
     def test_round_trip_byte_identity(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=3, slices_per_volume=4)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
         d1 = tmp_path / "one"
         d2 = tmp_path / "two"
-        save_dataset(manifest, volumes, d1)
-        loaded_manifest, loaded_volumes = load_dataset(d1)
-        save_dataset(loaded_manifest, loaded_volumes, d2)
+        save_dataset(generator, volumes, d1)
+        loaded_generator, loaded_volumes = load_dataset(d1)
+        save_dataset(loaded_generator, loaded_volumes, d2)
         for f1 in sorted(d1.iterdir()):
             assert (d2 / f1.name).read_bytes() == f1.read_bytes()
 
     def test_labels_survive_round_trip(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=3, slices_per_volume=4)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
         _, loaded = load_dataset(tmp_path)
         for a, b in zip(volumes, loaded):
             assert (a.volume_id, a.patient_id, a.y_weak, a.y_strong) == (
@@ -195,11 +198,63 @@ class TestDiskFormat:
                 assert np.array_equal(sa.pixels, sb.pixels)
                 assert sa.p == sb.p and sa.d == sb.d
 
+    def test_golden_bytes(self, tmp_path):
+        # Pins the on-disk bytes of a small generated dataset across versions, not only between two runs.
+        save_dataset(*generate_synthetic_dataset(GeneratorConfig(n_volumes=3, slices_per_volume=4), 1), tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("manifest.json", "V000.wspv")}
+        assert digests == {
+            "manifest.json": "63d63233c1c681c852c9936e60b0236e6af6e69fe198a591f91b2d0e354b4153",
+            "V000.wspv": "729a4ba2f0043d625099bee3901780b7ae45bb6a958f8ba4fa80d54a4605c540",
+        }
+
+    @staticmethod
+    def assert_same_volumes(loaded, volumes):
+        assert [(v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong) for v in loaded] == [
+            (v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong) for v in volumes
+        ]
+        for a, b in zip(loaded, volumes):
+            assert [(s.p, s.d) for s in a.slices] == [(s.p, s.d) for s in b.slices]
+            assert all(np.array_equal(sa.pixels, sb.pixels) for sa, sb in zip(a.slices, b.slices))
+
+    def test_subset_of_volumes_saves_and_loads(self, tmp_path):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=4, slices_per_volume=3), seed=1)
+        save_dataset(generator, volumes[:2], tmp_path)
+        loaded_generator, loaded = load_dataset(tmp_path)
+        self.assert_same_volumes(loaded, volumes[:2])
+        assert loaded_generator == json.loads(json.dumps(generator))
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["V000.wspv", "V001.wspv", "manifest.json"]
+
+    def test_trimmed_volumes_save_and_load(self, tmp_path):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=3, slices_per_volume=10), seed=1)
+        trimmed = central_view(volumes)
+        save_dataset(generator, trimmed, tmp_path)
+        _, loaded = load_dataset(tmp_path)
+        self.assert_same_volumes(loaded, trimmed)
+        assert [s.p for s in loaded[0].slices] == [1, 2, 3, 4, 5, 6, 7]
+        assert all(v.v_max == 9 for v in loaded)
+
+    def test_relabelled_volume_saves_its_new_label(self, tmp_path):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        relabelled = [replace(volumes[0], y_strong=1 - volumes[0].y_strong), volumes[1]]
+        save_dataset(generator, relabelled, tmp_path)
+        _, loaded = load_dataset(tmp_path)
+        assert loaded[0].y_strong == 1 - volumes[0].y_strong
+        self.assert_same_volumes(loaded, relabelled)
+
+    @pytest.mark.parametrize("vid", ["../x", "a/b", "", ".", "..", "a\0b", "V000"],
+                             ids=["parent", "separator", "empty", "dot", "dot-dot", "nul", "duplicate"])
+    def test_volume_id_that_is_not_a_plain_unique_file_name_rejected(self, tmp_path, vid):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        with pytest.raises(ContractError, match="plain file name"):
+            save_dataset(generator, [volumes[0], replace(volumes[1], volume_id=vid)], tmp_path / "set")
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupted_magic_rejected(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=1, slices_per_volume=2)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
-        victim = tmp_path / manifest.volumes[0]["file"]
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        victim = tmp_path / f"{volumes[0].volume_id}.wspv"
         blob = bytearray(victim.read_bytes())
         blob[:4] = b"JUNK"
         victim.write_bytes(bytes(blob))
@@ -208,9 +263,9 @@ class TestDiskFormat:
 
     def test_truncated_volume_rejected_with_offset(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=1, slices_per_volume=2)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
-        victim = tmp_path / manifest.volumes[0]["file"]
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        victim = tmp_path / f"{volumes[0].volume_id}.wspv"
         blob = victim.read_bytes()
         victim.write_bytes(blob[:-7])
         with pytest.raises(FormatError) as err:
@@ -220,9 +275,9 @@ class TestDiskFormat:
     @staticmethod
     def _overwrite(tmp_path, offset, packed):
         """A saved one-volume dataset whose volume file holds ``packed`` at byte ``offset``."""
-        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=1, slices_per_volume=2), seed=1)
-        save_dataset(manifest, volumes, tmp_path)
-        victim = tmp_path / manifest.volumes[0]["file"]
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=1, slices_per_volume=2), seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        victim = tmp_path / f"{volumes[0].volume_id}.wspv"
         blob = bytearray(victim.read_bytes())
         blob[offset : offset + len(packed)] = packed
         victim.write_bytes(bytes(blob))
@@ -246,17 +301,17 @@ class TestDiskFormat:
 
     def test_missing_file_named_in_error(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
-        missing = manifest.volumes[1]["file"]
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        missing = f"{volumes[1].volume_id}.wspv"
         (tmp_path / missing).unlink()
         with pytest.raises(FormatError, match=missing):
             load_dataset(tmp_path)
 
     def test_duplicate_volume_id_rejected(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         doc["volumes"][1]["id"] = doc["volumes"][0]["id"]
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
@@ -268,8 +323,8 @@ class TestDiskFormat:
     )
     def test_non_integer_manifest_field_rejected(self, tmp_path, key, value):
         cfg = GeneratorConfig(n_volumes=2, slices_per_volume=2)
-        manifest, volumes = generate_synthetic_dataset(cfg, seed=1)
-        save_dataset(manifest, volumes, tmp_path)
+        generator, volumes = generate_synthetic_dataset(cfg, seed=1)
+        save_dataset(generator, volumes, tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         doc["volumes"][1][key] = value
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
@@ -280,9 +335,9 @@ class TestDiskFormat:
     @staticmethod
     def dataset_with_record(tmp_path, edit):
         """A saved two-volume dataset under tmp_path/set whose second record is ``edit(record)``."""
-        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
         root = tmp_path / "set"
-        save_dataset(manifest, volumes, root)
+        save_dataset(generator, volumes, root)
         doc = json.loads((root / "manifest.json").read_text())
         doc["volumes"][1] = edit(doc["volumes"][1])
         (root / "manifest.json").write_text(json.dumps(doc))
@@ -298,8 +353,8 @@ class TestDiskFormat:
         ids=["volumes-not-list", "generator-not-object", "severities-not-object"],
     )
     def test_malformed_manifest_sections_rejected(self, tmp_path, edit):
-        manifest, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
-        save_dataset(manifest, volumes, tmp_path)
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        save_dataset(generator, volumes, tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         (tmp_path / "manifest.json").write_text(json.dumps(edit(doc)))
         with pytest.raises(FormatError, match="must be a"):

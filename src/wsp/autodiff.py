@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NonFiniteError
 
 _uid_counter = itertools.count()
 
@@ -221,6 +221,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise ContractError("l2_normalize: zero row")
+    if not np.isfinite(norms).all():  # no direction to keep: a row norm overflowed, or a row holds NaN
+        raise NonFiniteError("l2_normalize: non-finite row norm")
     y = x.data / norms
 
     def bwd(g):

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ByteReader, ConfigError, ContractError, FormatError
-from .errors import check_fields, check_value, parse_json, size_rule, write_json
+from .errors import check_array, check_fields, check_value, encode_json, parse_json, size_rule
 
 VOLUME_MAGIC = b"WSPV"
 VOLUME_VERSION = 1
@@ -31,6 +31,7 @@ MANIFEST_VERSION = 1
 CLIP_LO = -100.0
 CLIP_HI = 400.0
 CENTRAL_FRACTION = 0.7
+_PIXEL_RULE = ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))  # every stored pixel, as written and as read
 
 
 def normalize_depth(p: int, v_max: int) -> float:
@@ -230,14 +231,13 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
 
 
 def write_volume_file(path, volume: Volume) -> None:
+    """Write ``volume`` as it is; ``save_dataset`` checks a dataset's rules before it calls this."""
     h, w = volume.slices[0].pixels.shape if volume.slices else (0, 0)
     with open(path, "wb") as fh:
         fh.write(VOLUME_MAGIC)
         fh.write(struct.pack("<H", VOLUME_VERSION))
         fh.write(struct.pack("<IIII", h, w, len(volume.slices), volume.v_max))
         for s in volume.slices:
-            if s.pixels.shape != (h, w):
-                raise FormatError(f"slice shape {s.pixels.shape} differs from volume shape {(h, w)}")
             fh.write(struct.pack("<I", s.p))
             fh.write(np.ascontiguousarray(s.pixels, dtype="<f4").tobytes())
 
@@ -253,7 +253,7 @@ def read_volume_file(path) -> tuple[list[Slice], int]:
         (p,) = reader.unpack("<I", "slice depth")
         if p > v_max:
             raise FormatError(f"slice depth {p} exceeds V_max {v_max}", offset=reader.off - 4)
-        pixels = reader.array("<f4", h * w, "slice pixels", "in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))
+        pixels = reader.array("<f4", h * w, "slice pixels", *_PIXEL_RULE)
         slices.append(Slice(pixels=pixels.reshape(h, w).copy(), p=p, d=normalize_depth(p, v_max)))
     reader.finish()
     return slices, int(v_max)
@@ -264,35 +264,82 @@ _RECORD_RULES = (
     ("id", str, None),
     ("file", str, None),
     ("patient_id", str, None),
-    ("v_max", int, "[1, inf)"),
+    ("v_max", int, size_rule(1)),  # stored as u32 in the volume file too
     ("y_weak", int, "[0, 9223372036854775808)"),  # fits the int64 label arrays
     ("y_strong", int, (0, 1)),
 )
 
 
+def _check_manifest(doc: dict, error) -> None:
+    """The manifest's rule, raised as ``error``: version, generator record, each record's keys and kinds, volume ids
+    that are plain file names unique in the dataset, and one (y_weak, y_strong) per patient."""
+    check_value("manifest version", doc.get("version"), int, (MANIFEST_VERSION,), error)
+    generator = doc.get("generator")
+    if generator is not None and not isinstance(generator, dict):
+        raise error("manifest 'generator' must be an object or null")
+    if not isinstance((generator or {}).get("latent_severity", {}), dict):
+        raise error("manifest 'generator.latent_severity' must be an object")
+    if not isinstance(doc.get("volumes"), list) or not doc["volumes"]:
+        raise error("manifest 'volumes' must be a non-empty list")
+    seen, labels_of_patient = set(), {}
+    for index, record in enumerate(doc["volumes"]):
+        if not isinstance(record, dict):
+            raise error(f"manifest volume record must be a JSON object, got {record!r}")
+        missing = [key for key, _, _ in _RECORD_RULES if key not in record]
+        if missing:
+            raise error(f"manifest volume record missing keys: {missing}")
+        for key, kind, rule in _RECORD_RULES:
+            if record[key] is not None or key != "y_strong":
+                check_value(f"manifest volumes[{index}].{key}", record[key], kind, rule, error)
+        vid, pid = record["id"], record["patient_id"]
+        if vid in seen:
+            raise error(f"duplicate volume id {vid!r}; ids must be plain file names unique in the dataset")
+        if vid in ("", ".", "..") or os.path.basename(vid) != vid or "\0" in vid:
+            raise error(f"volume id {vid!r} is not a plain file name unique in the dataset")
+        seen.add(vid)
+        labels = (record["y_weak"], record["y_strong"])
+        if labels_of_patient.setdefault(pid, labels) != labels:
+            raise error(f"volume {vid}: labels {labels} differ from patient {pid}'s other volumes")
+
+
+def _check_images(volumes, error) -> None:
+    """The images' rule, raised as ``error``: every slice of a dataset has one H x W, each at least 1."""
+    first = None  # (volume id, image size) of the dataset's first slice
+    for v in volumes:
+        for s in v.slices:
+            shape = np.shape(s.pixels)
+            first = first or (v.volume_id, shape)
+            if shape != first[1]:
+                raise error(f"volume {v.volume_id}: image size {shape} differs from {first[1]} in volume {first[0]}; "
+                            "every slice of a dataset needs one H x W")
+            if len(shape) != 2 or 0 in shape:
+                raise error(f"volume {v.volume_id}: image size {shape} is empty or not H x W; "
+                            "H and W must each be at least 1")
+
+
 def save_dataset(generator: dict | None, volumes, out_dir) -> None:
     """Write each volume to ``<volume_id>.wspv`` in ``out_dir`` and a manifest whose records are built from the
-    volumes; ``generator`` is stored as given. An id that is not a plain, unique file name is a ContractError."""
-    seen = set()
-    for vid in (v.volume_id for v in volumes):
-        if (not isinstance(vid, str) or vid in seen or vid in ("", ".", "..")
-                or os.path.basename(vid) != vid or "\0" in vid):
-            raise ContractError(f"volume id {vid!r} is not a plain file name unique in the dataset")
-        seen.add(vid)
-    os.makedirs(out_dir, exist_ok=True)
-    records = []
-    for v in volumes:
-        file = f"{v.volume_id}.wspv"
-        write_volume_file(os.path.join(out_dir, file), v)
-        records.append({"id": v.volume_id, "file": file, "patient_id": v.patient_id,
-                        "v_max": v.v_max, "y_weak": v.y_weak, "y_strong": v.y_strong})
+    volumes; ``generator`` is stored as given. A dataset that ``load_dataset`` would refuse is refused before the
+    first byte: ContractError, or NonFiniteError for a non-finite pixel."""
+    records = [{"id": v.volume_id, "file": f"{v.volume_id}.wspv", "patient_id": v.patient_id,
+                "v_max": v.v_max, "y_weak": v.y_weak, "y_strong": v.y_strong} for v in volumes]
     doc = {"version": MANIFEST_VERSION, "volumes": records, "generator": generator}
-    write_json(os.path.join(out_dir, MANIFEST_NAME), doc)
+    _check_manifest(doc, ContractError)
+    _check_images(volumes, ContractError)
+    for v in volumes:
+        for s in v.slices:
+            check_array(f"volume {v.volume_id} slice pixels", np.asarray(s.pixels, dtype="<f4"), *_PIXEL_RULE)
+    text = encode_json(doc)
+    os.makedirs(out_dir, exist_ok=True)
+    for v, record in zip(volumes, records):
+        write_volume_file(os.path.join(out_dir, record["file"]), v)
+    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_dataset(path):
     """Load (generator, volumes) from a dataset directory or manifest path; ``generator`` is the manifest's audit
-    record or None. A patient's volumes must share labels, and every slice one H x W, each at least 1."""
+    record or None. The manifest and its images must obey ``_check_manifest`` and ``_check_images``."""
     manifest_path = path
     if os.path.isdir(path):
         manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -301,63 +348,24 @@ def load_dataset(path):
     base = os.path.dirname(manifest_path)
     with open(manifest_path, "rb") as fh:
         doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
-    check_value("manifest version", doc.get("version"), int, (MANIFEST_VERSION,), FormatError)
+    _check_manifest(doc, FormatError)
     generator = doc.get("generator")
-    if generator is not None and not isinstance(generator, dict):
-        raise FormatError("manifest 'generator' must be an object or null")
     severities = (generator or {}).get("latent_severity", {})
-    if not isinstance(severities, dict):
-        raise FormatError("manifest 'generator.latent_severity' must be an object")
-    if not isinstance(doc.get("volumes"), list) or not doc["volumes"]:
-        raise FormatError("manifest 'volumes' must be a non-empty list")
     root = os.path.realpath(base)
-    seen = set()
-    labels_of_patient = {}
-    first = None  # (volume id, image size) of the dataset's first slice
     volumes = []
-    for index, record in enumerate(doc["volumes"]):
-        if not isinstance(record, dict):
-            raise FormatError(f"manifest volume record must be a JSON object, got {record!r}")
-        missing = [key for key, _, _ in _RECORD_RULES if key not in record]
-        if missing:
-            raise FormatError(f"manifest volume record missing keys: {missing}")
-        for key, kind, rule in _RECORD_RULES:
-            if record[key] is not None or key != "y_strong":
-                check_value(f"manifest volumes[{index}].{key}", record[key], kind, rule, FormatError)
-        vid, pid = record["id"], record["patient_id"]
-        if vid in seen:
-            raise FormatError(f"duplicate volume id {vid!r} in manifest")
-        seen.add(vid)
-        labels = (record["y_weak"], record["y_strong"])
-        if labels_of_patient.setdefault(pid, labels) != labels:
-            raise FormatError(f"volume {vid}: labels {labels} differ from patient {pid}'s other volumes")
-        if "\0" in record["file"]:
-            raise FormatError(f"volume {vid}: file {record['file']!r} contains a NUL character")
-        vol_path = os.path.realpath(os.path.join(base, record["file"]))
+    for record in doc["volumes"]:
+        vid, file = record["id"], record["file"]
+        if "\0" in file:
+            raise FormatError(f"volume {vid}: file {file!r} contains a NUL character")
+        vol_path = os.path.realpath(os.path.join(base, file))
         if os.path.commonpath([root, vol_path]) != root:
-            raise FormatError(f"volume {vid}: file {record['file']!r} lies outside the dataset directory")
+            raise FormatError(f"volume {vid}: file {file!r} lies outside the dataset directory")
         if not os.path.exists(vol_path):
-            raise FormatError(f"manifest references missing file: {record['file']}")
+            raise FormatError(f"manifest references missing file: {file}")
         slices, v_max = read_volume_file(vol_path)
         if v_max != record["v_max"]:
             raise FormatError(f"volume {vid}: V_max {v_max} disagrees with manifest {record['v_max']}")
-        if slices:  # a volume file gives all of its slices one image size
-            shape = slices[0].pixels.shape
-            first = first or (vid, shape)
-            if shape != first[1]:
-                raise FormatError(f"volume {vid}: image size {shape} differs from {first[1]} in volume {first[0]}; "
-                                  "every slice of a dataset needs one H x W")
-            if 0 in shape:
-                raise FormatError(f"volume {vid}: image size {shape} is empty; H and W must each be at least 1")
-        volumes.append(
-            Volume(
-                volume_id=vid,
-                patient_id=pid,
-                v_max=v_max,
-                slices=slices,
-                y_weak=record["y_weak"],
-                y_strong=record["y_strong"],
-                latent_severity=severities.get(vid),
-            )
-        )
+        volumes.append(Volume(volume_id=vid, patient_id=record["patient_id"], v_max=v_max, slices=slices,
+                              y_weak=record["y_weak"], y_strong=record["y_strong"], latent_severity=severities.get(vid)))
+    _check_images(volumes, FormatError)
     return generator, volumes

@@ -13,7 +13,6 @@ full kernel/stride plan lives in the config so the architecture is auditable.
 from __future__ import annotations
 
 import functools
-import json
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -21,11 +20,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ByteReader, ConfigError, ContractError, FormatError, build_config, check_fields, check_value
-from .errors import parse_json, size_rule
+from .errors import ByteReader, ConfigError, ContractError, FormatError, build_config, check_array, check_fields
+from .errors import check_value, encode_json, parse_json, size_rule
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
+_PARAM_RULE = ("finite", np.isfinite)  # every stored parameter value, as written and as read
 
 ARCHS = ("tiny_cnn", "mlp")
 
@@ -182,33 +182,15 @@ class EncoderCheckpoint:
     loss_sigma: float | None = None
 
     @classmethod
-    def from_encoder(
-        cls,
-        enc: Encoder,
-        step: int = 0,
-        loss_kind: str = "none",
-        loss_sigma: float | None = None,
-    ) -> "EncoderCheckpoint":
-        return cls(
-            config=enc.config,
-            params={k: np.array(v.data, dtype=np.float64) for k, v in enc.params.items()},
-            step=step,
-            loss_kind=loss_kind,
-            loss_sigma=loss_sigma,
-        )
+    def from_encoder(cls, enc: Encoder, step: int = 0, loss_kind: str = "none",
+                     loss_sigma: float | None = None) -> EncoderCheckpoint:
+        params = {k: np.array(v.data, dtype=np.float64) for k, v in enc.params.items()}
+        return cls(enc.config, params, step, loss_kind, loss_sigma)
 
     def to_encoder(self) -> Encoder:
         """A frozen encoder (parameters do not require grad), so its forward passes build no graph."""
-        expected = parameter_shapes(self.config)
-        if list(expected) != list(self.params):
-            raise FormatError("checkpoint parameters do not match the architecture config")
-        for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise FormatError(
-                    f"parameter {name} has shape {self.params[name].shape}, expected {shape}"
-                )
-        params = {k: Tensor(v.copy()) for k, v in self.params.items()}
-        return Encoder(self.config, params)
+        _check_params(self.config, self.params, FormatError)
+        return Encoder(self.config, {k: Tensor(v.copy()) for k, v in self.params.items()})
 
 
 def untrained_checkpoint(cfg: EncoderConfig) -> EncoderCheckpoint:
@@ -216,24 +198,41 @@ def untrained_checkpoint(cfg: EncoderConfig) -> EncoderCheckpoint:
     return EncoderCheckpoint.from_encoder(init_encoder(cfg), step=0, loss_kind="random")
 
 
+def _check_header(step, loss_kind, loss_sigma, error) -> None:
+    """The checkpoint header's rule, raised as ``error`` (the encoder config checks itself)."""
+    check_value("checkpoint header step", step, int, "[0, inf)", error)
+    check_value("checkpoint header loss_kind", loss_kind, str, None, error)
+    if loss_sigma is not None:
+        check_value("checkpoint header loss_sigma", loss_sigma, float, None, error)
+
+
+def _check_params(cfg: EncoderConfig, params: dict, error) -> None:
+    """The parameters' rule, raised as ``error``: ``cfg``'s names in declaration order, each of its shape."""
+    expected = parameter_shapes(cfg)
+    if list(expected) != list(params):
+        raise error("checkpoint parameters do not match the architecture config")
+    for name, shape in expected.items():
+        if np.shape(params[name]) != shape:
+            raise error(f"parameter {name} has shape {np.shape(params[name])}, expected {shape}")
+
+
 def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
-    meta = {
-        "config": asdict(ckpt.config),
-        "loss_kind": ckpt.loss_kind,
-        "loss_sigma": ckpt.loss_sigma,
-        "step": ckpt.step,
-    }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    expected = parameter_shapes(ckpt.config)
+    """Write ``ckpt``. One that ``load_checkpoint`` would refuse is refused before the first byte: ContractError, or
+    NonFiniteError for a non-finite parameter value."""
+    _check_header(ckpt.step, ckpt.loss_kind, ckpt.loss_sigma, ContractError)
+    _check_params(ckpt.config, ckpt.params, ContractError)
+    arrays = {name: np.ascontiguousarray(values, dtype="<f8") for name, values in ckpt.params.items()}
+    for name, arr in arrays.items():
+        check_array(f"checkpoint {name} values", arr, *_PARAM_RULE)
+    meta = {"config": asdict(ckpt.config), "loss_kind": ckpt.loss_kind, "loss_sigma": ckpt.loss_sigma,
+            "step": ckpt.step}
+    blob = encode_json(meta, compact=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name, shape in expected.items():
-            arr = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
-            if arr.shape != shape:
-                raise FormatError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+        for arr in arrays.values():
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
@@ -254,18 +253,9 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         if tuple(extents) != shape:
             raise FormatError(f"parameter {name} has extents {extents}, expected {shape}", offset=reader.off)
         count = int(np.prod(extents)) if extents else 1
-        values = reader.array("<f8", count, f"{name} values", "finite", np.isfinite)
+        values = reader.array("<f8", count, f"{name} values", *_PARAM_RULE)
         params[name] = values.reshape(extents).astype(np.float64)
     reader.finish()
     step, loss_kind, sigma = meta.get("step", 0), meta.get("loss_kind", "none"), meta.get("loss_sigma")
-    check_value("checkpoint header step", step, int, "[0, inf)", header_error)
-    check_value("checkpoint header loss_kind", loss_kind, str, None, header_error)
-    if sigma is not None:
-        check_value("checkpoint header loss_sigma", sigma, float, None, header_error)
-    return EncoderCheckpoint(
-        config=cfg,
-        params=params,
-        step=step,
-        loss_kind=loss_kind,
-        loss_sigma=None if sigma is None else float(sigma),
-    )
+    _check_header(step, loss_kind, sigma, header_error)
+    return EncoderCheckpoint(cfg, params, step, loss_kind, None if sigma is None else float(sigma))

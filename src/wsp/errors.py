@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 import struct
 import typing
 
@@ -184,6 +185,15 @@ class ByteReader:
             raise FormatError(f"trailing bytes after the last field of the {self.what}", offset=self.off)
 
 
+def check_array(name: str, values: np.ndarray, rule: str, valid) -> None:
+    """A writer's side of ``ByteReader.array``: the first value that ``valid`` rejects is a NonFiniteError if it is
+    not finite, else a ContractError."""
+    ok = valid(values)
+    if not ok.all():
+        bad = values.flat[int(np.argmin(ok))]
+        raise (ContractError if np.isfinite(bad) else NonFiniteError)(f"{name} must be {rule}, got {bad}")
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -202,7 +212,19 @@ def write_csv(path, header, rows, comment=None) -> None:
             fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
+def encode_json(doc, compact: bool = False) -> str:
+    """The text of every JSON file (``indent=1``, final newline) or ``compact`` header this package writes: keys
+    sorted, numpy integers as integers. A writer encodes before it opens its first file, so a value that JSON cannot
+    hold is a ContractError."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 1}
+    try:
+        text = json.dumps(doc, sort_keys=True, default=operator.index, **layout)
+    except (TypeError, ValueError) as exc:  # ValueError: a circular reference
+        raise ContractError(f"cannot write a value as JSON: {exc}") from exc
+    return text if compact else text + "\n"
+
+
 def write_json(path, doc) -> None:
+    text = encode_json(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)

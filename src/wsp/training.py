@@ -134,6 +134,14 @@ def _assemble_batch(batch: list[SliceSample], aug_cfg: AugmentConfig, key, enc_c
     return input_batch(enc_cfg, views), meta
 
 
+def _diverged(what: str, epoch: int, b_idx: int, meta: BatchMeta) -> NonFiniteError:
+    """The error of a run that reached a non-finite ``what``, with the batch it reached it on as ``details``."""
+    err = NonFiniteError(f"non-finite {what} at epoch {epoch}, batch {b_idx}")
+    err.details = {"epoch": epoch, "batch": b_idx, "slice_ids": list(meta.slice_ids),
+                   "patient_ids": list(meta.patient_ids), "y": [int(v) for v in meta.y], "d": [float(v) for v in meta.d]}
+    return err
+
+
 def pretrain(
     volumes,
     enc_cfg: EncoderConfig,
@@ -161,7 +169,10 @@ def pretrain(
         epoch_lr = None
         for b_idx, batch in enumerate(batches):
             x, meta = _assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg)
-            z = enc.project(enc.encode(x))
+            try:
+                z = enc.project(enc.encode(x))
+            except NonFiniteError as exc:  # diverged parameters
+                raise _diverged("projections", epoch, b_idx, meta) from exc
             loss = compute_loss(z, meta, optim_cfg.loss)
             # The previous step's gradients go now, before the backward pass, where a step peaks. Freed
             # with the rest of their step, they would let glibc's malloc hand the whole heap top back to
@@ -169,18 +180,7 @@ def pretrain(
             grads = None
             value = loss.item()
             if not math.isfinite(value):
-                err = NonFiniteError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {b_idx}"
-                )
-                err.details = {
-                    "epoch": epoch,
-                    "batch": b_idx,
-                    "slice_ids": list(meta.slice_ids),
-                    "patient_ids": list(meta.patient_ids),
-                    "y": [int(v) for v in meta.y],
-                    "d": [float(v) for v in meta.d],
-                }
-                raise err
+                raise _diverged(f"loss {value}", epoch, b_idx, meta)
             lr_t = cosine_lr(global_step, total_iters, optim_cfg.lr)
             if epoch_lr is None:
                 epoch_lr = lr_t

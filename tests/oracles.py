@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (explicit loops, textbook formulas) and
-shares no code with the package, so agreement is meaningful.
+shares no code with the package, so agreement is meaningful. The file helpers
+write bytes that the package's writers refuse to write; ``write_raw_dataset``
+uses the package's unchecked ``write_volume_file``.
 """
 
 import json
@@ -9,6 +11,8 @@ import math
 import struct
 
 import numpy as np
+
+from wsp.data import write_volume_file
 
 
 def naive_kernel_loss(z, y, d, slice_ids, tau, sigma, kind, convention="exclude_anchor"):
@@ -110,6 +114,36 @@ def rewrite_checkpoint_header(raw, edit):
     (length,) = struct.unpack("<I", raw[6:10])
     header = json.dumps(edit(json.loads(raw[10 : 10 + length]))).encode("utf-8")
     return raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + length :]
+
+
+def patch_checkpoint_value(path, params, name, index, value):
+    """Overwrite entry ``index`` (flat) of parameter ``name`` in the checkpoint saved at ``path`` from ``params`` with
+    the float64 ``value``; returns its byte offset. Each parameter follows the header as a u8 rank, u32 extents and
+    float64 values, in ``params``' order."""
+    raw = bytearray(path.read_bytes())
+    (length,) = struct.unpack("<I", raw[6:10])
+    at = 10 + length
+    for key, values in params.items():
+        at += 1 + 4 * values.ndim
+        if key == name:
+            break
+        at += 8 * values.size
+    at += 8 * index
+    raw[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return at
+
+
+def write_raw_dataset(volumes, out_dir, generator=None):
+    """Write ``volumes`` to the directory ``out_dir`` as a dataset without checking any of its rules: one
+    ``write_volume_file`` per volume and a manifest whose records are built from the volumes."""
+    out_dir.mkdir(parents=True)
+    records = []
+    for v in volumes:
+        write_volume_file(out_dir / f"{v.volume_id}.wspv", v)
+        records.append({"id": v.volume_id, "file": f"{v.volume_id}.wspv", "patient_id": v.patient_id,
+                        "v_max": v.v_max, "y_weak": v.y_weak, "y_strong": v.y_strong})
+    (out_dir / "manifest.json").write_text(json.dumps({"version": 1, "volumes": records, "generator": generator}))
 
 
 def paired_random_batch(rng, n_slices, dim, n_classes=4):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
-from wsp.errors import ContractError
+from wsp.errors import ContractError, NonFiniteError
 from wsp.losses import pairwise_logsumexp
 
 from oracles import conv_bias_relu_stage as oracle_stage, im2col_conv2d
@@ -237,6 +237,12 @@ class TestL2Normalize:
     def test_zero_row(self):
         with pytest.raises(ContractError):
             ad.l2_normalize(Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_norm(self, value):
+        # x / inf would map a finite row to zeros, not to a unit row; there is no direction to keep.
+        with pytest.raises(NonFiniteError, match="non-finite row norm"):
+            ad.l2_normalize(Tensor(np.array([[1.0, 2.0], [value, 1.0]])))
 
     def test_gradient(self, rng):
         x = rng.uniform(-1, 1, (3, 4)) + 0.1

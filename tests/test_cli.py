@@ -19,7 +19,6 @@ from wsp.data import (
     central_view,
     generate_synthetic_dataset,
     load_dataset,
-    save_dataset,
 )
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from wsp.errors import write_csv
@@ -28,7 +27,7 @@ from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig
 
-from oracles import rewrite_checkpoint_header
+from oracles import patch_checkpoint_value, rewrite_checkpoint_header, write_raw_dataset
 
 
 def run(args):
@@ -192,6 +191,41 @@ class TestPretrain:
         assert json.loads(dump.read_text())["slice_ids"] == ["V000/1"]
         assert "dump" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def small_dataset(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("small") / "set"
+        assert run(["generate", "--out", str(path), "--volumes", "8", "--slices", "4", "--size", "16x16"]) == 0
+        return path
+
+    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_projections_exit_numeric_with_batch_dump(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "d.ckpt"
+        code = run(["pretrain", "--data", str(small_dataset), "--arch", "mlp", "--epochs", "3", "--batch", "4",
+                    "--lr", "1e300", "--weight-decay", "0", "--out", str(out)])
+        assert code == 4
+        assert "non-finite projections at epoch 0, batch 1" in capsys.readouterr().err
+        dump = json.loads((tmp_path / "d.ckpt.dump.json").read_text())
+        assert sorted(dump) == ["batch", "d", "epoch", "patient_ids", "slice_ids", "y"]
+        assert (dump["epoch"], dump["batch"], len(dump["slice_ids"])) == (0, 1, 8)
+        assert not out.exists()
+
+    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_parameters_are_numeric_error_and_no_checkpoint(self, small_dataset, tmp_path, capsys):
+        config = tmp_path / "sgd.json"
+        config.write_text(json.dumps({"optim": {"optimizer": "sgd_momentum", "weight_decay": 0}}))
+        out = tmp_path / "p.ckpt"
+        code = run(["pretrain", "--data", str(small_dataset), "--arch", "mlp", "--epochs", "1", "--batch", "8",
+                    "--lr", "1e308", "--config", str(config), "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: checkpoint fc2_b values must be finite, got inf" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestProbe:
     def test_metrics_schema_and_exit_code(self, dataset_dir, checkpoint, tmp_path, capsys):
@@ -215,9 +249,9 @@ class TestProbe:
 
     def test_infinite_checkpoint_parameter_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
         ckpt = load_checkpoint(checkpoint)
-        ckpt.params["repr_b"][0] = float("inf")
         bad = tmp_path / "inf.ckpt"
         save_checkpoint(ckpt, bad)
+        patch_checkpoint_value(bad, ckpt.params, "repr_b", 0, float("inf"))
         code = run(["probe", "--data", str(dataset_dir), "--ckpt", str(bad), "--folds", "3", "--out", str(tmp_path / "m.csv")])
         assert code == 3
         err = capsys.readouterr().err
@@ -465,7 +499,7 @@ def one_image_size_violation(kind):
 @pytest.mark.parametrize("command", ["pretrain", "probe", "project", "sweep"])
 def test_dataset_without_one_image_size_is_data_error(tmp_path, capsys, command, kind, message):
     data = tmp_path / "set"
-    save_dataset(None, one_image_size_violation(kind), data)
+    write_raw_dataset(one_image_size_violation(kind), data)
     assert run([command, *data_command_flags(command, str(data), str(tmp_path / "o"))]) == 3
     err = capsys.readouterr().err
     assert message in err

@@ -9,6 +9,7 @@ import tempfile
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from wsp.cli import load_run_config, main
 from wsp.data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
-from wsp.errors import U32_MAX, ConfigError, ContractError, FormatError, WspError, build_config, check_fields
+from wsp.errors import U32_MAX, ConfigError, ContractError, FormatError, NonFiniteError, WspError, build_config
+from wsp.errors import check_fields
 from wsp.evaluation import ProbeConfig
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig, BatchSpec
@@ -46,6 +48,78 @@ def hostile_values(cls, name):
     if not isinstance(default, tuple):
         return HOSTILE
     return [*HOSTILE, [*default, default[0]], list(default[:-1]), [float("nan"), *default[1:]]]
+
+
+def edit_dataset(data, generator, volumes):
+    """One random edit of the ``(generator, volumes)`` that a caller passes to ``save_dataset``."""
+    kinds = ["subset", "merge", "generator", "label", "id", "patient", "v_max", "size", "pixel"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "subset":
+        return generator, [v for v in volumes if data.draw(st.booleans())]
+    if kind == "generator":
+        record = generator if isinstance(generator, dict) else {}
+        return data.draw(st.sampled_from([None, [1], {"latent_severity": [1]}, {**record, "seed": np.int64(3)},
+                                          {**record, "note": np.float32(1)}])), volumes
+    if not volumes:
+        return generator, volumes
+    i, j = data.draw(st.integers(0, len(volumes) - 1)), data.draw(st.integers(0, len(volumes) - 1))
+    volume = volumes[j]
+    if kind == "merge":
+        volume = dataclasses.replace(volume, patient_id=volumes[i].patient_id)
+    elif kind == "label":
+        label = data.draw(st.sampled_from([0, 1, 2, 3, -1, 2**63 - 1, 2**63, np.int64(1), np.int64(-1), 1.0, "1",
+                                           True, None]))
+        volume = dataclasses.replace(volume, **{data.draw(st.sampled_from(["y_weak", "y_strong"])): label})
+    elif kind == "id":
+        vid = data.draw(st.sampled_from(["", ".", "..", "a/b", "x\0", "fresh", volumes[i].volume_id, 7]))
+        volume = dataclasses.replace(volume, volume_id=vid)
+    elif kind == "patient":
+        volume = dataclasses.replace(volume, patient_id=data.draw(st.sampled_from(["P999", 7, None])))
+    elif kind == "v_max":
+        v_max = data.draw(st.sampled_from([2, 9, np.int64(4), U32_MAX, U32_MAX + 1, 2**33]))
+        slices = [dataclasses.replace(s, d=s.p / v_max) for s in volume.slices]
+        volume = dataclasses.replace(volume, v_max=v_max, slices=slices)
+    elif kind == "size":
+        shape = data.draw(st.sampled_from([(4, 4), (2, 4), (0, 0), (16,), (4, 4, 1)]))
+        first_only = data.draw(st.booleans())
+        slices = [s if first_only and k else dataclasses.replace(s, pixels=np.full(shape, 0.5, np.float32))
+                  for k, s in enumerate(volume.slices)]
+        volume = dataclasses.replace(volume, slices=slices)
+    elif volume.slices[0].pixels.size:  # a pixel value of the first slice
+        pixels = volume.slices[0].pixels.copy()
+        pixels.flat[data.draw(st.integers(0, pixels.size - 1))] = data.draw(st.sampled_from(
+            [0.0, 1.0, 0.25, -0.5, 2.0, np.nan, np.inf]))
+        volume = dataclasses.replace(volume, slices=[dataclasses.replace(volume.slices[0], pixels=pixels),
+                                                     *volume.slices[1:]])
+    return generator, [*volumes[:j], volume, *volumes[j + 1 :]]
+
+
+def edit_checkpoint(data, ckpt):
+    """One random edit of a checkpoint that a caller passes to ``save_checkpoint``."""
+    params = dict(ckpt.params)
+    name = data.draw(st.sampled_from(list(params)))
+    kind = data.draw(st.sampled_from(["value", "shape", "names", "step", "loss_kind", "loss_sigma"]))
+    if kind == "value":
+        values = params[name].copy()
+        values.flat[data.draw(st.integers(0, values.size - 1))] = data.draw(st.sampled_from(
+            [0.5, -3.0, 1e308, np.nan, np.inf, -np.inf]))
+        params[name] = values
+    elif kind == "shape":
+        shape = params[name].shape
+        params[name] = np.zeros(data.draw(st.sampled_from([(), (1,), shape[::-1], (*shape, 1)])))
+    elif kind == "names":
+        edit = data.draw(st.sampled_from(["drop", "move-last", "extra"]))
+        values = params.pop(name)
+        params.update({"move-last": {name: values}, "extra": {name: values, "extra": np.zeros(1)}}.get(edit, {}))
+    header = {}
+    if kind == "step":
+        header[kind] = data.draw(st.sampled_from([0, 7, np.int64(7), 2**70, -1, 1.5, "3", True, None]))
+    elif kind == "loss_kind":
+        header[kind] = data.draw(st.sampled_from(["wsp", "", 5, None]))
+    elif kind == "loss_sigma":
+        header[kind] = data.draw(st.sampled_from([None, 0.2, np.float64(0.3), np.int64(2), np.nan, np.inf, "0.1",
+                                                  10**400, np.float32(0.5)]))
+    return dataclasses.replace(ckpt, params=params, **header)
 
 
 class TestRuleTable:
@@ -149,6 +223,51 @@ class TestBoundaryFuzz:
             load_checkpoint(bad)
         except FormatError:
             pass
+
+    # Each writer either refuses an input before it writes anything, or writes what its reader returns unchanged.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_saved_dataset_loads_equal_or_nothing_is_written(self, data):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=4, slices_per_volume=3, height=4,
+                                                                        width=4), seed=1)
+        for _ in range(data.draw(st.integers(1, 3))):
+            generator, volumes = edit_dataset(data, generator, volumes)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "set"
+            try:
+                save_dataset(generator, volumes, target)
+            except (ContractError, NonFiniteError):
+                assert not target.exists()
+                return
+            loaded_generator, loaded = load_dataset(target)
+        assert loaded_generator == json.loads(json.dumps(generator, default=int))
+        severities = (generator or {}).get("latent_severity", {})
+        assert [(v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong, v.latent_severity) for v in loaded] == [
+            (v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong, severities.get(v.volume_id)) for v in volumes]
+        for a, b in zip(loaded, volumes):
+            assert [(s.p, s.d) for s in a.slices] == [(s.p, s.d) for s in b.slices]
+            stored = [np.asarray(s.pixels, np.float32) for s in b.slices]  # what the writer stores
+            assert all(np.array_equal(sa.pixels, pixels) for sa, pixels in zip(a.slices, stored))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_saved_checkpoint_loads_equal_or_nothing_is_written(self, data):
+        cfg = EncoderConfig(arch="mlp", input_shape=(12,), mlp_hidden=(16,), repr_dim=8, proj_dim=4, proj_hidden=6)
+        ckpt = EncoderCheckpoint.from_encoder(init_encoder(cfg), step=3, loss_kind="wsp", loss_sigma=0.1)
+        for _ in range(data.draw(st.integers(1, 3))):
+            ckpt = edit_checkpoint(data, ckpt)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ckpt"
+            try:
+                save_checkpoint(ckpt, path)
+            except (ContractError, NonFiniteError):
+                assert not path.exists()
+                return
+            loaded = load_checkpoint(path)
+        assert loaded.config == ckpt.config
+        assert list(loaded.params) == list(ckpt.params)
+        assert all(np.array_equal(loaded.params[name], ckpt.params[name]) for name in ckpt.params)
+        assert (loaded.step, loaded.loss_kind, loaded.loss_sigma) == (ckpt.step, ckpt.loss_kind, ckpt.loss_sigma)
 
     @pytest.fixture(scope="class")
     def valid_inputs(self, tmp_path_factory):

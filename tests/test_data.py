@@ -20,7 +20,7 @@ from wsp.data import (
     save_dataset,
     select_central_slices,
 )
-from wsp.errors import ConfigError, ContractError, FormatError
+from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError
 
 
 class TestNormalizeDepth:
@@ -249,6 +249,52 @@ class TestDiskFormat:
         with pytest.raises(ContractError, match="plain file name"):
             save_dataset(generator, [volumes[0], replace(volumes[1], volume_id=vid)], tmp_path / "set")
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def with_pixels(volume, pixels):
+        """``volume`` with every slice's image replaced by ``pixels(slice image)``."""
+        return replace(volume, slices=[replace(s, pixels=pixels(s.pixels)) for s in volume.slices])
+
+    @staticmethod
+    def with_v_max(volume, v_max):
+        return replace(volume, v_max=v_max, slices=[replace(s, d=s.p / v_max) for s in volume.slices])
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda g, v: (g, [v[0], replace(v[1], patient_id=v[0].patient_id, y_weak=v[0].y_weak + 1)]),
+         ContractError, "P000"),
+        (lambda g, v: (g, [v[0], TestDiskFormat.with_pixels(v[1], lambda p: p[:2, :2])]), ContractError,
+         r"image size \(2, 2\) differs from \(32, 32\)"),
+        (lambda g, v: (g, [TestDiskFormat.with_pixels(v[0], lambda p: p[:0, :0]), v[1]]), ContractError,
+         r"image size \(0, 0\) is empty"),
+        (lambda g, v: (g, [v[0], replace(v[1], y_strong=2)]), ContractError, "y_strong"),
+        (lambda g, v: (g, [v[0], replace(v[1], y_weak=-1)]), ContractError, "y_weak"),
+        (lambda g, v: (g, [v[0], TestDiskFormat.with_pixels(v[1], lambda p: p * 0 + 2.0)]), ContractError,
+         r"volume V001 slice pixels must be in \[0, 1\], got 2.0"),
+        (lambda g, v: (g, [v[0], TestDiskFormat.with_pixels(v[1], lambda p: p * np.nan)]), NonFiniteError,
+         "slice pixels must be in"),
+        (lambda g, v: (g, [v[0], replace(v[1], patient_id=7)]), ContractError, "patient_id must be a string"),
+        (lambda g, v: (g, []), ContractError, "non-empty list"),
+        (lambda g, v: ([1], v), ContractError, "'generator' must be an object or null"),
+        (lambda g, v: (g, [v[0], TestDiskFormat.with_v_max(v[1], 2**33)]), ContractError, "v_max must lie in"),
+        (lambda g, v: ({**g, "note": np.float32(0.5)}, v), ContractError, "cannot write a value as JSON"),
+    ], ids=["patient-labels", "mixed-sizes", "empty-images", "y_strong-2", "y_weak-negative", "pixels-2", "pixels-nan",
+            "patient_id-int", "no-volumes", "generator-list", "v_max-2**33", "generator-float32"])
+    def test_writer_refuses_what_the_reader_refuses_before_writing(self, tmp_path, edit, error, match):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        with pytest.raises(error, match=match):
+            save_dataset(*edit(generator, volumes), tmp_path / "set")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integers_are_written_as_integers(self, tmp_path):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        as_numpy = [replace(self.with_v_max(v, np.int64(v.v_max)), y_weak=np.int64(v.y_weak),
+                            y_strong=np.int64(v.y_strong)) for v in volumes]
+        save_dataset(generator, volumes, tmp_path / "int")
+        save_dataset(generator, as_numpy, tmp_path / "numpy")
+        for name in ("manifest.json", "V000.wspv", "V001.wspv"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+        _, loaded = load_dataset(tmp_path / "numpy")
+        self.assert_same_volumes(loaded, as_numpy)
 
     def test_corrupted_magic_rejected(self, tmp_path):
         cfg = GeneratorConfig(n_volumes=1, slices_per_volume=2)

@@ -15,10 +15,10 @@ from wsp.encoders import (
     parameter_shapes,
     save_checkpoint,
 )
-from wsp.errors import ConfigError, ContractError, FormatError
+from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError
 from wsp.losses import LossConfig, compute_loss
 
-from oracles import make_meta, rewrite_checkpoint_header
+from oracles import make_meta, patch_checkpoint_value, rewrite_checkpoint_header
 
 MLP_CFG = EncoderConfig(arch="mlp", input_shape=(12,), mlp_hidden=(16, 16), repr_dim=24, proj_dim=8, proj_hidden=12)
 
@@ -244,13 +244,41 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_rejected_at_its_offset(self, tmp_path, value):
         ckpt = EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG))
-        ckpt.params["repr_w"][1, 2] = value
         path = tmp_path / "n.ckpt"
         save_checkpoint(ckpt, path)
+        index = np.ravel_multi_index((1, 2), ckpt.params["repr_w"].shape)
+        patch_checkpoint_value(path, ckpt.params, "repr_w", index, value)
         with pytest.raises(FormatError, match="repr_w values must be finite") as err:
             load_checkpoint(path)
         raw = path.read_bytes()
         assert raw[err.value.offset : err.value.offset + 8] == struct.pack("<d", value)
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda c: c.params["repr_w"].__setitem__((1, 2), np.nan), NonFiniteError, "repr_w values must be finite"),
+        (lambda c: c.params["proj2_b"].__setitem__(0, -np.inf), NonFiniteError, "proj2_b values must be finite"),
+        (lambda c: c.params.__setitem__("repr_w", c.params["repr_w"].T), ContractError, "parameter repr_w has shape"),
+        (lambda c: c.params.pop("repr_b"), ContractError, "do not match the architecture"),
+        (lambda c: c.params.__setitem__("repr_b", c.params.pop("repr_b")), ContractError, "do not match"),
+        (lambda c: setattr(c, "step", -1), ContractError, "step must lie in"),
+        (lambda c: setattr(c, "step", 1.0), ContractError, "step must be an integer"),
+        (lambda c: setattr(c, "loss_kind", 5), ContractError, "loss_kind must be a string"),
+        (lambda c: setattr(c, "loss_sigma", float("nan")), ContractError, "loss_sigma must be a finite number"),
+        (lambda c: setattr(c, "loss_sigma", np.float32(0.5)), ContractError, "cannot write a value as JSON"),
+    ], ids=["nan", "minus-inf", "transposed", "missing", "reordered", "step-negative", "step-float", "loss_kind-int",
+            "loss_sigma-nan", "loss_sigma-float32"])
+    def test_writer_refuses_what_the_reader_refuses_before_writing(self, tmp_path, edit, error, match):
+        ckpt = EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG), step=3, loss_kind="wsp", loss_sigma=0.1)
+        edit(ckpt)
+        with pytest.raises(error, match=match):
+            save_checkpoint(ckpt, tmp_path / "c.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_step_is_written_as_an_integer(self, tmp_path):
+        enc = init_encoder(MLP_CFG)
+        save_checkpoint(EncoderCheckpoint.from_encoder(enc, step=12), tmp_path / "int.ckpt")
+        save_checkpoint(EncoderCheckpoint.from_encoder(enc, step=np.int64(12)), tmp_path / "numpy.ckpt")
+        assert (tmp_path / "numpy.ckpt").read_bytes() == (tmp_path / "int.ckpt").read_bytes()
+        assert load_checkpoint(tmp_path / "numpy.ckpt").step == 12
 
     def test_truncation_rejected_with_offset(self, tmp_path):
         enc = init_encoder(EncoderConfig(seed=4))

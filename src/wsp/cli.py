@@ -2,8 +2,8 @@
 
 Every command is a pure function of (config file, flags, seed, input files):
 flags override config-file values, the effective configuration is echoed next
-to each primary output, and no output file contains a timestamp, so replays
-are byte-identical.
+to each primary output as a config file of the command, and no output file
+contains a timestamp, so replaying an echo writes the same bytes.
 
 Exit codes: 0 success, 2 usage/config, 3 data or format problem, 4 numerical
 failure.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from .data import (
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
-from .errors import ConfigError, NonFiniteError, WspError, build_config, check_value, parse_json, write_csv, write_json
+from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, parse_json
+from .errors import write_csv, write_json
 from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_grid
 from .evaluation import run_probe_protocol
 from .losses import LossConfig, gradient_check
@@ -44,54 +46,76 @@ GRADCHECK_TOLERANCE = 1e-5
 
 _LOSS_FLAG_TO_KIND = {"wsp": "wsp", "supcon": "supcon", "depth": "depth_aware", "infonce": "infonce"}
 
-_RUN_CONFIG_SECTIONS = {
-    "data": set(GeneratorConfig.__dataclass_fields__) | {"central_fraction"},
-    "encoder": set(EncoderConfig.__dataclass_fields__),
-    "loss": set(LossConfig.__dataclass_fields__),
-    "optim": set(OptimConfig.__dataclass_fields__) - {"loss"},
-    "probe": set(ProbeConfig.__dataclass_fields__),
-    "augment": set(AugmentConfig.__dataclass_fields__),
-}
-_RUN_CONFIG_TOP_KEYS = set(_RUN_CONFIG_SECTIONS) | {"output_dir", "seed"}
+# The run-config's sections, each with its config class; a section's keys are given by _section_keys.
+_SECTIONS = {"data": GeneratorConfig, "encoder": EncoderConfig, "loss": LossConfig, "optim": OptimConfig,
+             "probe": ProbeConfig, "augment": AugmentConfig}
+
+# The run-config's other keys, each with its kind and rule (see check_value); a kind in a list is a non-empty list of
+# that kind (see parse_list). "command" must name the running command; "data_dir" and "checkpoint" are never read.
+_TOP_KEYS = {"command": (str, None), "data_dir": (str, None), "checkpoint": (str, None), "output_dir": (str, None),
+             "seed": (int, "[0, inf)"), "central_fraction": (float, "(0, 1]"), "sigmas": ([float], None),
+             "seeds": ([int], None)}
 
 
-def load_run_config(path) -> dict:
-    """Parse and validate a run-config JSON document; unknown keys rejected."""
+def _section_keys(cls) -> set:
+    """The keys of config class ``cls``'s section: its fields, less any holding a nested config (one with its own)."""
+    return {name for name, hint in typing.get_type_hints(cls).items() if not is_dataclass(hint)}
+
+
+def _top(doc: dict, args, key: str, default=None, error=ConfigError):
+    """Top-level value ``key``: its flag in ``args``, else the run-config's, else ``default``; the one precedence of
+    these. It must obey its ``_TOP_KEYS`` rule, else ``error``."""
+    flag = getattr(args, key, None)
+    value = doc.get(key, default) if flag is None else flag
+    kind, rule = _TOP_KEYS[key]
+    if isinstance(kind, list):
+        if flag is None and not isinstance(value, list):  # comma-separated text is a flag's form only
+            raise error(f"{key} must be a list, got {value!r}")
+        return parse_list(value, key, kind[0], error)
+    check_value(key, value, kind, rule, error)
+    return kind(value)
+
+
+def _check_run_config(doc: dict, command: str | None, error) -> None:
+    """The run-config's rule, raised as ``error``; ``command`` is the running command, if there is one."""
+    unknown = set(doc) - set(_TOP_KEYS) - set(_SECTIONS)
+    if unknown:
+        raise error(f"unknown run-config keys: {sorted(unknown)}")
+    for key in (key for key in _TOP_KEYS if key in doc):
+        _top(doc, None, key, error=error)
+    if command is not None and doc.get("command", command) != command:
+        raise error(f"run-config of command {doc['command']!r} given to command {command!r}")
+    for section, cls in _SECTIONS.items():
+        body = doc.get(section)
+        if body is not None and not isinstance(body, dict):
+            raise error(f"section {section!r} must be a JSON object")
+        bad = set(body or {}) - _section_keys(cls)
+        if bad:
+            raise error(f"unknown keys in section {section!r}: {sorted(bad)}")
+
+
+def load_run_config(path, command: str | None = None) -> dict:
+    """Parse and check a run-config JSON document (see ``_check_run_config``); an echo of ``command`` is one."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     doc = parse_json(raw, f"run config {path}", ConfigError)
-    unknown = set(doc) - _RUN_CONFIG_TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
-    for key, kind, rule in (("seed", int, "[0, inf)"), ("output_dir", str, None)):
-        if key in doc:
-            check_value(f"run-config {key!r}", doc[key], kind, rule)
-    for section, allowed in _RUN_CONFIG_SECTIONS.items():
-        body = doc.get(section)
-        if body is None:
-            continue
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {section!r} must be a JSON object")
-        bad = set(body) - allowed
-        if bad:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+    _check_run_config(doc, command, ConfigError)
     return doc
 
 
 def _echo_config(primary_output: str, args, configs: dict, **inputs) -> None:
-    """Write the effective configuration next to a command's main output; the one builder of every echo.
-
-    The echo holds the command, its input paths, ``inputs`` and each config under its run-config
-    section name, less any field holding a nested config (that config has its own section).
-    """
+    """Write the effective configuration next to a command's main output: the one builder of every echo, a run-config
+    of its command that holds its input paths, ``inputs`` and ``configs``. What ``_check_run_config`` refuses is a
+    ContractError."""
     given = vars(args)
     paths = {key: given[dest] for key, dest in (("data_dir", "data"), ("checkpoint", "ckpt")) if dest in given}
     payload = {"command": args.command, **paths, **inputs}
     for section, cfg in configs.items():
-        payload[section] = {key: value for key, value in asdict(cfg).items() if not is_dataclass(getattr(cfg, key))}
+        payload[section] = {key: value for key, value in asdict(cfg).items() if key in _section_keys(type(cfg))}
+    _check_run_config(payload, args.command, ContractError)
     is_dir = os.path.isdir(primary_output)
     write_json(os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json", payload)
 
@@ -106,7 +130,7 @@ def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dic
     body = dict(doc.get(name) or {})
     flags = {dest[len(name) + 1 :]: value for dest, value in vars(args).items() if dest.startswith(name + ".")}
     body.update((key, value) for key, value in {**flags, **overrides}.items() if value is not None)
-    if "seed" in _RUN_CONFIG_SECTIONS[name]:
+    if "seed" in _section_keys(_SECTIONS[name]):
         fallback = doc.get("seed") if fallback_seed is None else fallback_seed
         if args.seed is not None:
             body["seed"] = args.seed
@@ -134,10 +158,8 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
 
 
 def cmd_generate(doc: dict, args) -> int:
-    body = _section(doc, args, "data", **_parse_size(args.size))
-    body.pop("central_fraction", None)
-    cfg = build_config(GeneratorConfig, body, ConfigError)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    cfg = build_config(GeneratorConfig, _section(doc, args, "data", **_parse_size(args.size)), ConfigError)
+    seed = _top(doc, args, "seed", 0)
     out = _resolve_out(doc, args.out)
     generator, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(generator, volumes, out)
@@ -157,23 +179,25 @@ def _parse_size(text: str | None) -> dict:
         raise ConfigError(f"--size must look like 32x32, got {text!r}") from exc
 
 
-def parse_list(text: str, flag: str, kind) -> list:
-    """The distinct ``kind`` values, in first-seen order, of the comma-separated ``flag`` list; else ConfigError."""
+def parse_list(values, name: str, kind, error=ConfigError) -> list:
+    """The distinct ``kind`` values, in first-seen order, of the list or comma-separated string ``values``; else
+    ``error``."""
     try:
-        values = list(dict.fromkeys(kind(tok) for tok in text.split(",") if tok.strip()))
+        values = [kind(tok) for tok in values.split(",") if tok.strip()] if isinstance(values, str) else values
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be comma-separated values of type {kind.__name__}, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{flag} must not be empty")
-    return values
+        raise error(f"{name} must be comma-separated values of type {kind.__name__}, got {values!r}") from exc
+    if not isinstance(values, list) or not values:
+        raise error(f"{name} must be a non-empty list, got {values!r}")
+    for value in values:
+        check_value(f"{name} entries", value, kind, None, error)
+    return list(dict.fromkeys(map(kind, values)))
 
 
 def _load_trimmed(doc: dict, args):
-    """The central-slice fraction (flag, then config, then default) and the volumes trimmed to it."""
-    fraction = _section(doc, args, "data").get("central_fraction", CENTRAL_FRACTION)
-    check_value("central_fraction", fraction, float, "(0, 1]")
+    """The central-slice fraction and the volumes trimmed to it."""
+    fraction = _top(doc, args, "central_fraction", CENTRAL_FRACTION)
     _, volumes = load_dataset(args.data)
-    return float(fraction), central_view(volumes, fraction)
+    return fraction, central_view(volumes, fraction)
 
 
 def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
@@ -203,7 +227,7 @@ def cmd_pretrain(doc: dict, args) -> int:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
     except NonFiniteError as exc:
         dump_path = out + ".dump.json"
-        write_json(dump_path, getattr(exc, "details", {"error": str(exc)}))
+        write_json(dump_path, exc.details)
         print(f"error: {exc}; batch dump written to {dump_path}", file=sys.stderr)
         return EXIT_NUMERIC
     save_checkpoint(ckpt, out)
@@ -261,9 +285,7 @@ def cmd_project(doc: dict, args) -> int:
 
 
 def cmd_gradcheck(doc: dict, args) -> int:
-    seed = args.seed or 0
-    check_value("--seed", seed, int, "[0, inf)")
-    results = gradient_check(seed=seed)
+    results = gradient_check(seed=_top(doc, args, "seed", 0))
     failed = []
     for kind, err in results.items():
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -277,13 +299,12 @@ def cmd_gradcheck(doc: dict, args) -> int:
 
 
 def cmd_sweep(doc: dict, args) -> int:
-    sigmas = parse_list(args.sigmas, "--sigmas", float) if args.sigmas is not None else list(DEFAULT_SWEEP_SIGMAS)
-    seeds = parse_list(args.seeds, "--seeds", int) if args.seeds is not None else None
+    sigmas = _top(doc, args, "sigmas", list(DEFAULT_SWEEP_SIGMAS))
     fraction, volumes = _load_trimmed(doc, args)
     enc_cfg = _encoder_config(doc, args, volumes)
     loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    seeds = seeds if seeds is not None else [optim_cfg.seed]
+    seeds = _top(doc, args, "seeds", [optim_cfg.seed])
 
     def recipe(seed):  # the run's seed goes to the encoder, optim and augment configs; the probe keeps its own
         enc, optim, aug = (replace(cfg, seed=seed) for cfg in (enc_cfg, optim_cfg, aug_cfg))
@@ -345,8 +366,8 @@ def write_pca_svg(path, table, coords) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Every flag once: flag -> (dest, argparse keywords). A dotted dest
-# ``section.key`` names the run-config key that the flag overrides (see _section).
+# Every flag once: flag -> (dest, argparse keywords). A dotted dest ``section.key`` names the run-config key
+# that the flag overrides (see _section), and a dest in _TOP_KEYS the top-level key (see _top).
 _FLAGS = {
     "--data": ("data", {"required": True, "help": "dataset directory"}),
     "--ckpt": ("ckpt", {"required": True, "help": "checkpoint path, or 'random' for an untrained encoder"}),
@@ -355,7 +376,7 @@ _FLAGS = {
     "--slices": ("data.slices_per_volume", {"type": int, "help": "slices per volume (default 24)"}),
     "--size": ("size", {"help": "image size as HxW (default 32x32)"}),
     "--noise": ("data.noise_rate", {"type": float, "help": "label-noise rate rho (default 0.1)"}),
-    "--fraction": ("data.central_fraction", {"type": float, "help": "central-slice fraction (default 0.7)"}),
+    "--fraction": ("central_fraction", {"type": float, "help": "central-slice fraction (default 0.7)"}),
     "--arch": ("encoder.arch", {"choices": ARCHS, "help": "encoder architecture (default tiny_cnn)"}),
     "--loss": ("loss", {"choices": sorted(_LOSS_FLAG_TO_KIND), "help": "loss kind (default wsp)"}),
     "--sigma": ("loss.sigma", {"type": float, "help": "depth-kernel bandwidth (default 0.1)"}),
@@ -428,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = getattr(args, "config", None)
-    return run_with_exit_code(lambda: args.func(load_run_config(config) if config else {}, args))
+    return run_with_exit_code(lambda: args.func(load_run_config(config, args.command) if config else {}, args))
 
 
 def run_with_exit_code(func) -> int:

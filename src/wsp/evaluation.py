@@ -18,6 +18,8 @@ from .encoders import EncoderCheckpoint, input_batch, untrained_checkpoint
 from .errors import ConfigError, ContractError, check_fields, size_rule
 from .training import pretrain
 
+EXTRACT_CHUNK = 128  # slices encoded at a time by extract_representations
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -58,7 +60,7 @@ class ProbeReport:
     patient_probabilities: dict
 
 
-def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 128) -> RepresentationTable:
+def extract_representations(ckpt: EncoderCheckpoint, volumes) -> RepresentationTable:
     """Representation vectors for every retained slice, augmentation off."""
     enc = ckpt.to_encoder()
     patient_ids: list = []
@@ -79,8 +81,8 @@ def extract_representations(ckpt: EncoderCheckpoint, volumes, batch_size: int = 
         raise ContractError("no retained slices to embed")
     # The encoder is frozen, so no chunk records a graph; pixels become float64 one chunk at a time.
     reprs = np.empty((len(images), enc.config.repr_dim))
-    for start in range(0, len(images), batch_size):
-        block = np.stack(images[start : start + batch_size]).astype(np.float64, copy=False)
+    for start in range(0, len(images), EXTRACT_CHUNK):
+        block = np.stack(images[start : start + EXTRACT_CHUNK]).astype(np.float64, copy=False)
         reprs[start : start + len(block)] = enc.encode(input_batch(enc.config, block)).data
     return RepresentationTable(
         patient_ids=patient_ids,

@@ -88,7 +88,7 @@ def optimizer_step(
         if g.shape != p.data.shape:
             raise ContractError(f"gradient shape {g.shape} != parameter shape {p.data.shape} ({name})")
         if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r} at step {state.step}")
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     t = state.step + 1
     decay = 1.0 - lr_t * cfg.weight_decay
     for name, p in params.items():
@@ -135,8 +135,8 @@ def _assemble_batch(batch: list[SliceSample], aug_cfg: AugmentConfig, key, enc_c
 
 
 def _diverged(what: str, epoch: int, b_idx: int, meta: BatchMeta) -> NonFiniteError:
-    """The error of a run that reached a non-finite ``what``, with the batch it reached it on as ``details``."""
-    err = NonFiniteError(f"non-finite {what} at epoch {epoch}, batch {b_idx}")
+    """The error of a run that reached ``what`` (a non-finite value), with the batch it reached it on as ``details``."""
+    err = NonFiniteError(f"{what} at epoch {epoch}, batch {b_idx}")
     err.details = {"epoch": epoch, "batch": b_idx, "slice_ids": list(meta.slice_ids),
                    "patient_ids": list(meta.patient_ids), "y": [int(v) for v in meta.y], "d": [float(v) for v in meta.d]}
     return err
@@ -172,7 +172,7 @@ def pretrain(
             try:
                 z = enc.project(enc.encode(x))
             except NonFiniteError as exc:  # diverged parameters
-                raise _diverged("projections", epoch, b_idx, meta) from exc
+                raise _diverged("non-finite projections", epoch, b_idx, meta) from exc
             loss = compute_loss(z, meta, optim_cfg.loss)
             # The previous step's gradients go now, before the backward pass, where a step peaks. Freed
             # with the rest of their step, they would let glibc's malloc hand the whole heap top back to
@@ -180,13 +180,16 @@ def pretrain(
             grads = None
             value = loss.item()
             if not math.isfinite(value):
-                raise _diverged(f"loss {value}", epoch, b_idx, meta)
+                raise _diverged(f"non-finite loss {value}", epoch, b_idx, meta)
             lr_t = cosine_lr(global_step, total_iters, optim_cfg.lr)
             if epoch_lr is None:
                 epoch_lr = lr_t
             grad_map = ad.backward(loss)
             grads = {name: grad_map.wrt(p) for name, p in enc.params.items()}
-            optimizer_step(enc.params, grads, state, optim_cfg, lr_t)
+            try:
+                optimizer_step(enc.params, grads, state, optim_cfg, lr_t)
+            except NonFiniteError as exc:  # a non-finite gradient; the message names its parameter
+                raise _diverged(str(exc), epoch, b_idx, meta) from exc
             # Drop the spent step graph before the next forward pass.
             del x, z, loss, grad_map
             epoch_losses.append(value)

@@ -5,13 +5,16 @@ import importlib.util
 import json
 import shutil
 import struct
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsp.cli import _FLAGS, build_parser, main, run_with_exit_code
+from wsp.cli import _COMMANDS, _FLAGS, build_parser, main, run_with_exit_code
 from wsp.data import (
     GeneratorConfig,
     Slice,
@@ -214,6 +217,19 @@ class TestPretrain:
     # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_gradient_exit_numeric_with_batch_dump(self, small_dataset, tmp_path, capsys):
+        out = tmp_path / "g.ckpt"
+        code = run(["pretrain", "--data", str(small_dataset), "--arch", "mlp", "--epochs", "3", "--batch", "4",
+                    "--lr", "1e150", "--weight-decay", "0", "--out", str(out)])
+        assert code == 4
+        assert "non-finite gradient for parameter 'proj1_w' at epoch 0, batch 1" in capsys.readouterr().err
+        dump = json.loads((tmp_path / "g.ckpt.dump.json").read_text())
+        assert (dump["epoch"], dump["batch"], len(dump["slice_ids"])) == (0, 1, 8)
+        assert not out.exists()
+
+    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_parameters_are_numeric_error_and_no_checkpoint(self, small_dataset, tmp_path, capsys):
         config = tmp_path / "sgd.json"
         config.write_text(json.dumps({"optim": {"optimizer": "sgd_momentum", "weight_decay": 0}}))
@@ -393,6 +409,10 @@ class TestSweep:
         assert run([*flags, "--seeds", "0,0,1", "--sigmas", "0.1,0.1", "--out", str(repeated)]) == 0
         assert run([*flags, "--seeds", "0,1", "--sigmas", "0.1", "--out", str(distinct)]) == 0
         assert repeated.read_bytes() == distinct.read_bytes()
+        config = tmp_path / "repeated.json"
+        config.write_text(json.dumps({"seeds": [0, 0, 1], "sigmas": [0.1, 0.1]}))
+        assert run([*flags, "--config", str(config), "--out", str(tmp_path / "config.csv")]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == distinct.read_bytes()
         echo = json.loads((tmp_path / "repeated.csv.config.json").read_text())
         assert echo["seeds"] == [0, 1] and echo["sigmas"] == [0.1]
 
@@ -429,6 +449,103 @@ class TestEcho:
         assert echo["encoder"]["arch"] == "mlp"
         assert echo["loss"]["tau"] == 0.5
         assert echo["central_fraction"] == 0.5
+
+
+def assert_replays(command, inputs, flags, root):
+    """Run ``command`` on ``inputs`` with ``flags``, then on ``inputs`` with its echo as ``--config`` and no flag:
+    both runs write the same files, byte for byte, echo included."""
+    first, second = root / "first", root / "second"
+    assert run([command, *inputs, *flags, "--out", str(first / "o")]) == 0
+    echo = first / ("o/run_config.json" if command == "generate" else "o.config.json")
+    assert run([command, *inputs, "--config", str(echo), "--out", str(second / "o")]) == 0
+    written = {path.relative_to(first) for path in first.rglob("*") if path.is_file()}
+    assert written == {path.relative_to(second) for path in second.rglob("*") if path.is_file()}
+    for name in written:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def replay_inputs(command, data, ckpt="random"):
+    """The input flags of ``command`` on the dataset ``data``, and on the checkpoint ``ckpt`` if it reads one."""
+    inputs = [] if command == "generate" else ["--data", str(data)]
+    return inputs + ["--ckpt", str(ckpt)] if command in ("probe", "project") else inputs
+
+
+# Per command, the flags of a tiny run: one epoch, or a generated dataset of 4 volumes.
+_TINY_FLAGS = {
+    "generate": ["--volumes", "4", "--slices", "3"],
+    "pretrain": ["--epochs", "1", "--batch", "4"],
+    "probe": [],
+    "project": [],
+    "sweep": ["--epochs", "1", "--batch", "4"],
+}
+
+# Each flag that a run-config records, with values a tiny run accepts.
+_REPLAY_FLAG_VALUES = {
+    "--seed": ["0", "3"],
+    "--fraction": ["0.5", "1.0"],
+    "--arch": ["tiny_cnn", "mlp"],
+    "--loss": ["wsp", "supcon", "depth", "infonce"],
+    "--sigma": ["0.05", "0.3"],
+    "--tau": ["0.1", "0.5"],
+    "--lr": ["1e-4", "1e-3"],
+    "--weight-decay": ["0", "1e-3"],
+    "--folds": ["2", "3"],
+    "--sigmas": ["0.1", "0.3,0.1,0.3"],
+    "--seeds": ["0", "2,1,2"],
+    "--size": ["8x8", "16x12"],
+    "--noise": ["0", "0.3"],
+}
+
+
+class TestReplay:
+    """Every echo is a run-config of its command: given back with the same inputs, it replays the run."""
+
+    @pytest.mark.parametrize(
+        "command, ckpt, flags",
+        [
+            ("generate", None, ["--volumes", "5", "--slices", "3", "--size", "16x12", "--noise", "0.3", "--seed", "4"]),
+            ("pretrain", None, ["--epochs", "1", "--batch", "4", "--sigma", "0.3", "--fraction", "0.5", "--seed", "2"]),
+            ("pretrain", None, ["--arch", "mlp", "--loss", "depth", "--tau", "0.2", "--lr", "1e-3", "--weight-decay",
+                                "0", "--epochs", "2", "--batch", "6"]),
+            ("probe", "trained", ["--folds", "3", "--fraction", "1.0", "--seed", "1"]),
+            ("probe", "random", ["--arch", "mlp", "--folds", "2"]),
+            ("project", "random", ["--fraction", "0.5", "--seed", "3"]),
+            ("sweep", None, ["--arch", "mlp", "--sigmas", "0.3,0.1", "--seeds", "1,0", "--tau", "0.2", "--epochs", "1",
+                             "--batch", "4"]),
+        ],
+        ids=["generate", "pretrain-tiny_cnn", "pretrain-mlp", "probe-trained", "probe-random", "project-random",
+             "sweep"],
+    )
+    def test_echo_replays_byte_identical_outputs(self, dataset_dir, checkpoint, tmp_path, command, ckpt, flags):
+        inputs = replay_inputs(command, dataset_dir, checkpoint if ckpt == "trained" else "random")
+        assert_replays(command, inputs, flags, tmp_path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_echo_replays_any_recorded_flags(self, dataset_dir, checkpoint, data):
+        command = data.draw(st.sampled_from(sorted(_TINY_FLAGS)), label="command")
+        accepted = {flag if isinstance(flag, str) else flag[0] for flag in _COMMANDS[command][2]}
+        flags = list(_TINY_FLAGS[command])
+        for flag in (flag for flag in _REPLAY_FLAG_VALUES if flag in accepted):
+            if data.draw(st.booleans(), label=f"with {flag}"):
+                flags += [flag, data.draw(st.sampled_from(_REPLAY_FLAG_VALUES[flag]), label=flag)]
+        ckpt = data.draw(st.sampled_from(["random", checkpoint]), label="--ckpt") if "--ckpt" in accepted else None
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_replays(command, replay_inputs(command, dataset_dir, ckpt), flags, Path(tmp))
+
+    @pytest.mark.parametrize("writer", sorted(_TINY_FLAGS))
+    def test_echo_of_another_command_is_usage_error_and_writes_nothing(self, dataset_dir, tmp_path, capsys, writer):
+        flags = [*replay_inputs(writer, dataset_dir), *_TINY_FLAGS[writer]]
+        assert run([writer, *flags, "--out", str(tmp_path / "o")]) == 0
+        echo = tmp_path / ("o/run_config.json" if writer == "generate" else "o.config.json")
+        readers = sorted(set(_TINY_FLAGS) - {writer})
+        for reader in readers:
+            out = tmp_path / reader / "o"
+            assert run([reader, *replay_inputs(reader, dataset_dir), "--config", str(echo), "--out", str(out)]) == 2
+            assert not out.parent.exists()
+        err = capsys.readouterr().err
+        assert err.count("usage error: run-config of command") == len(readers)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["generate", "pretrain", "probe", "project", "gradcheck", "sweep"])
@@ -576,7 +693,7 @@ class TestParser:
         for dest in dotted:
             section, key = dest.split(".")
             fields = {f.name for f in dataclasses.fields(sections[section])}
-            assert key in fields or dest == "data.central_fraction", dest
+            assert key in fields, dest
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -616,8 +733,8 @@ class TestParser:
             {"seed": "abc"},
             {"encoder": {"input_shape": 5}},
             {"augment": {"crop_scale": 0.5}},
-            {"data": {"central_fraction": "abc"}},
-            {"data": {"central_fraction": 2.0}},
+            {"central_fraction": "abc"},
+            {"central_fraction": 2.0},
             {"encoder": {"proj_dim": 1.5}},
             {"encoder": {"conv_channels": [16, 0, 64, 128, 256]}},
             {"loss": {"sigma": float("nan")}},
@@ -637,11 +754,18 @@ class TestParser:
             {"seed": float("nan")},
             {"seed": -1},
             {"output_dir": True},
-            {"data": {"central_fraction": True}},
-            {"data": {"central_fraction": float("nan")}},
-            {"data": {"central_fraction": 0.0}},
+            {"central_fraction": True},
+            {"central_fraction": float("nan")},
+            {"central_fraction": 0.0},
             {"encoder": {"proj_hidden": 10**400}},
             {"encoder": {"mlp_hidden": [128, 2**32]}},
+            {"data": {"central_fraction": 0.5}},
+            {"sigmas": []},
+            {"sigmas": "0.1"},
+            {"seeds": [1.5]},
+            {"seeds": [True]},
+            {"command": 3},
+            {"data_dir": None},
         ],
         ids=[
             "loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range",
@@ -650,7 +774,8 @@ class TestParser:
             "optim.weight_decay-nan", "optim.weight_decay-huge", "optim.batch_size-bool", "augment.enabled-string",
             "optim.lr-huge-int", "loss.tau-huge-int", "seed-bool", "seed-nan", "seed-negative", "output_dir-bool",
             "fraction-bool", "fraction-nan", "fraction-zero", "encoder.proj_hidden-huge-int",
-            "encoder.mlp_hidden-above-u32",
+            "encoder.mlp_hidden-above-u32", "data.central_fraction-moved", "sigmas-empty", "sigmas-string",
+            "seeds-float", "seeds-bool", "command-int", "data_dir-null",
         ],
     )
     def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):
@@ -801,7 +926,7 @@ class TestParser:
     def test_flags_override_config(self, dataset_dir, checkpoint, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
-            "data": {"central_fraction": 0.5},
+            "central_fraction": 0.5,
             "encoder": {"seed": 3},
             "augment": {"seed": 3},
             "optim": {"epochs": 1, "batch_size": 4},

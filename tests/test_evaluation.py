@@ -55,15 +55,16 @@ class TestExtract:
         assert not any(p.requires_grad for p in enc.params.values())
 
     @pytest.mark.parametrize("arch", ["tiny_cnn", "mlp"])
-    def test_peak_memory_grows_only_with_the_output_table(self, small_volumes, traced_peak, arch):
+    def test_peak_memory_grows_only_with_the_output_table(self, small_volumes, traced_peak, monkeypatch, arch):
         # 48 and 96 slices: three and six full chunks of 16. No graph and no float64 copy of the
         # cohort may grow with the chunk count; the table, with its Python lists, may.
         cfg = EncoderConfig(arch=arch, input_shape=(1024,)) if arch == "mlp" else EncoderConfig()
         ckpt = EncoderCheckpoint.from_encoder(init_encoder(cfg), 0, "random")
         tables = {}
+        monkeypatch.setattr("wsp.evaluation.EXTRACT_CHUNK", 16)
 
         def extract(n_volumes):
-            tables[n_volumes] = extract_representations(ckpt, small_volumes[:n_volumes], batch_size=16)
+            tables[n_volumes] = extract_representations(ckpt, small_volumes[:n_volumes])
 
         small, large = traced_peak(lambda: extract(8)), traced_peak(lambda: extract(16))
         assert (len(tables[8]), len(tables[16])) == (48, 96)

@@ -6,8 +6,9 @@ the graph reachable from a scalar into a :class:`Tape` (parents always precede
 children) and replays it once in reverse, accumulating gradients in tape order
 so repeated backward passes are bit-for-bit identical.
 
-Values default to float64; ops preserve the dtype of their inputs so a float32
-fast path is available by constructing float32 leaves.
+Values are float64. Float32 leaves do not give a float32 path: the loss's
+weights are float64, so the loss is float64 and so are the gradients, or a mix
+of float32 and float64 (ROADMAP, "Measured, not pursued").
 """
 
 from __future__ import annotations
@@ -168,45 +169,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return make_op(out, (x, w, b), bwd, "affine")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def bwd(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return make_op(out, (a, b), bwd, "matmul")
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ContractError(f"transpose expects a matrix, got {x.shape}")
-    return make_op(x.data.T.copy(), (x,), lambda g: (g.T,), "transpose")
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ContractError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return make_op(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    return make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return make_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
-
-
-def mul_const(x: Tensor, c: float) -> Tensor:
-    return make_op(x.data * c, (x,), lambda g: (g * c,), "mul_const")
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -113,22 +113,31 @@ def similarity_matrix(z: Tensor, tau: float) -> Tensor:
     if np.any(np.abs(norms - 1.0) > _UNIT_ROW_TOL):
         worst = float(np.abs(norms - 1.0).max())
         raise ContractError(f"embedding rows must be unit-norm (max deviation {worst:.3g})")
-    return ad.mul_const(ad.matmul(z, ad.transpose(z)), 1.0 / tau)
+    c = 1.0 / tau
+    zt = z.data.T.copy()  # the checkpoint bytes depend on this copy and on the operand order of both passes
+
+    def bwd(g):
+        g = g * c
+        return (g @ zt.T + (z.data.T @ g).T,)
+
+    return ad.make_op((z.data @ zt) * c, (z,), bwd, "similarity_matrix")
 
 
 def _sibling_index(meta: BatchMeta) -> np.ndarray:
-    """For each view, the unique other view of the same slice."""
+    """For each view, its sibling: a slice's views pair in order of appearance, 1st with 2nd, 3rd with 4th.
+
+    A slice drawn twice into one batch has four views, each draw's two side by side.
+    """
     groups: dict = {}
     for i, sid in enumerate(meta.slice_ids):
         groups.setdefault(sid, []).append(i)
     sib = np.full(len(meta), -1, dtype=np.int64)
     for sid, members in groups.items():
-        if len(members) != 2:
+        if len(members) % 2:
             raise ContractError(
-                f"slice {sid!r} has {len(members)} view(s); infonce needs exactly two"
+                f"slice {sid!r} has {len(members)} view(s); infonce needs an even number"
             )
-        a, b = members
-        sib[a], sib[b] = b, a
+        sib[members[0::2]], sib[members[1::2]] = members[1::2], members[0::2]
     return sib
 
 
@@ -138,8 +147,8 @@ def _row_logsumexp(x: np.ndarray) -> np.ndarray:
     return peak + np.log(np.exp(x - peak).sum(axis=1, keepdims=True))
 
 
-def pairwise_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
-    """L[t, i] = logsumexp_j S[t, j] over j != i (and j != t when requested).
+def pairwise_logsumexp(s: np.ndarray, exclude_anchor: bool):
+    """L[t, i] = logsumexp_j S[t, j] over j != i (and j != t when requested), with its vjp.
 
     Exact in O(m^2) time and memory. With A_t the log-sum-exp of row t over
     its row set R_t (j != t under ``exclude_anchor``, every j otherwise) and
@@ -160,13 +169,14 @@ def pairwise_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
     g[t, i] / (1 - p_ti), at most 2 |g[t, i]|, over the entries not
     recomputed and c_t = sum_i r_ti, plus the terms of the recomputed entries
     taken directly from their masked rows, so nothing overflows at small tau.
+    Returns ``(L, vjp)`` with ``vjp(g) = G``; nothing is recorded on a tape.
     """
     m = s.shape[0]
     row_size = m - 1 if exclude_anchor else m
     if row_size < 2:
         raise ContractError("denominator set empty at this batch size")
     in_row = ~np.eye(m, dtype=bool) if exclude_anchor else np.ones((m, m), dtype=bool)
-    row = np.where(in_row, s.data, -np.inf)
+    row = np.where(in_row, s, -np.inf)
     a = _row_logsumexp(row)
     share = np.exp(row - a)
     exact = in_row if row_size == 2 else share > 0.5
@@ -177,13 +187,13 @@ def pairwise_logsumexp(s: Tensor, exclude_anchor: bool) -> Tensor:
     rest[np.arange(len(t)), i] = -np.inf
     out[t, i] = _row_logsumexp(rest)[:, 0]
 
-    def bwd(g):
+    def vjp(g):
         r = np.where(exact, 0.0, g / (1.0 - kept))
         grad = share * (r.sum(axis=1, keepdims=True) - r)
         np.add.at(grad, t, g[t, i, None] * np.exp(rest - out[t, i, None]))
-        return (grad,)
+        return grad
 
-    return ad.make_op(out, (s,), bwd, "pairwise_logsumexp")
+    return out, vjp
 
 
 def pair_weights(meta: BatchMeta, cfg: LossConfig) -> np.ndarray:
@@ -233,9 +243,14 @@ def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
     n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0))
     if n_anchors == 0:
         return Tensor(np.zeros(()))
-    lse = pairwise_logsumexp(s, cfg.denominator_convention == "exclude_anchor")
-    per_pair = ad.mul(Tensor(weights), ad.sub(s, lse))
-    return ad.mul_const(ad.sum_all(per_pair), -1.0 / n_anchors)
+    lse, lse_vjp = pairwise_logsumexp(s.data, cfg.denominator_convention == "exclude_anchor")
+    c = -1.0 / n_anchors
+
+    def bwd(g):  # d/dS of sum w (S - L), summed in the order the checkpoint bytes depend on
+        w = g * c * weights
+        return (w + lse_vjp(-w),)
+
+    return ad.make_op(np.asarray((weights * (s.data - lse)).sum()) * c, (s,), bwd, "similarity_loss")
 
 
 def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (explicit loops, textbook formulas) and
 shares no code with the package, so agreement is meaningful. The file helpers
 write bytes that the package's writers refuse to write; ``write_raw_dataset``
-uses the package's unchecked ``write_volume_file``.
+uses the package's unchecked ``write_volume_file``. ``product`` is a tape op
+made with the package's ``make_op``, to exercise the engine itself.
 """
 
 import json
@@ -12,7 +13,13 @@ import struct
 
 import numpy as np
 
+from wsp import autodiff as ad
 from wsp.data import write_volume_file
+
+
+def product(a, b):
+    """Elementwise a * b as one tape op, for tests of the backward engine."""
+    return ad.make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "product")
 
 
 def naive_kernel_loss(z, y, d, slice_ids, tau, sigma, kind, convention="exclude_anchor"):

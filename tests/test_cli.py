@@ -138,6 +138,18 @@ class TestPretrain:
             ) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("arch", ["tiny_cnn", "mlp"])
+    def test_infonce_on_cohort_smaller_than_batch(self, tmp_path, capsys, arch):
+        # 12 patients at the default batch of 32: the fallback sampler draws some slices twice,
+        # so a slice brings four views to the batch.
+        data = tmp_path / "d"
+        assert run(["generate", "--out", str(data), "--volumes", "12", "--slices", "4", "--seed", "0"]) == 0
+        out = tmp_path / "x.ckpt"
+        code = run(["pretrain", "--data", str(data), "--loss", "infonce", "--arch", arch, "--epochs", "2",
+                    "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_checkpoint(out).loss_kind == "infonce"
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = run(
             ["pretrain", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out", str(tmp_path / "c")]

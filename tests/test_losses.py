@@ -11,6 +11,8 @@ from wsp import autodiff as ad
 from wsp.autodiff import Tensor
 from wsp.errors import ConfigError, ContractError
 from wsp.losses import (
+    DENOMINATOR_CONVENTIONS,
+    LOSS_KINDS,
     BatchMeta,
     LossConfig,
     compute_loss,
@@ -306,6 +308,27 @@ class TestInfoNCELoss:
         with pytest.raises(ContractError):
             loss("infonce", Tensor(z), meta, LossConfig())
 
+    def test_odd_view_count_rejected(self):
+        meta = make_meta(y=[0, 0, 0, 1], d=[0.5] * 4, slice_ids=["a", "a", "a", "b"])
+        with pytest.raises(ContractError, match="'a' has 3 view"):
+            loss("infonce", Tensor(np.eye(4)), meta, LossConfig())
+
+    @pytest.mark.parametrize("convention", DENOMINATOR_CONVENTIONS)
+    def test_slice_drawn_twice_pairs_views_in_order(self, rng, convention):
+        # A batch that draws slice a twice holds its four views as two side-by-side pairs.
+        # They pair first with second and third with fourth: the loss of the same batch
+        # in which the second draw is its own slice a2.
+        z = rng.normal(size=(8, 6))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        y, d = [0, 0, 1, 1, 0, 0, 2, 2], [0.2, 0.2, 0.5, 0.5, 0.2, 0.2, 0.9, 0.9]
+        twice = make_meta(y, d, slice_ids=list("aabbaacc"), patient_ids=list("ppqqpprr"))
+        split = make_meta(y, d, slice_ids=["a", "a", "b", "b", "a2", "a2", "c", "c"], patient_ids=list("ppqqpprr"))
+        cfg = LossConfig(tau=0.3, loss_kind="infonce", denominator_convention=convention)
+        np.testing.assert_array_equal(pair_weights(twice, cfg), pair_weights(split, cfg))
+        value = compute_loss(Tensor(z), twice, cfg).item()
+        assert value == compute_loss(Tensor(z), split, cfg).item()
+        assert value == pytest.approx(oracle(z, split, cfg, "infonce"), abs=1e-12)
+
     def test_permutation_invariance(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=5)
         cfg = LossConfig(tau=0.3, sigma=0.2)
@@ -358,7 +381,7 @@ class TestInvariants:
         tau = 0.25
         cfg = LossConfig(tau=tau, sigma=0.2)
         direct = loss("wsp", Tensor(z), meta, cfg).item()
-        prescaled = ad.mul_const(similarity_matrix(Tensor(z), 1.0), 1.0 / tau)
+        prescaled = Tensor(similarity_matrix(Tensor(z), 1.0).data * (1.0 / tau))
         via_similarity = similarity_loss(prescaled, meta, cfg).item()
         assert via_similarity == pytest.approx(direct, abs=1e-12)
 
@@ -379,7 +402,7 @@ def largest_share(s, exclude_anchor):
 
 
 def assert_matches_oracle(s, exclude_anchor):
-    out = pairwise_logsumexp(Tensor(s), exclude_anchor).data
+    out = pairwise_logsumexp(s, exclude_anchor)[0]
     atol = 1e-12 * max(1.0, float(np.abs(s).max()))
     np.testing.assert_allclose(out, naive_pairwise_logsumexp(s, exclude_anchor), rtol=0.0, atol=atol)
 
@@ -412,10 +435,10 @@ class TestPairwiseLogSumExp:
     def test_single_competitor_copied_exactly(self, rng):
         for _ in range(50):
             s = rng.normal(scale=30.0, size=(2, 2))
-            out = pairwise_logsumexp(Tensor(s), exclude_anchor=False).data
+            out = pairwise_logsumexp(s, exclude_anchor=False)[0]
             np.testing.assert_array_equal(out, naive_pairwise_logsumexp(s, False))
             s = rng.normal(scale=30.0, size=(3, 3))
-            out = pairwise_logsumexp(Tensor(s), exclude_anchor=True).data
+            out = pairwise_logsumexp(s, exclude_anchor=True)[0]
             off = ~np.eye(3, dtype=bool)
             np.testing.assert_array_equal(out[off], naive_pairwise_logsumexp(s, True)[off])
             assert_matches_oracle(s, True)
@@ -426,11 +449,10 @@ class TestPairwiseLogSumExp:
         assert largest_share(s, exclude_anchor) > 0.5
         w = rng.uniform(-1.0, 1.0, s.shape)
 
-        def f(t):
-            return ad.sum_all(ad.mul(pairwise_logsumexp(t, exclude_anchor), Tensor(w)))
+        def f(t):  # sum L * w, whose gradient is the vjp of w
+            return Tensor((pairwise_logsumexp(t.data, exclude_anchor)[0] * w).sum())
 
-        leaf = Tensor(s, requires_grad=True)
-        analytic = ad.backward(f(leaf)).wrt(leaf)
+        analytic = pairwise_logsumexp(s, exclude_anchor)[1](w)
         numeric = ad.finite_diff_gradient(f, Tensor(s), eps=1e-5).data
         assert ad.max_relative_error(analytic, numeric) < 1e-6
 
@@ -444,3 +466,40 @@ class TestPairwiseLogSumExp:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+
+class TestOpGradients:
+    """The loss is two tape ops above z, each with a hand-written backward checked against finite differences."""
+
+    def test_loss_adds_two_tape_nodes_above_z(self, rng):
+        z, meta = paired_random_batch(rng, n_slices=4, dim=6)
+        nodes = ad.Tape(compute_loss(Tensor(z, requires_grad=True), meta, LossConfig())).nodes
+        assert [node._op for node in nodes] == [None, "similarity_matrix", "similarity_loss"]
+
+    @pytest.mark.parametrize("tau", [1.0, 0.1])
+    def test_similarity_matrix(self, rng, tau):
+        # f(z) = sum S * w is quadratic in z, so central differences are exact up to rounding; a step
+        # of 1e-7 keeps every perturbed row within the unit-norm tolerance.
+        z, _ = paired_random_batch(rng, n_slices=3, dim=5)
+        w = rng.uniform(-1.0, 1.0, (6, 6))
+        analytic = similarity_matrix(Tensor(z, requires_grad=True), tau)._backward_fn(w)[0]
+
+        def f(t):
+            return Tensor((similarity_matrix(t, tau).data * w).sum())
+
+        numeric = ad.finite_diff_gradient(f, Tensor(z), eps=1e-7).data
+        assert ad.max_relative_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("convention", DENOMINATOR_CONVENTIONS)
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_similarity_loss(self, rng, kind, convention):
+        # A general (asymmetric) S, and one whose rows each hold a dominant entry (p_ti > 1/2).
+        cfg = LossConfig(tau=0.05, sigma=0.2, loss_kind=kind, denominator_convention=convention)
+        jitter = dict(TestPairwiseLogSumExp.DOMINANT_CASES)[convention == "exclude_anchor"]
+        _, meta = paired_random_batch(rng, n_slices=4, dim=8, n_classes=2)
+        for s in (rng.uniform(-3.0, 3.0, (8, 8)), near_duplicate_similarity(rng, 4, 8, cfg.tau, jitter)):
+            leaf = Tensor(s, requires_grad=True)
+            analytic = ad.backward(similarity_loss(leaf, meta, cfg)).wrt(leaf)
+            numeric = ad.finite_diff_gradient(lambda t: similarity_loss(t, meta, cfg), Tensor(s), eps=1e-5).data
+            assert np.abs(analytic).max() > 0.0
+            assert ad.max_relative_error(analytic, numeric) < 1e-6

@@ -1,68 +1,35 @@
-"""Desk-scale benchmark recipe and its experiment grid.
+"""The benchmark recipe: ``benchmark.json``, the run-config of ``wsp sweep`` that runs the method comparison.
 
-One place defines the configuration used by the experiment scripts and the
-acceptance suite, so "the synthetic benchmark" always means the same runs:
-60 volumes x 24 slices at 32x32 with 10% label noise, 30 pretraining epochs
-per method, and a stratified 5-fold patient-level probe, repeated over five
-shared seeds. ``run_benchmark`` runs any grid of (method, sigma) cells over
-those seeds through ``evaluation.run_grid``.
+The builders below give the recipe's configs to code that runs its pieces on
+their own, such as the benchmark harness. They read the file with ``wsp
+sweep``'s own reader, so the recipe's values have one copy.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
-from .data import GeneratorConfig, central_view, generate_synthetic_dataset
+from .cli import load_run_config, sweep_plan
+from .data import GeneratorConfig
 from .encoders import EncoderConfig
-from .evaluation import ProbeConfig, run_grid
-from .losses import LossConfig
 from .training import OptimConfig
 
-BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
-BENCHMARK_METHODS = ("random", "infonce", "supcon", "depth_aware", "wsp")
-BENCHMARK_SIGMA = 0.1
-BENCHMARK_TAU = 0.2
-BENCHMARK_LR = 1e-3
-BENCHMARK_EPOCHS = 30
-BENCHMARK_BATCH = 32
-BENCHMARK_CELLS = tuple((kind, BENCHMARK_SIGMA) for kind in BENCHMARK_METHODS)
+BENCHMARK_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "benchmark.json")
+
+_, _, _, _RECORD = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+BENCHMARK_BATCH = _RECORD["optim"].batch_size
 
 
 def benchmark_generator(**overrides) -> GeneratorConfig:
-    cfg = GeneratorConfig(n_volumes=60, slices_per_volume=24, height=32, width=32, noise_rate=0.1)
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(_RECORD["data"], **overrides)
 
 
 def benchmark_encoder(seed: int) -> EncoderConfig:
-    return EncoderConfig(seed=seed)
+    return replace(_RECORD["encoder"], seed=seed)
 
 
 def benchmark_optim(kind: str, seed: int) -> OptimConfig:
-    return OptimConfig(
-        lr=BENCHMARK_LR,
-        epochs=BENCHMARK_EPOCHS,
-        batch_size=BENCHMARK_BATCH,
-        loss=LossConfig(tau=BENCHMARK_TAU, sigma=BENCHMARK_SIGMA, loss_kind=kind),
-        seed=seed,
-    )
-
-
-def run_benchmark(
-    seeds=BENCHMARK_SEEDS, cells=BENCHMARK_CELLS, keep_checkpoints=("random", "wsp"), **generator_overrides
-):
-    """``run_grid`` of the (method, sigma) cells over the benchmark recipe of each seed.
-
-    Each seed's dataset is generated once, with ``generator_overrides``. Returns ``auc[cell][seed]``
-    (fold-mean patient AUC), ``volumes[seed]``, and ``checkpoints[cell][seed]`` for the cells whose
-    method is in ``keep_checkpoints``.
-    """
-    volumes = {}
-
-    def recipe(seed):  # the generated volumes with the central 70% of slices retained
-        _, generated = generate_synthetic_dataset(benchmark_generator(**generator_overrides), seed)
-        volumes[seed] = central_view(generated)
-        return volumes[seed], benchmark_encoder(seed), benchmark_optim("wsp", seed), ProbeConfig(seed=seed), None
-
-    reports, checkpoints = run_grid(cells, seeds, recipe, keep_checkpoints)
-    auc = {cell: {seed: rep.mean_auc_patient for seed, rep in by_seed.items()} for cell, by_seed in reports.items()}
-    return {"auc": auc, "volumes": volumes, "checkpoints": checkpoints}
+    """The optim config of the recipe's run of loss ``kind`` at its first sigma on ``seed``."""
+    optim = _RECORD["optim"]
+    return replace(optim, loss=replace(optim.loss, loss_kind=kind, sigma=_RECORD["sigmas"][0]), seed=seed)

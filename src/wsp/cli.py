@@ -33,7 +33,7 @@ from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_
 from .errors import write_csv, write_json
 from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_grid
 from .evaluation import run_probe_protocol
-from .losses import LossConfig, gradient_check
+from .losses import LOSS_KINDS, LossConfig, gradient_check
 from .sampling import AugmentConfig
 from .training import OptimConfig, pretrain
 
@@ -51,10 +51,11 @@ _SECTIONS = {"data": GeneratorConfig, "encoder": EncoderConfig, "loss": LossConf
              "probe": ProbeConfig, "augment": AugmentConfig}
 
 # The run-config's other keys, each with its kind and rule (see check_value); a kind in a list is a non-empty list of
-# that kind (see parse_list). "command" must name the running command; "data_dir" and "checkpoint" are never read.
+# that kind whose every entry obeys the rule (see _top). "command" must name the running command; "data_dir" and
+# "checkpoint" are never read.
 _TOP_KEYS = {"command": (str, None), "data_dir": (str, None), "checkpoint": (str, None), "output_dir": (str, None),
-             "seed": (int, "[0, inf)"), "central_fraction": (float, "(0, 1]"), "sigmas": ([float], None),
-             "seeds": ([int], None)}
+             "seed": (int, "[0, inf)"), "central_fraction": (float, "(0, 1]"), "sigmas": ([float], "(0, inf)"),
+             "seeds": ([int], "[0, inf)"), "methods": ([str], ("random", *LOSS_KINDS))}
 
 
 def _section_keys(cls) -> set:
@@ -64,16 +65,26 @@ def _section_keys(cls) -> set:
 
 def _top(doc: dict, args, key: str, default=None, error=ConfigError):
     """Top-level value ``key``: its flag in ``args``, else the run-config's, else ``default``; the one precedence of
-    these. It must obey its ``_TOP_KEYS`` rule, else ``error``."""
+    these. It must obey its ``_TOP_KEYS`` rule, else ``error``. A list value is its distinct entries, in first-seen
+    order."""
     flag = getattr(args, key, None)
     value = doc.get(key, default) if flag is None else flag
     kind, rule = _TOP_KEYS[key]
-    if isinstance(kind, list):
-        if flag is None and not isinstance(value, list):  # comma-separated text is a flag's form only
-            raise error(f"{key} must be a list, got {value!r}")
-        return parse_list(value, key, kind[0], error)
-    check_value(key, value, kind, rule, error)
-    return kind(value)
+    if not isinstance(kind, list):
+        check_value(key, value, kind, rule, error)
+        return kind(value)
+    kind = kind[0]
+    if flag is None and not isinstance(value, list):  # comma-separated text is a flag's form only
+        raise error(f"{key} must be a list, got {value!r}")
+    try:
+        values = [kind(tok.strip()) for tok in value.split(",") if tok.strip()] if isinstance(value, str) else value
+    except ValueError as exc:
+        raise error(f"{key} must be comma-separated values of type {kind.__name__}, got {value!r}") from exc
+    if not values:
+        raise error(f"{key} must be a non-empty list, got {values!r}")
+    for entry in values:
+        check_value(f"{key} entries", entry, kind, rule, error)
+    return list(dict.fromkeys(map(kind, values)))
 
 
 def _check_run_config(doc: dict, command: str | None, error) -> None:
@@ -106,15 +117,18 @@ def load_run_config(path, command: str | None = None) -> dict:
     return doc
 
 
-def _echo_config(primary_output: str, args, configs: dict, **inputs) -> None:
+def _echo_config(primary_output: str, args, record: dict) -> None:
     """Write the effective configuration next to a command's main output: the one builder of every echo, a run-config
-    of its command that holds its input paths, ``inputs`` and ``configs``. What ``_check_run_config`` refuses is a
-    ContractError."""
+    of its command that holds its input paths and ``record``, whose config objects are sections and whose other
+    values are top-level keys. What ``_check_run_config`` refuses is a ContractError."""
     given = vars(args)
-    paths = {key: given[dest] for key, dest in (("data_dir", "data"), ("checkpoint", "ckpt")) if dest in given}
-    payload = {"command": args.command, **paths, **inputs}
-    for section, cfg in configs.items():
-        payload[section] = {key: value for key, value in asdict(cfg).items() if key in _section_keys(type(cfg))}
+    payload = {"command": args.command}
+    for key, dest in (("data_dir", "data"), ("checkpoint", "ckpt")):
+        if given.get(dest) is not None:
+            payload[key] = given[dest]
+    for key, value in record.items():
+        keys = _section_keys(type(value)) if is_dataclass(value) else None
+        payload[key] = value if keys is None else {name: v for name, v in asdict(value).items() if name in keys}
     _check_run_config(payload, args.command, ContractError)
     is_dir = os.path.isdir(primary_output)
     write_json(os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json", payload)
@@ -163,7 +177,7 @@ def cmd_generate(doc: dict, args) -> int:
     out = _resolve_out(doc, args.out)
     generator, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(generator, volumes, out)
-    _echo_config(out, args, {"data": cfg}, seed=seed)
+    _echo_config(out, args, {"data": cfg, "seed": seed})
     print(f"wrote {len(volumes)} volumes to {out}")
     return EXIT_OK
 
@@ -179,20 +193,6 @@ def _parse_size(text: str | None) -> dict:
         raise ConfigError(f"--size must look like 32x32, got {text!r}") from exc
 
 
-def parse_list(values, name: str, kind, error=ConfigError) -> list:
-    """The distinct ``kind`` values, in first-seen order, of the list or comma-separated string ``values``; else
-    ``error``."""
-    try:
-        values = [kind(tok) for tok in values.split(",") if tok.strip()] if isinstance(values, str) else values
-    except ValueError as exc:
-        raise error(f"{name} must be comma-separated values of type {kind.__name__}, got {values!r}") from exc
-    if not isinstance(values, list) or not values:
-        raise error(f"{name} must be a non-empty list, got {values!r}")
-    for value in values:
-        check_value(f"{name} entries", value, kind, None, error)
-    return list(dict.fromkeys(map(kind, values)))
-
-
 def _load_trimmed(doc: dict, args):
     """The central-slice fraction and the volumes trimmed to it."""
     fraction = _top(doc, args, "central_fraction", CENTRAL_FRACTION)
@@ -200,10 +200,10 @@ def _load_trimmed(doc: dict, args):
     return fraction, central_view(volumes, fraction)
 
 
-def _encoder_config(doc: dict, args, volumes) -> EncoderConfig:
+def _encoder_config(doc: dict, args, image_shape) -> EncoderConfig:
     body = _section(doc, args, "encoder")
     if "input_shape" not in body:
-        body["input_shape"] = input_shape(body.get("arch", "tiny_cnn"), volumes[0].slices[0].pixels.shape)
+        body["input_shape"] = input_shape(body.get("arch", "tiny_cnn"), image_shape)
     return build_config(EncoderConfig, body, ConfigError)
 
 
@@ -221,7 +221,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     kind = loss_cfg.loss_kind
     if getattr(args, "loss.sigma") is not None and kind in ("supcon", "infonce"):
         print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
-    enc_cfg = _encoder_config(doc, args, volumes)
+    enc_cfg = _encoder_config(doc, args, volumes[0].slices[0].pixels.shape)
     out = _resolve_out(doc, args.out)
     try:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
@@ -232,15 +232,15 @@ def cmd_pretrain(doc: dict, args) -> int:
         return EXIT_NUMERIC
     save_checkpoint(ckpt, out)
     write_csv(out + ".loss.csv", ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
-    configs = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
-    _echo_config(out, args, configs, central_fraction=fraction)
+    record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
+    _echo_config(out, args, {**record, "central_fraction": fraction})
     print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6f}")
     return EXIT_OK
 
 
 def _resolve_checkpoint(doc: dict, args, volumes) -> EncoderCheckpoint:
     if args.ckpt == "random":
-        return untrained_checkpoint(_encoder_config(doc, args, volumes))
+        return untrained_checkpoint(_encoder_config(doc, args, volumes[0].slices[0].pixels.shape))
     return load_checkpoint(args.ckpt)
 
 
@@ -254,7 +254,7 @@ def cmd_probe(doc: dict, args) -> int:
     folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
     rows = [(ckpt.loss_kind, sigma, f, *scores) for f, scores in enumerate(folds)]
     write_csv(out, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
-    _echo_config(out, args, {"encoder": ckpt.config, "probe": probe_cfg}, central_fraction=fraction)
+    _echo_config(out, args, {"encoder": ckpt.config, "probe": probe_cfg, "central_fraction": fraction})
     print(
         f"patient AUC {report.mean_auc_patient:.4f} +- {report.std_auc_patient:.4f} "
         f"(bACC {report.mean_bacc:.4f} +- {report.std_bacc:.4f}) over {probe_cfg.folds} folds"
@@ -279,7 +279,7 @@ def cmd_project(doc: dict, args) -> int:
         dims = [f"r{i}" for i in range(table.repr.shape[1])]
         rows = [(*ids, *ys, *r) for ids, *ys, r in zip(slices, table.y_weak, table.y_strong, table.repr)]
         write_csv(embeddings, ("patient_id", "slice_id", "d", "y_weak", "y_strong", *dims), rows)
-    _echo_config(out, args, {"encoder": ckpt.config}, central_fraction=fraction)
+    _echo_config(out, args, {"encoder": ckpt.config, "central_fraction": fraction})
     print(f"wrote {len(table)} projected slices; explained variance {explained[0]:.3f}, {explained[1]:.3f}")
     return EXIT_OK
 
@@ -298,29 +298,50 @@ def cmd_gradcheck(doc: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(doc: dict, args) -> int:
+# A sweep given by its run-config alone (see sweep_plan).
+_NO_FLAGS = argparse.Namespace(data=None, seed=None)
+
+
+def sweep_plan(doc: dict, args=_NO_FLAGS):
+    """A sweep's runs, the one reading of its run-config and flags: ``(cells, seeds, recipe, record)``.
+
+    ``run_grid`` takes the cells (each method at each sigma), the seeds and the recipe; ``record`` is what the sweep's
+    echo records. Each seed's run re-seeds the encoder, optim, probe and augment configs with that seed. It trains on
+    the volumes of --data; without it, on the cohort that the data section generates with that seed.
+    """
     sigmas = _top(doc, args, "sigmas", list(DEFAULT_SWEEP_SIGMAS))
-    fraction, volumes = _load_trimmed(doc, args)
-    enc_cfg = _encoder_config(doc, args, volumes)
-    loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind="wsp")
-    probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    seeds = _top(doc, args, "seeds", [optim_cfg.seed])
+    methods = _top(doc, args, "methods", ["wsp"])
+    record = {}
+    if args.data is None:
+        fraction, volumes = _top(doc, args, "central_fraction", CENTRAL_FRACTION), None
+        record["data"] = build_config(GeneratorConfig, _section(doc, args, "data"), ConfigError)
+        image_shape = (record["data"].height, record["data"].width)
+    else:
+        fraction, volumes = _load_trimmed(doc, args)
+        image_shape = volumes[0].slices[0].pixels.shape
+    record["encoder"] = _encoder_config(doc, args, image_shape)
+    record["loss"], record["optim"], record["augment"] = _training_configs(doc, args, loss_kind="wsp")
+    record["probe"] = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
+    seeds = _top(doc, args, "seeds", [record["optim"].seed])
+    record.update(central_fraction=fraction, sigmas=sigmas, seeds=seeds, methods=methods)
 
-    def recipe(seed):  # the run's seed goes to the encoder, optim and augment configs; the probe keeps its own
-        enc, optim, aug = (replace(cfg, seed=seed) for cfg in (enc_cfg, optim_cfg, aug_cfg))
-        return volumes, enc, optim, probe_cfg, aug
+    def recipe(seed):
+        cohort = volumes or central_view(generate_synthetic_dataset(record["data"], seed)[1], fraction)
+        return cohort, *(replace(record[name], seed=seed) for name in ("encoder", "optim", "probe", "augment"))
 
-    reports, _ = run_grid([("wsp", sigma) for sigma in sigmas], seeds, recipe)
-    rows = []
-    for sigma in sigmas:  # auc_std is the spread of the fold AUCs of all seeds, pooled
-        aucs = [auc for seed in seeds for auc in reports[("wsp", sigma)][seed].fold_auc_patient]
-        rows.append((sigma, np.mean(aucs), np.std(aucs)))
+    return [(method, sigma) for method in methods for sigma in sigmas], seeds, recipe, record
+
+
+def cmd_sweep(doc: dict, args) -> int:
+    cells, seeds, recipe, record = sweep_plan(doc, args)
+    reports, _ = run_grid(cells, seeds, recipe)
+    aucs = {cell: [reports[cell][seed].mean_auc_patient for seed in seeds] for cell in cells}
+    rows = [(*cell, seed, auc) for cell in cells for seed, auc in zip(seeds, aucs[cell])]
     out = _resolve_out(doc, args.out)
-    write_csv(out, ("sigma", "auc_mean", "auc_std"), rows)
-    configs = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "probe": probe_cfg, "augment": aug_cfg}
-    _echo_config(out, args, configs, central_fraction=fraction, sigmas=sigmas, seeds=seeds)
-    for sigma, mean, std in rows:
-        print(f"sigma={sigma}: AUC {mean:.4f} +- {std:.4f}")
+    write_csv(out, ("method", "sigma", "seed", "auc_patient"), rows)
+    _echo_config(out, args, record)
+    for (method, sigma), values in aucs.items():  # the spread of the seeds' fold-mean AUCs
+        print(f"{method} sigma={sigma}: AUC {np.mean(values):.4f} +- {np.std(values):.4f} over {len(seeds)} seeds")
     return EXIT_OK
 
 
@@ -388,6 +409,7 @@ _FLAGS = {
     "--folds": ("probe.folds", {"type": int, "help": "cross-validation folds (default 5)"}),
     "--sigmas": ("sigmas", {"help": "comma-separated bandwidths (default 0.01,0.1,0.2,0.3,0.5)"}),
     "--seeds": ("seeds", {"help": "comma-separated seeds (default: the --seed value)"}),
+    "--methods": ("methods", {"help": "comma-separated methods, each random or a loss kind (default wsp)"}),
     "--svg": ("svg", {"help": "optional scatter SVG output path"}),
     "--embeddings": ("embeddings", {"help": "optional raw-representation CSV output path"}),
     "--seed": ("seed", {"type": int}),
@@ -396,8 +418,8 @@ _FLAGS = {
 
 _RANDOM_ARCH = ("--arch", "architecture for --ckpt random")
 
-# Sub-command -> (function, help, flags in --help order); a (flag, help) pair
-# gives the flag this command's own help text.
+# Sub-command -> (function, help, flags in --help order); a (flag, help) pair gives the flag this command's own help
+# text, and a (flag, keywords) pair its own argparse keywords.
 _COMMANDS = {
     "generate": (cmd_generate, "write a deterministic synthetic dataset", [
         ("--out", "output dataset directory"), "--volumes", "--slices", "--size", "--noise",
@@ -418,8 +440,10 @@ _COMMANDS = {
     "gradcheck": (cmd_gradcheck, "verify loss gradients against finite differences", [
         ("--seed", "random seed for the check batches (default 0)"),
     ]),
-    "sweep": (cmd_sweep, "pretrain+probe over a grid of sigma values", [
-        "--data", "--sigmas", "--seeds", "--epochs", "--batch", "--lr", "--tau", "--arch", "--fraction",
+    "sweep": (cmd_sweep, "pretrain+probe over a grid of methods and sigma values", [
+        ("--data", {"required": False, "help": "dataset directory (default: generate each seed's cohort from the "
+                                               "data section with that seed)"}),
+        "--methods", "--sigmas", "--seeds", "--epochs", "--batch", "--lr", "--tau", "--arch", "--fraction",
         ("--out", "sweep CSV output path"), ("--seed", "base seed (default 0)"), "--config",
     ]),
 }
@@ -434,11 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for entry in flags:
-            flag, own_help = entry if isinstance(entry, tuple) else (entry, None)
+            flag, own = entry if isinstance(entry, tuple) else (entry, {})
             dest, keywords = _FLAGS[flag]
-            keywords = dict(keywords, dest=dest)
-            if own_help:
-                keywords["help"] = own_help
+            keywords = dict(keywords, dest=dest, **(own if isinstance(own, dict) else {"help": own}))
             if "choices" not in keywords:
                 keywords["metavar"] = flag[2:].replace("-", "_").upper()  # not the dotted dest
             command.add_argument(flag, **keywords)
@@ -453,7 +475,8 @@ def main(argv=None) -> int:
 
 
 def run_with_exit_code(func) -> int:
-    """``func()``'s exit code; a WspError or OSError it raises is reported on stderr and mapped to its exit code."""
+    """``func()``'s exit code; a WspError, OSError or MemoryError it raises is reported on stderr and mapped to its
+    exit code."""
     try:
         return func()
     except ConfigError as exc:
@@ -468,6 +491,9 @@ def run_with_exit_code(func) -> int:
     except WspError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a configuration whose arrays do not fit in memory
+        print(f"usage error: cannot allocate memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

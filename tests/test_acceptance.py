@@ -14,8 +14,8 @@ import pytest
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
-from wsp.benchmark import BENCHMARK_CELLS, BENCHMARK_METHODS, BENCHMARK_SEEDS, BENCHMARK_SIGMA, run_benchmark
-from wsp.cli import main
+from wsp.benchmark import BENCHMARK_CONFIG
+from wsp.cli import load_run_config, main, sweep_plan
 from wsp.evaluation import (
     DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
@@ -23,6 +23,7 @@ from wsp.evaluation import (
     extract_representations,
     pca_project,
     probe_representations,
+    run_grid,
     stratified_kfold,
 )
 from wsp.losses import LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
@@ -36,28 +37,51 @@ def ok(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS: {message}")
 
 
+def benchmark_grid(doc, extra_cells=(), keep_checkpoints=()):
+    """``run_grid`` of the sweep that the run-config ``doc`` gives ``wsp sweep``, plus ``extra_cells``.
+
+    Returns ``auc[cell][seed]`` (fold-mean patient AUC), each seed's ``volumes``, ``checkpoints[cell][seed]`` for
+    the cells whose method is in ``keep_checkpoints``, and the sweep's ``record``.
+    """
+    cells, seeds, recipe, record = sweep_plan(doc)
+    volumes = {}
+
+    def keep_volumes(seed):
+        run = recipe(seed)
+        volumes[seed] = run[0]
+        return run
+
+    reports, checkpoints = run_grid([*cells, *extra_cells], seeds, keep_volumes, keep_checkpoints)
+    auc = {cell: {seed: rep.mean_auc_patient for seed, rep in by_seed.items()} for cell, by_seed in reports.items()}
+    return {"auc": auc, "volumes": volumes, "checkpoints": checkpoints, "record": record}
+
+
 @pytest.fixture(scope="module")
 def grid():
-    """The five benchmark methods and the wsp bandwidth sweep over the benchmark seeds.
+    """The benchmark recipe's methods and the wsp bandwidth sweep over the recipe's seeds.
 
-    The sweep's sigma 0.1 cell is the benchmark's wsp cell, so it runs once.
+    The sweep's cell at the recipe's sigma is the recipe's wsp cell, so it runs once.
     """
-    return run_benchmark(cells=[*BENCHMARK_CELLS, *(("wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS)])
+    doc = load_run_config(BENCHMARK_CONFIG, "sweep")
+    return benchmark_grid(doc, [("wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS], ("random", "wsp"))
 
 
-def seed_mean(grid, kind, sigma=BENCHMARK_SIGMA) -> float:
+def seed_mean(grid, kind, sigma=None) -> float:
+    sigma = grid["record"]["sigmas"][0] if sigma is None else sigma
     return float(np.mean(list(grid["auc"][(kind, sigma)].values())))
 
 
 @pytest.fixture(scope="module")
 def null_control():
-    """All five methods probed on a dataset with the class signal removed."""
-    grid = run_benchmark(seeds=(0,), keep_checkpoints=(), contour_amplitudes=(0.0, 0.0, 0.0, 0.0))
-    volumes = grid["volumes"][0]
+    """The benchmark recipe's methods on its first seed, probed on a cohort with the class signal removed."""
+    doc = load_run_config(BENCHMARK_CONFIG, "sweep")
+    data = {**doc.get("data", {}), "contour_amplitudes": [0.0, 0.0, 0.0, 0.0]}
+    grid = benchmark_grid({**doc, "seeds": doc["seeds"][:1], "data": data})
+    (seed, volumes), = grid["volumes"].items()
     n_pos = sum(1 for v in volumes if v.y_strong == 1)
     n_neg = len(volumes) - n_pos
     sigma_bin = math.sqrt((n_pos + n_neg + 1) / (12.0 * n_pos * n_neg))
-    return {kind: by_seed[0] for (kind, _), by_seed in grid["auc"].items()}, sigma_bin
+    return {kind: by_seed[seed] for (kind, _), by_seed in grid["auc"].items()}, sigma_bin
 
 
 def test_criterion_01_gradient_correctness():
@@ -172,7 +196,7 @@ def test_criterion_05_sampler_properties(balanced_volumes):
 
 
 def test_criterion_06_synthetic_benchmark(grid):
-    means = {kind: seed_mean(grid, kind) for kind in BENCHMARK_METHODS}
+    means = {kind: seed_mean(grid, kind) for kind in grid["record"]["methods"]}
     gap = means["wsp"] - means["random"]
     rivals = max(means["infonce"], means["supcon"], means["depth_aware"])
     summary = " ".join(f"{kind}={means[kind]:.3f}" for kind in means)
@@ -203,8 +227,8 @@ def test_criterion_08_sigma_sweep_robustness(grid):
 def test_criterion_09_pca_structure(grid):
     stats = {"wsp": {"corr": [], "auc2d": []}, "random": {"corr": [], "auc2d": []}}
     for kind in ("wsp", "random"):
-        for seed in BENCHMARK_SEEDS:
-            ckpt = grid["checkpoints"][(kind, BENCHMARK_SIGMA)][seed]
+        for seed in grid["record"]["seeds"]:
+            ckpt = grid["checkpoints"][(kind, grid["record"]["sigmas"][0])][seed]
             volumes = grid["volumes"][seed]
             table = extract_representations(ckpt, volumes)
             coords, _ = pca_project(table.repr, modes=2)

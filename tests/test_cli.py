@@ -1,10 +1,13 @@
 import dataclasses
 import filecmp
 import hashlib
-import importlib.util
 import json
+import os
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsp.cli import _COMMANDS, _FLAGS, build_parser, main, run_with_exit_code
+from wsp.benchmark import BENCHMARK_CONFIG
+from wsp.cli import _COMMANDS, _FLAGS, build_parser, main
 from wsp.data import (
     GeneratorConfig,
     Slice,
@@ -22,6 +26,7 @@ from wsp.data import (
     central_view,
     generate_synthetic_dataset,
     load_dataset,
+    save_dataset,
 )
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from wsp.errors import write_csv
@@ -333,6 +338,15 @@ class TestGradcheckCommand:
             assert kind in output
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("pretrain ran")
+
+
+# A sweep's run-config whose data section generates a cohort of 12 tiny volumes, probed with 2 folds.
+TINY_DATA_SWEEP = {"data": {"n_volumes": 12, "slices_per_volume": 4, "height": 16, "width": 16},
+                   "probe": {"folds": 2}}
+
+
 class TestSweep:
     def test_rows_match_sigma_list(self, dataset_dir, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -349,8 +363,8 @@ class TestSweep:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "sigma,auc_mean,auc_std"
-        assert len(lines) == 3
+        assert lines[0] == "method,sigma,seed,auc_patient"
+        assert [line.split(",")[:3] for line in lines[1:]] == [["wsp", "0.1", "0"], ["wsp", "0.5", "0"]]
 
     def test_augment_section_applies(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -366,9 +380,8 @@ class TestSweep:
         runs = (volumes, EncoderConfig(input_shape=(1, h, w)), OptimConfig(epochs=1, batch_size=4), ProbeConfig(),
                 AugmentConfig(enabled=False))
         reports, _ = run_grid([("wsp", 0.1), ("wsp", 0.5)], [0], lambda seed: runs)
-        folds = {sigma: by_seed[0].fold_auc_patient for (_, sigma), by_seed in reports.items()}
-        api_rows = [(sigma, np.mean(aucs), np.std(aucs)) for sigma, aucs in folds.items()]
-        write_csv(tmp_path / "api.csv", ("sigma", "auc_mean", "auc_std"), api_rows)
+        api_rows = [(*cell, 0, by_seed[0].mean_auc_patient) for cell, by_seed in reports.items()]
+        write_csv(tmp_path / "api.csv", ("method", "sigma", "seed", "auc_patient"), api_rows)
         off = (tmp_path / "off.csv").read_bytes()
         assert off == (tmp_path / "api.csv").read_bytes()
         assert off != (tmp_path / "default.csv").read_bytes()
@@ -384,9 +397,6 @@ class TestSweep:
     def test_sigma_whose_depth_kernel_overflows_is_usage_error_before_any_run(
         self, dataset_dir, tmp_path, capsys, monkeypatch
     ):
-        def no_training(*args, **kwargs):
-            raise AssertionError("pretrain ran")
-
         monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
         out = tmp_path / "s.csv"
         code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,1e-200", "--epochs", "1", "--batch", "4",
@@ -406,14 +416,42 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("seeds", ["", ",", "x", "1.5"])
-    def test_bad_seed_list_is_usage_error(self, dataset_dir, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize("seeds", ["", ",", "x", "1.5", "-1", "0,-1"])
+    def test_bad_seed_list_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch, seeds):
+        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
         out = tmp_path / "s.csv"
         code = run(["sweep", "--data", str(dataset_dir), "--seeds", seeds, "--epochs", "1", "--batch", "4",
                     "--out", str(out)])
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rows_are_cell_major_and_stdout_gives_the_spread_of_seed_means(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        flags = ["--methods", "random,wsp", "--sigmas", "0.1,0.5", "--seeds", "2,0", "--arch", "mlp", "--epochs", "1"]
+        assert run(["sweep", "--data", str(dataset_dir), *flags, "--batch", "4", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells = [("random", "0.1"), ("random", "0.5"), ("wsp", "0.1"), ("wsp", "0.5")]
+        assert [tuple(row[:3]) for row in rows] == [(*cell, seed) for cell in cells for seed in ("2", "0")]
+        printed = capsys.readouterr().out.splitlines()
+        for (method, sigma), first, second in zip(cells, rows[::2], rows[1::2]):
+            values = [float(first[3]), float(second[3])]
+            line = f"{method} sigma={sigma}: AUC {np.mean(values):.4f} +- {np.std(values):.4f} over 2 seeds"
+            assert line in printed
+
+    def test_without_data_each_seed_trains_on_the_cohort_generated_with_it(self, tmp_path):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_DATA_SWEEP))
+        flags = ["--config", str(config), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
+        for seed in (1, 4):
+            data = tmp_path / f"data{seed}"
+            save_dataset(*generate_synthetic_dataset(GeneratorConfig(**TINY_DATA_SWEEP["data"]), seed), data)
+            assert run(["sweep", "--data", str(data), *flags, "--seeds", str(seed), "--out", str(tmp_path / "a")]) == 0
+            assert run(["sweep", *flags, "--seeds", str(seed), "--out", str(tmp_path / "b")]) == 0
+            assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+        echo = json.loads((tmp_path / "b.config.json").read_text())
+        assert "data_dir" not in echo
+        assert echo["data"]["n_volumes"] == TINY_DATA_SWEEP["data"]["n_volumes"]
 
     def test_repeated_seeds_and_sigmas_count_once(self, dataset_dir, tmp_path):
         flags = ["sweep", "--data", str(dataset_dir), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
@@ -426,7 +464,8 @@ class TestSweep:
         assert run([*flags, "--config", str(config), "--out", str(tmp_path / "config.csv")]) == 0
         assert (tmp_path / "config.csv").read_bytes() == distinct.read_bytes()
         echo = json.loads((tmp_path / "repeated.csv.config.json").read_text())
-        assert echo["seeds"] == [0, 1] and echo["sigmas"] == [0.1]
+        assert echo["seeds"] == [0, 1] and echo["sigmas"] == [0.1] and echo["methods"] == ["wsp"]
+        assert "data" not in echo
 
 
 class TestEcho:
@@ -504,6 +543,7 @@ _REPLAY_FLAG_VALUES = {
     "--folds": ["2", "3"],
     "--sigmas": ["0.1", "0.3,0.1,0.3"],
     "--seeds": ["0", "2,1,2"],
+    "--methods": ["random", "wsp,random,wsp"],
     "--size": ["8x8", "16x12"],
     "--noise": ["0", "0.3"],
 }
@@ -531,6 +571,13 @@ class TestReplay:
     def test_echo_replays_byte_identical_outputs(self, dataset_dir, checkpoint, tmp_path, command, ckpt, flags):
         inputs = replay_inputs(command, dataset_dir, checkpoint if ckpt == "trained" else "random")
         assert_replays(command, inputs, flags, tmp_path)
+
+    def test_sweep_without_data_replays_from_its_data_section(self, tmp_path):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_DATA_SWEEP))
+        flags = ["--config", str(config), "--seeds", "1,0", "--methods", "random,wsp", "--sigmas", "0.3,0.1", "--arch",
+                 "mlp", "--epochs", "1", "--batch", "4"]
+        assert_replays("sweep", [], flags, tmp_path)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -636,35 +683,54 @@ def test_dataset_without_one_image_size_is_data_error(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
-def script_main(name):
-    """The ``main`` of ``scripts/<name>.py``, which runs as ``run_with_exit_code(main)``."""
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent.parent / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
-
-
 @pytest.mark.parametrize(
-    "script, flags",
+    "flags",
     [
-        ("run_benchmark", ["--seeds", ""]),
-        ("run_benchmark", ["--seeds", "x"]),
-        ("run_benchmark", ["--seeds", "-1"]),
-        ("run_sigma_sweep", ["--seeds", "x"]),
-        ("run_sigma_sweep", ["--seeds", ","]),
-        ("run_sigma_sweep", ["--sigmas", ""]),
-        ("run_sigma_sweep", ["--sigmas", "0.1,nan"]),
+        ["--config", BENCHMARK_CONFIG, "--seeds", ""],
+        ["--config", BENCHMARK_CONFIG, "--seeds", "x"],
+        ["--config", BENCHMARK_CONFIG, "--seeds", "-1"],
+        ["--methods", "wsp", "--seeds", "x"],
+        ["--methods", "wsp", "--seeds", ","],
+        ["--methods", "wsp", "--sigmas", ""],
+        ["--methods", "wsp", "--sigmas", "0.1,nan"],
+        ["--config", BENCHMARK_CONFIG, "--methods", ""],
+        ["--config", BENCHMARK_CONFIG, "--methods", "wsp,x"],
+        ["--config", BENCHMARK_CONFIG, "--methods", "depth"],
+        ["--config", BENCHMARK_CONFIG, "--methods", "WSP"],
     ],
     ids=["benchmark-seeds-empty", "benchmark-seeds-x", "benchmark-seeds-negative", "sweep-seeds-x", "sweep-seeds-comma",
-         "sweep-sigmas-empty", "sweep-sigmas-nan"],
+         "sweep-sigmas-empty", "sweep-sigmas-nan", "benchmark-methods-empty", "benchmark-methods-unknown",
+         "benchmark-methods-flag-alias", "benchmark-methods-case"],
 )
-def test_script_bad_list_is_usage_error(tmp_path, capsys, script, flags):
+def test_script_bad_list_is_usage_error(tmp_path, capsys, monkeypatch, flags):
+    """A bad list given to either study of the benchmark recipe, the method comparison (``--config`` of the recipe)
+    or the bandwidth study (``--methods wsp``), is a usage error before any run, and nothing is written."""
+    monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
     out = tmp_path / "out.csv"
-    entry = script_main(script)
-    assert run_with_exit_code(lambda: entry([*flags, "--out", str(out)])) == 2
+    assert run(["sweep", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_allocation_failure_is_usage_error_and_writes_no_checkpoint(dataset_dir, tmp_path):
+    """A configuration whose arrays do not fit in memory exits 2 with one line, in a child whose address space is
+    limited to 4 GiB."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"encoder": {"proj_hidden": 100_000_000}}))
+    out = tmp_path / "enc.ckpt"
+    limit = 4 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "wsp.cli", "pretrain", "--data", str(dataset_dir), "--config", str(config), "--epochs",
+         "1", "--batch", "4", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("usage error: cannot allocate memory")
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 
@@ -778,6 +844,10 @@ class TestParser:
             {"seeds": [True]},
             {"command": 3},
             {"data_dir": None},
+            {"seeds": [0, -1]},
+            {"sigmas": [0.1, -1.0]},
+            {"methods": ["x"]},
+            {"methods": "wsp"},
         ],
         ids=[
             "loss.tau", "seed", "encoder.input_shape", "augment.crop_scale", "fraction-type", "fraction-range",
@@ -787,7 +857,8 @@ class TestParser:
             "optim.lr-huge-int", "loss.tau-huge-int", "seed-bool", "seed-nan", "seed-negative", "output_dir-bool",
             "fraction-bool", "fraction-nan", "fraction-zero", "encoder.proj_hidden-huge-int",
             "encoder.mlp_hidden-above-u32", "data.central_fraction-moved", "sigmas-empty", "sigmas-string",
-            "seeds-float", "seeds-bool", "command-int", "data_dir-null",
+            "seeds-float", "seeds-bool", "command-int", "data_dir-null", "seeds-negative", "sigmas-negative",
+            "methods-unknown", "methods-string",
         ],
     )
     def test_wrong_typed_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys, doc):

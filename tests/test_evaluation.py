@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsp.benchmark import run_benchmark
+from wsp.benchmark import BENCHMARK_BATCH, BENCHMARK_CONFIG, benchmark_encoder, benchmark_generator, benchmark_optim
+from wsp.cli import load_run_config, sweep_plan
+from wsp.data import GeneratorConfig
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, untrained_checkpoint
 from wsp.errors import ConfigError, ContractError, write_csv
 from wsp.evaluation import (
@@ -358,26 +360,28 @@ class TestPretrainAndProbe:
             raise AssertionError("pretrain ran")
 
         monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        _, seeds, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
         with pytest.raises(ConfigError):
-            run_benchmark(seeds=(0,), cells=[("wsp", 0.1), ("wsp", float("nan"))])
+            run_grid([("wsp", 0.1), ("wsp", float("nan"))], seeds[:1], recipe)
 
     def test_empty_seed_list_rejected_before_any_run(self, small_volumes, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("pretrain ran")
 
         monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        cells, _, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
         with pytest.raises(ConfigError, match="seed"):
-            run_benchmark(seeds=())
+            run_grid(cells, (), recipe)
         with pytest.raises(ConfigError, match="seed"):
             run_grid([("wsp", 0.1)], [], sweep_recipe(small_volumes, OptimConfig(epochs=1, batch_size=8), ProbeConfig()))
 
 
 def sweep_recipe(volumes, optim, probe, aug=None):
-    """The recipe of ``wsp sweep``: each run's seed goes to the encoder, optim and augment configs."""
+    """The recipe of ``wsp sweep``: each run's seed goes to the encoder, optim, probe and augment configs."""
 
     def recipe(seed):
         seeded_aug = None if aug is None else replace(aug, seed=seed)
-        return volumes, replace(SMALL_ENC, seed=seed), replace(optim, seed=seed), probe, seeded_aug
+        return volumes, replace(SMALL_ENC, seed=seed), replace(optim, seed=seed), replace(probe, seed=seed), seeded_aug
 
     return recipe
 
@@ -441,14 +445,34 @@ class TestSigmaSweep:
         for (kind, sigma), by_seed in reports.items():
             assert list(by_seed) == [0, 3]
             for seed, report in by_seed.items():
-                volumes, enc, run_optim, _, aug = recipe(seed)
+                volumes, enc, run_optim, run_probe, aug = recipe(seed)
                 if kind == "random":
                     ckpt = untrained_checkpoint(enc)
                 else:
                     run_optim = replace(run_optim, loss=replace(optim.loss, loss_kind=kind, sigma=sigma))
                     ckpt, _ = pretrain(volumes, enc, run_optim, aug)
-                alone = run_probe_protocol(ckpt, volumes, probe)
+                alone = run_probe_protocol(ckpt, volumes, run_probe)
                 assert report == alone
                 if kind == "supcon":
                     for name, values in ckpt.params.items():
                         assert np.array_equal(checkpoints[(kind, sigma)][seed].params[name], values)
+
+
+def test_benchmark_recipe_holds_the_published_configs():
+    """The committed recipe, read as ``wsp sweep`` reads it, and the builders that the benchmark harness takes from it,
+    give the configs of the published benchmark on every seed."""
+    cells, seeds, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+    assert cells == [(kind, 0.1) for kind in ("random", "infonce", "supcon", "depth_aware", "wsp")]
+    assert seeds == [0, 1, 2, 3, 4]
+    assert BENCHMARK_BATCH == 32
+    assert benchmark_generator() == GeneratorConfig(n_volumes=60, slices_per_volume=24, height=32, width=32,
+                                                    noise_rate=0.1)
+    assert benchmark_generator(n_volumes=128).n_volumes == 128
+    for seed in seeds:
+        assert benchmark_encoder(seed) == EncoderConfig(seed=seed)
+        for kind in ("wsp", "supcon", "depth_aware", "infonce"):
+            loss = LossConfig(tau=0.2, sigma=0.1, loss_kind=kind)
+            assert benchmark_optim(kind, seed) == OptimConfig(lr=1e-3, epochs=30, batch_size=32, loss=loss, seed=seed)
+    _, enc, optim, probe, aug = recipe(3)
+    assert (enc, optim, probe, aug) == (EncoderConfig(seed=3), benchmark_optim("wsp", 3), ProbeConfig(seed=3),
+                                        AugmentConfig(seed=3))

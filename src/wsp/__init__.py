@@ -5,7 +5,7 @@ scale."""
 from .autodiff import Tensor, backward, finite_diff_gradient
 from .data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from .encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
-from .evaluation import ProbeConfig, run_grid, run_probe_protocol
+from .evaluation import ProbeConfig, run_probe_protocol
 from .losses import BatchMeta, LossConfig, compute_loss
 from .sampling import AugmentConfig, BatchSpec
 from .training import OptimConfig, cosine_lr, pretrain
@@ -24,7 +24,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "ProbeConfig",
-    "run_grid",
     "run_probe_protocol",
     "BatchMeta",
     "LossConfig",

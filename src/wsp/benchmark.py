@@ -17,7 +17,7 @@ from .training import OptimConfig
 
 BENCHMARK_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "benchmark.json")
 
-_, _, _, _RECORD = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+_RECORD, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
 BENCHMARK_BATCH = _RECORD["optim"].batch_size
 
 

@@ -31,9 +31,8 @@ from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load
 from .encoders import untrained_checkpoint
 from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, parse_json
 from .errors import write_csv, write_json
-from .evaluation import DEFAULT_SWEEP_SIGMAS, ProbeConfig, extract_representations, pca_project, run_grid
-from .evaluation import run_probe_protocol
-from .losses import LOSS_KINDS, LossConfig, gradient_check
+from .evaluation import ProbeConfig, extract_representations, pca_project, run_probe_protocol
+from .losses import LOSS_KINDS, SIGMA_KINDS, LossConfig, gradient_check
 from .sampling import AugmentConfig
 from .training import OptimConfig, pretrain
 
@@ -219,7 +218,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind=_LOSS_FLAG_TO_KIND.get(args.loss))
     kind = loss_cfg.loss_kind
-    if getattr(args, "loss.sigma") is not None and kind in ("supcon", "infonce"):
+    if getattr(args, "loss.sigma") is not None and kind not in SIGMA_KINDS:
         print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
     enc_cfg = _encoder_config(doc, args, volumes[0].slices[0].pixels.shape)
     out = _resolve_out(doc, args.out)
@@ -298,45 +297,73 @@ def cmd_gradcheck(doc: dict, args) -> int:
     return EXIT_OK
 
 
+DEFAULT_SWEEP_SIGMAS = (0.01, 0.1, 0.2, 0.3, 0.5)
+
 # A sweep given by its run-config alone (see sweep_plan).
 _NO_FLAGS = argparse.Namespace(data=None, seed=None)
 
 
 def sweep_plan(doc: dict, args=_NO_FLAGS):
-    """A sweep's runs, the one reading of its run-config and flags: ``(cells, seeds, recipe, record)``.
+    """A sweep, the one reading of its run-config and flags: ``(record, volumes)``.
 
-    ``run_grid`` takes the cells (each method at each sigma), the seeds and the recipe; ``record`` is what the sweep's
-    echo records. Each seed's run re-seeds the encoder, optim, probe and augment configs with that seed. It trains on
-    the volumes of --data; without it, on the cohort that the data section generates with that seed.
+    ``record`` is what the sweep's echo records and what ``sweep_runs`` runs. ``volumes`` are those of --data, else
+    None: each seed's cohort is then generated from the data section with that seed. A data section given with --data
+    is a usage error, so an echo never replays on another dataset than its own.
     """
-    sigmas = _top(doc, args, "sigmas", list(DEFAULT_SWEEP_SIGMAS))
-    methods = _top(doc, args, "methods", ["wsp"])
-    record = {}
+    record = {"sigmas": _top(doc, args, "sigmas", list(DEFAULT_SWEEP_SIGMAS))}
+    record["methods"] = _top(doc, args, "methods", ["wsp"])
     if args.data is None:
         fraction, volumes = _top(doc, args, "central_fraction", CENTRAL_FRACTION), None
         record["data"] = build_config(GeneratorConfig, _section(doc, args, "data"), ConfigError)
         image_shape = (record["data"].height, record["data"].width)
+    elif "data" in doc:
+        raise ConfigError(f"--data {args.data} and the run-config's data section both give the dataset; give one")
     else:
         fraction, volumes = _load_trimmed(doc, args)
         image_shape = volumes[0].slices[0].pixels.shape
     record["encoder"] = _encoder_config(doc, args, image_shape)
     record["loss"], record["optim"], record["augment"] = _training_configs(doc, args, loss_kind="wsp")
     record["probe"] = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    seeds = _top(doc, args, "seeds", [record["optim"].seed])
-    record.update(central_fraction=fraction, sigmas=sigmas, seeds=seeds, methods=methods)
+    record.update(central_fraction=fraction, seeds=_top(doc, args, "seeds", [record["optim"].seed]))
+    return record, volumes
 
-    def recipe(seed):
-        cohort = volumes or central_view(generate_synthetic_dataset(record["data"], seed)[1], fraction)
-        return cohort, *(replace(record[name], seed=seed) for name in ("encoder", "optim", "probe", "augment"))
 
-    return [(method, sigma) for method in methods for sigma in sigmas], seeds, recipe, record
+def sweep_runs(record: dict, volumes=None):
+    """Run the sweep ``record`` of ``sweep_plan`` seed by seed; yield ``(method, sigma, seed, volumes, checkpoint,
+    report)`` for each method at each sigma, in that order.
+
+    A run re-seeds the encoder, optim, probe and augment configs with its seed, trains on ``volumes`` (else on the
+    seed's generated cohort) and probes the result. The untrained encoder (method "random") and a loss kind that does
+    not read sigma run once per seed; their result is yielded at every sigma, the checkpoint's ``loss_sigma`` set to
+    it. Every loss config is built before the first run.
+    """
+    loss = record["optim"].loss
+    losses = {(kind, sigma): replace(loss, loss_kind=kind, sigma=sigma)
+              for kind in record["methods"] if kind != "random" for sigma in record["sigmas"]}
+    for seed in record["seeds"]:
+        enc, optim, probe, aug = (replace(record[name], seed=seed) for name in ("encoder", "optim", "probe", "augment"))
+        cohort = volumes or central_view(generate_synthetic_dataset(record["data"], seed)[1],
+                                         record["central_fraction"])
+        for method in record["methods"]:
+            for i, sigma in enumerate(record["sigmas"]):
+                if i == 0 or method in SIGMA_KINDS:
+                    if method == "random":
+                        ckpt = untrained_checkpoint(enc)
+                    else:
+                        ckpt, _ = pretrain(cohort, enc, replace(optim, loss=losses[method, sigma]), aug)
+                    report = run_probe_protocol(ckpt, cohort, probe)
+                if method != "random":
+                    ckpt = replace(ckpt, loss_sigma=sigma)
+                yield method, sigma, seed, cohort, ckpt, report
 
 
 def cmd_sweep(doc: dict, args) -> int:
-    cells, seeds, recipe, record = sweep_plan(doc, args)
-    reports, _ = run_grid(cells, seeds, recipe)
-    aucs = {cell: [reports[cell][seed].mean_auc_patient for seed in seeds] for cell in cells}
-    rows = [(*cell, seed, auc) for cell in cells for seed, auc in zip(seeds, aucs[cell])]
+    record, volumes = sweep_plan(doc, args)
+    aucs = {}  # per cell, its seeds' fold-mean AUCs
+    for method, sigma, _, _, _, report in sweep_runs(record, volumes):
+        aucs.setdefault((method, sigma), []).append(report.mean_auc_patient)
+    seeds = record["seeds"]
+    rows = [(*cell, seed, auc) for cell, values in aucs.items() for seed, auc in zip(seeds, values)]
     out = _resolve_out(doc, args.out)
     write_csv(out, ("method", "sigma", "seed", "auc_patient"), rows)
     _echo_config(out, args, record)

@@ -1,4 +1,4 @@
-"""Frozen-representation probing: logistic probe, CV, metrics, PCA, and the experiment grid.
+"""Frozen-representation probing: logistic probe, CV, metrics and PCA.
 
 The probe is a full-batch damped Newton solve of L2-regularized logistic
 regression, run to a gradient-norm tolerance so results are deterministic.
@@ -9,14 +9,13 @@ diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import slice_id
-from .encoders import EncoderCheckpoint, input_batch, untrained_checkpoint
-from .errors import ConfigError, ContractError, check_fields, size_rule
-from .training import pretrain
+from .encoders import EncoderCheckpoint, input_batch
+from .errors import ContractError, check_fields, size_rule
 
 EXTRACT_CHUNK = 128  # slices encoded at a time by extract_representations
 
@@ -281,7 +280,7 @@ def pca_project(x: np.ndarray, modes: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# Probe protocol and the experiment grid
+# Probe protocol
 # ---------------------------------------------------------------------------
 
 
@@ -342,34 +341,3 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
         patient_probabilities=patient_probs,
     )
 
-
-DEFAULT_SWEEP_SIGMAS = (0.01, 0.1, 0.2, 0.3, 0.5)
-
-
-def run_grid(cells, seeds, recipe, keep_checkpoints=()):
-    """The one experiment grid: every (kind, sigma) cell on every seed is one seeded run, pretrain then probe.
-
-    ``recipe(seed)`` gives ``(volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg)``. A cell sets
-    ``loss_kind`` and ``sigma`` on ``optim_cfg.loss``; "random" probes the untrained encoder. A cell
-    or seed listed twice runs once; every cell's loss config is built before the first run.
-    Returns ``reports[cell][seed]`` (ProbeReports) and ``checkpoints[cell][seed]`` for the cells
-    whose kind is in ``keep_checkpoints``.
-    """
-    cells, seeds = list(dict.fromkeys(cells)), list(dict.fromkeys(seeds))
-    if not cells or not seeds:
-        raise ConfigError(f"cell and seed lists must not be empty, got {cells} and {seeds}")
-    reports = {cell: {} for cell in cells}
-    checkpoints = {cell: {} for cell in cells if cell[0] in keep_checkpoints}
-    trained = [cell for cell in cells if cell[0] != "random"]
-    for seed in seeds:
-        volumes, enc_cfg, optim_cfg, probe_cfg, aug_cfg = recipe(seed)
-        losses = {cell: replace(optim_cfg.loss, loss_kind=cell[0], sigma=cell[1]) for cell in trained}
-        for cell in cells:
-            if cell in losses:
-                ckpt, _ = pretrain(volumes, enc_cfg, replace(optim_cfg, loss=losses[cell]), aug_cfg)
-            else:
-                ckpt = untrained_checkpoint(enc_cfg)
-            reports[cell][seed] = run_probe_protocol(ckpt, volumes, probe_cfg)
-            if cell in checkpoints:
-                checkpoints[cell][seed] = ckpt
-    return reports, checkpoints

@@ -42,6 +42,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, check_fields
 
 LOSS_KINDS = ("wsp", "supcon", "depth_aware", "infonce")
+SIGMA_KINDS = ("wsp", "depth_aware")  # the kinds whose pair weights read sigma (see pair_weights)
 DENOMINATOR_CONVENTIONS = ("exclude_anchor", "literal_paper")
 
 _UNIT_ROW_TOL = 1e-6

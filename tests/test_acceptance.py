@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The heavy pieces (one grid holding the five-method benchmark and the
-bandwidth sweep over five seeds, and the negative control) are computed once
-in module-scoped fixtures and shared across criteria.
+The heavy pieces (the five-method benchmark and the bandwidth sweep over five
+seeds, and the negative control) are computed once in module-scoped fixtures
+and shared across criteria.
 """
 
 import math
@@ -15,17 +15,9 @@ import pytest
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
 from wsp.benchmark import BENCHMARK_CONFIG
-from wsp.cli import load_run_config, main, sweep_plan
-from wsp.evaluation import (
-    DEFAULT_SWEEP_SIGMAS,
-    ProbeConfig,
-    auc,
-    extract_representations,
-    pca_project,
-    probe_representations,
-    run_grid,
-    stratified_kfold,
-)
+from wsp.cli import DEFAULT_SWEEP_SIGMAS, load_run_config, main, sweep_plan, sweep_runs
+from wsp.evaluation import ProbeConfig, auc, extract_representations, pca_project, probe_representations
+from wsp.evaluation import stratified_kfold
 from wsp.losses import LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
 from wsp.sampling import BatchSpec, epoch_batches, sample_batch
 from wsp.training import cosine_lr
@@ -37,33 +29,30 @@ def ok(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d} PASS: {message}")
 
 
-def benchmark_grid(doc, extra_cells=(), keep_checkpoints=()):
-    """``run_grid`` of the sweep that the run-config ``doc`` gives ``wsp sweep``, plus ``extra_cells``.
+def sweep(doc, checkpoint_methods=()):
+    """The runs of the sweep that the run-config ``doc`` gives ``wsp sweep``.
 
-    Returns ``auc[cell][seed]`` (fold-mean patient AUC), each seed's ``volumes``, ``checkpoints[cell][seed]`` for
-    the cells whose method is in ``keep_checkpoints``, and the sweep's ``record``.
+    Returns ``auc[cell][seed]`` (fold-mean patient AUC of each (method, sigma) cell), each seed's ``volumes``,
+    ``checkpoints[cell][seed]`` for the cells whose method is in ``checkpoint_methods``, and the sweep's ``record``.
     """
-    cells, seeds, recipe, record = sweep_plan(doc)
-    volumes = {}
-
-    def keep_volumes(seed):
-        run = recipe(seed)
-        volumes[seed] = run[0]
-        return run
-
-    reports, checkpoints = run_grid([*cells, *extra_cells], seeds, keep_volumes, keep_checkpoints)
-    auc = {cell: {seed: rep.mean_auc_patient for seed, rep in by_seed.items()} for cell, by_seed in reports.items()}
-    return {"auc": auc, "volumes": volumes, "checkpoints": checkpoints, "record": record}
+    record, _ = sweep_plan(doc)
+    grid = {"auc": {}, "volumes": {}, "checkpoints": {}, "record": record}
+    for method, sigma, seed, volumes, ckpt, report in sweep_runs(record):
+        grid["auc"].setdefault((method, sigma), {})[seed] = report.mean_auc_patient
+        grid["volumes"][seed] = volumes
+        if method in checkpoint_methods:
+            grid["checkpoints"].setdefault((method, sigma), {})[seed] = ckpt
+    return grid
 
 
 @pytest.fixture(scope="module")
 def grid():
-    """The benchmark recipe's methods and the wsp bandwidth sweep over the recipe's seeds.
-
-    The sweep's cell at the recipe's sigma is the recipe's wsp cell, so it runs once.
-    """
+    """The README's two experiments: the benchmark recipe's methods, then wsp at the other bandwidths of the sweep."""
     doc = load_run_config(BENCHMARK_CONFIG, "sweep")
-    return benchmark_grid(doc, [("wsp", sigma) for sigma in DEFAULT_SWEEP_SIGMAS], ("random", "wsp"))
+    grid = sweep(doc, ("random", "wsp"))
+    others = [sigma for sigma in DEFAULT_SWEEP_SIGMAS if sigma not in grid["record"]["sigmas"]]
+    grid["auc"].update(sweep({**doc, "methods": ["wsp"], "sigmas": others})["auc"])
+    return grid
 
 
 def seed_mean(grid, kind, sigma=None) -> float:
@@ -76,7 +65,7 @@ def null_control():
     """The benchmark recipe's methods on its first seed, probed on a cohort with the class signal removed."""
     doc = load_run_config(BENCHMARK_CONFIG, "sweep")
     data = {**doc.get("data", {}), "contour_amplitudes": [0.0, 0.0, 0.0, 0.0]}
-    grid = benchmark_grid({**doc, "seeds": doc["seeds"][:1], "data": data})
+    grid = sweep({**doc, "seeds": doc["seeds"][:1], "data": data})
     (seed, volumes), = grid["volumes"].items()
     n_pos = sum(1 for v in volumes if v.y_strong == 1)
     n_neg = len(volumes) - n_pos

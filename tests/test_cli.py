@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsp.benchmark import BENCHMARK_CONFIG
-from wsp.cli import _COMMANDS, _FLAGS, build_parser, main
+from wsp.cli import _COMMANDS, _FLAGS, build_parser, main, sweep_runs
 from wsp.data import (
     GeneratorConfig,
     Slice,
@@ -30,10 +30,10 @@ from wsp.data import (
 )
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from wsp.errors import write_csv
-from wsp.evaluation import ProbeConfig, run_grid
+from wsp.evaluation import ProbeConfig, run_probe_protocol
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
-from wsp.training import OptimConfig
+from wsp.training import OptimConfig, pretrain
 
 from oracles import patch_checkpoint_value, rewrite_checkpoint_header, write_raw_dataset
 
@@ -377,10 +377,10 @@ class TestSweep:
         _, volumes = load_dataset(dataset_dir)
         volumes = central_view(volumes)
         h, w = volumes[0].slices[0].pixels.shape
-        runs = (volumes, EncoderConfig(input_shape=(1, h, w)), OptimConfig(epochs=1, batch_size=4), ProbeConfig(),
-                AugmentConfig(enabled=False))
-        reports, _ = run_grid([("wsp", 0.1), ("wsp", 0.5)], [0], lambda seed: runs)
-        api_rows = [(*cell, 0, by_seed[0].mean_auc_patient) for cell, by_seed in reports.items()]
+        record = {"encoder": EncoderConfig(input_shape=(1, h, w)), "optim": OptimConfig(epochs=1, batch_size=4),
+                  "probe": ProbeConfig(), "augment": AugmentConfig(enabled=False), "methods": ["wsp"],
+                  "sigmas": [0.1, 0.5], "seeds": [0]}
+        api_rows = [(*run[:3], run[5].mean_auc_patient) for run in sweep_runs(record, volumes)]
         write_csv(tmp_path / "api.csv", ("method", "sigma", "seed", "auc_patient"), api_rows)
         off = (tmp_path / "off.csv").read_bytes()
         assert off == (tmp_path / "api.csv").read_bytes()
@@ -397,7 +397,7 @@ class TestSweep:
     def test_sigma_whose_depth_kernel_overflows_is_usage_error_before_any_run(
         self, dataset_dir, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
         out = tmp_path / "s.csv"
         code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,1e-200", "--epochs", "1", "--batch", "4",
                     "--out", str(out)])
@@ -418,7 +418,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("seeds", ["", ",", "x", "1.5", "-1", "0,-1"])
     def test_bad_seed_list_is_usage_error(self, dataset_dir, tmp_path, capsys, monkeypatch, seeds):
-        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
         out = tmp_path / "s.csv"
         code = run(["sweep", "--data", str(dataset_dir), "--seeds", seeds, "--epochs", "1", "--batch", "4",
                     "--out", str(out)])
@@ -440,18 +440,65 @@ class TestSweep:
             assert line in printed
 
     def test_without_data_each_seed_trains_on_the_cohort_generated_with_it(self, tmp_path):
-        config = tmp_path / "tiny.json"
+        config, probe_only = tmp_path / "tiny.json", tmp_path / "probe.json"
         config.write_text(json.dumps(TINY_DATA_SWEEP))
-        flags = ["--config", str(config), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
+        probe_only.write_text(json.dumps({"probe": TINY_DATA_SWEEP["probe"]}))
+        flags = ["--arch", "mlp", "--epochs", "1", "--batch", "4"]
         for seed in (1, 4):
             data = tmp_path / f"data{seed}"
             save_dataset(*generate_synthetic_dataset(GeneratorConfig(**TINY_DATA_SWEEP["data"]), seed), data)
-            assert run(["sweep", "--data", str(data), *flags, "--seeds", str(seed), "--out", str(tmp_path / "a")]) == 0
-            assert run(["sweep", *flags, "--seeds", str(seed), "--out", str(tmp_path / "b")]) == 0
+            given = ["--data", str(data), "--config", str(probe_only)]
+            assert run(["sweep", *given, *flags, "--seeds", str(seed), "--out", str(tmp_path / "a")]) == 0
+            generated = ["--config", str(config)]
+            assert run(["sweep", *generated, *flags, "--seeds", str(seed), "--out", str(tmp_path / "b")]) == 0
             assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
         echo = json.loads((tmp_path / "b.config.json").read_text())
         assert "data_dir" not in echo
         assert echo["data"]["n_volumes"] == TINY_DATA_SWEEP["data"]["n_volumes"]
+
+    def test_data_flag_with_a_data_section_is_usage_error_before_any_run(self, dataset_dir, tmp_path, capsys,
+                                                                           monkeypatch):
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(TINY_DATA_SWEEP))
+        flags = ["--arch", "mlp", "--epochs", "1", "--batch", "4"]
+        assert run(["sweep", "--config", str(config), *flags, "--sigmas", "0.1", "--out", str(tmp_path / "s.csv")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
+        for given in (config, tmp_path / "s.csv.config.json"):  # the run-config, then the echo of its sweep
+            out = tmp_path / "replay" / "s.csv"
+            assert run(["sweep", "--config", str(given), "--data", str(dataset_dir), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: --data ") and "data section" in err
+            assert "Traceback" not in err
+            assert not out.parent.exists()
+
+    def test_sigma_free_methods_run_once_per_seed(self, dataset_dir, tmp_path, monkeypatch):
+        pretrained, probed = [], []
+
+        def counting_pretrain(volumes, enc_cfg, optim_cfg, aug_cfg=None):
+            pretrained.append((optim_cfg.loss.loss_kind, optim_cfg.loss.sigma, optim_cfg.seed))
+            return pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
+
+        def counting_probe(ckpt, volumes, cfg):
+            probed.append((ckpt.loss_kind, cfg.seed))
+            return run_probe_protocol(ckpt, volumes, cfg)
+
+        monkeypatch.setattr("wsp.cli.pretrain", counting_pretrain)
+        monkeypatch.setattr("wsp.cli.run_probe_protocol", counting_probe)
+        out = tmp_path / "s.csv"
+        flags = ["--methods", "random,supcon,wsp", "--sigmas", "0.1,0.5", "--seeds", "2,0", "--arch", "mlp", "--epochs",
+                 "1", "--batch", "4"]
+        assert run(["sweep", "--data", str(dataset_dir), *flags, "--out", str(out)]) == 0
+        assert pretrained == [(kind, sigma, seed) for seed in (2, 0) for kind, sigma in
+                              (("supcon", 0.1), ("wsp", 0.1), ("wsp", 0.5))]
+        assert probed == [(kind, seed) for seed in (2, 0) for kind in ("random", "supcon", "wsp", "wsp")]
+        # A sigma-free row repeats its method's one run; the bytes are those of a sweep that runs every cell.
+        assert out.read_text() == (
+            "method,sigma,seed,auc_patient\n"
+            "random,0.1,2,0.5\nrandom,0.1,0,0.7\nrandom,0.5,2,0.5\nrandom,0.5,0,0.7\n"
+            "supcon,0.1,2,0.4\nsupcon,0.1,0,0.7\nsupcon,0.5,2,0.4\nsupcon,0.5,0,0.7\n"
+            "wsp,0.1,2,0.4\nwsp,0.1,0,0.7\nwsp,0.5,2,0.4\nwsp,0.5,0,0.7\n"
+        )
 
     def test_repeated_seeds_and_sigmas_count_once(self, dataset_dir, tmp_path):
         flags = ["sweep", "--data", str(dataset_dir), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
@@ -705,7 +752,7 @@ def test_dataset_without_one_image_size_is_data_error(tmp_path, capsys, command,
 def test_script_bad_list_is_usage_error(tmp_path, capsys, monkeypatch, flags):
     """A bad list given to either study of the benchmark recipe, the method comparison (``--config`` of the recipe)
     or the bandwidth study (``--methods wsp``), is a usage error before any run, and nothing is written."""
-    monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
+    monkeypatch.setattr("wsp.cli.pretrain", no_training)
     out = tmp_path / "out.csv"
     assert run(["sweep", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err

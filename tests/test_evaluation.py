@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsp.benchmark import BENCHMARK_BATCH, BENCHMARK_CONFIG, benchmark_encoder, benchmark_generator, benchmark_optim
-from wsp.cli import load_run_config, sweep_plan
+from wsp.cli import DEFAULT_SWEEP_SIGMAS, load_run_config, sweep_plan, sweep_runs
 from wsp.data import GeneratorConfig
-from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, untrained_checkpoint
+from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, save_checkpoint, untrained_checkpoint
 from wsp.errors import ConfigError, ContractError, write_csv
 from wsp.evaluation import (
-    DEFAULT_SWEEP_SIGMAS,
     ProbeConfig,
     RepresentationTable,
     aggregate_patient,
@@ -21,7 +20,6 @@ from wsp.evaluation import (
     pca_project,
     predict_probe,
     probe_representations,
-    run_grid,
     run_probe_protocol,
     stratified_kfold,
 )
@@ -332,64 +330,67 @@ class TestProbeProtocol:
         assert lines[1].startswith("random,0.1,0,")
 
 
-def one_run(volumes, cell, optim, probe):
-    """(checkpoint, ProbeReport) of the one-cell, one-seed grid of ``cell`` under this recipe."""
-    reports, checkpoints = run_grid([cell], [0], lambda seed: (volumes, SMALL_ENC, optim, probe, None), (cell[0],))
-    return checkpoints[cell][0], reports[cell][0]
+# The run-config of a one-epoch sweep of SMALL_ENC on the small volumes.
+SMALL_SWEEP = {"encoder": {"conv_channels": [4, 8, 8, 16, 16], "repr_dim": 32, "proj_dim": 8, "proj_hidden": 16},
+               "loss": {"tau": 0.2}, "optim": {"lr": 1e-3, "epochs": 1, "batch_size": 8}, "probe": {"folds": 4}}
+
+
+def small_sweep(volumes, **keys):
+    """The runs of ``wsp sweep`` on ``volumes`` with the small run-config and ``keys``, each as
+    ``{(method, sigma, seed): (checkpoint, report)}``, in the order they were yielded."""
+    record, _ = sweep_plan({**SMALL_SWEEP, **keys})
+    return {run[:3]: run[4:] for run in sweep_runs(record, volumes)}
+
+
+def run_alone(volumes, method, sigma, seed):
+    """(checkpoint, report) of one run of the small sweep, built from its configs without the runner."""
+    enc = replace(SMALL_ENC, seed=seed)
+    if method == "random":
+        ckpt = untrained_checkpoint(enc)
+    else:
+        loss = LossConfig(tau=0.2, sigma=sigma, loss_kind=method)
+        ckpt, _ = pretrain(volumes, enc, OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=loss, seed=seed),
+                           AugmentConfig(seed=seed))
+    return ckpt, run_probe_protocol(ckpt, volumes, ProbeConfig(folds=4, seed=seed))
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("pretrain ran")
 
 
 class TestPretrainAndProbe:
     def test_trained_run_is_pretrain_then_probe(self, small_volumes):
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        ckpt, report = one_run(small_volumes, ("wsp", 0.1), optim, ProbeConfig(folds=4, seed=1))
-        expected, _ = pretrain(small_volumes, SMALL_ENC, optim)
+        (ckpt, report), = small_sweep(small_volumes, methods=["wsp"], sigmas=[0.1], seeds=[1]).values()
+        expected, expected_report = run_alone(small_volumes, "wsp", 0.1, 1)
         assert (ckpt.step, ckpt.loss_kind) == (expected.step, "wsp")
         for name, values in expected.params.items():
             assert np.array_equal(ckpt.params[name], values)
-        assert report == run_probe_protocol(expected, small_volumes, ProbeConfig(folds=4, seed=1))
+        assert report == expected_report
 
     def test_no_optim_probes_the_untrained_encoder(self, small_volumes):
-        ckpt, report = one_run(small_volumes, ("random", 0.1), OptimConfig(), ProbeConfig(folds=4, seed=1))
+        (ckpt, report), = small_sweep(small_volumes, methods=["random"], sigmas=[0.1], seeds=[1]).values()
         assert (ckpt.step, ckpt.loss_kind) == (0, "random")
-        for name, param in init_encoder(SMALL_ENC).params.items():
+        for name, param in init_encoder(replace(SMALL_ENC, seed=1)).params.items():
             assert np.array_equal(ckpt.params[name], param.data)
         assert report == run_probe_protocol(ckpt, small_volumes, ProbeConfig(folds=4, seed=1))
 
     def test_bad_grid_cell_rejected_before_any_run(self, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("pretrain ran")
-
-        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
-        _, seeds, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
+        monkeypatch.setattr("wsp.cli.run_probe_protocol", no_training)
+        doc = load_run_config(BENCHMARK_CONFIG, "sweep")
         with pytest.raises(ConfigError):
-            run_grid([("wsp", 0.1), ("wsp", float("nan"))], seeds[:1], recipe)
+            sweep_plan({**doc, "sigmas": [0.1, float("nan")]})
+        # 1e-200 passes the list's rule, but its depth kernel overflows: the runner builds every loss config first.
+        record, _ = sweep_plan({**doc, "sigmas": [0.1, 1e-200], "seeds": [0]})
+        with pytest.raises(ConfigError, match="too small"):
+            next(sweep_runs(record))
 
     def test_empty_seed_list_rejected_before_any_run(self, small_volumes, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("pretrain ran")
-
-        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
-        cells, _, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
         with pytest.raises(ConfigError, match="seed"):
-            run_grid(cells, (), recipe)
+            sweep_plan({**load_run_config(BENCHMARK_CONFIG, "sweep"), "seeds": []})
         with pytest.raises(ConfigError, match="seed"):
-            run_grid([("wsp", 0.1)], [], sweep_recipe(small_volumes, OptimConfig(epochs=1, batch_size=8), ProbeConfig()))
-
-
-def sweep_recipe(volumes, optim, probe, aug=None):
-    """The recipe of ``wsp sweep``: each run's seed goes to the encoder, optim, probe and augment configs."""
-
-    def recipe(seed):
-        seeded_aug = None if aug is None else replace(aug, seed=seed)
-        return volumes, replace(SMALL_ENC, seed=seed), replace(optim, seed=seed), replace(probe, seed=seed), seeded_aug
-
-    return recipe
-
-
-def sweep_grid(volumes, optim, probe, sigmas, seeds=(0,), aug=None):
-    """``reports[cell][seed]`` of the wsp loss at each sigma."""
-    reports, _ = run_grid([("wsp", sigma) for sigma in sigmas], seeds, sweep_recipe(volumes, optim, probe, aug))
-    return reports
+            small_sweep(small_volumes, seeds=[])
 
 
 class TestSigmaSweep:
@@ -397,82 +398,73 @@ class TestSigmaSweep:
         assert DEFAULT_SWEEP_SIGMAS == (0.01, 0.1, 0.2, 0.3, 0.5)
 
     def test_row_per_sigma(self, small_volumes):
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        reports = sweep_grid(small_volumes, optim, ProbeConfig(folds=4, seed=0), sigmas=(0.1, 0.5))
-        assert [sigma for _, sigma in reports] == [0.1, 0.5]
-        for by_seed in reports.values():
-            assert len(by_seed[0].fold_auc_patient) == 4
-            assert 0.0 <= by_seed[0].mean_auc_patient <= 1.0
+        runs = small_sweep(small_volumes, sigmas=[0.1, 0.5], seeds=[0])
+        assert list(runs) == [("wsp", 0.1, 0), ("wsp", 0.5, 0)]
+        for _, report in runs.values():
+            assert len(report.fold_auc_patient) == 4
+            assert 0.0 <= report.mean_auc_patient <= 1.0
 
     def test_non_finite_sigma_rejected_before_any_run(self, small_volumes, monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("pretrain ran")
-
-        monkeypatch.setattr("wsp.evaluation.pretrain", no_training)
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
         with pytest.raises(ConfigError):
-            sweep_grid(small_volumes, optim, ProbeConfig(folds=4), sigmas=(0.1, float("nan")))
+            small_sweep(small_volumes, sigmas=[0.1, float("nan")])
 
     def test_augment_config_reseeded_per_run(self, small_volumes):
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        reports = [
-            sweep_grid(small_volumes, optim, ProbeConfig(folds=4), sigmas=(0.1,), seeds=(0, 3), aug=aug)
-            for aug in (None, AugmentConfig(seed=9))
-        ]
-        assert reports[0] == reports[1]
+        runs = [small_sweep(small_volumes, sigmas=[0.1], seeds=[0, 3], **aug) for aug in ({}, {"augment": {"seed": 9}})]
+        assert [report for _, report in runs[0].values()] == [report for _, report in runs[1].values()]
 
     def test_empty_sigma_list_rejected(self, small_volumes):
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
         with pytest.raises(ConfigError):
-            sweep_grid(small_volumes, optim, ProbeConfig(), sigmas=())
+            small_sweep(small_volumes, sigmas=[])
 
-    def test_each_report_is_its_run_alone_and_a_repeated_cell_runs_once(self, small_volumes, monkeypatch):
-        optim = OptimConfig(lr=1e-3, epochs=1, batch_size=8, loss=LossConfig(tau=0.2), seed=0)
-        probe = ProbeConfig(folds=4, seed=1)
+    def test_each_report_is_its_run_alone_and_a_repeated_cell_runs_once(self, small_volumes, monkeypatch, tmp_path):
         trained = []
 
         def counting_pretrain(volumes, enc_cfg, optim_cfg, aug_cfg=None):
             trained.append((optim_cfg.loss.loss_kind, optim_cfg.loss.sigma, optim_cfg.seed))
             return pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
 
-        monkeypatch.setattr("wsp.evaluation.pretrain", counting_pretrain)
-        cells = [("wsp", 0.1), ("supcon", 0.5), ("random", 0.1), ("wsp", 0.1)]
-        recipe = sweep_recipe(small_volumes, optim, probe)
-        reports, checkpoints = run_grid(cells, [0, 3, 0], recipe, keep_checkpoints=("supcon",))
-        assert trained == [("wsp", 0.1, 0), ("supcon", 0.5, 0), ("wsp", 0.1, 3), ("supcon", 0.5, 3)]
-        assert list(reports) == cells[:3]
-        assert list(checkpoints) == [("supcon", 0.5)]
-        for (kind, sigma), by_seed in reports.items():
-            assert list(by_seed) == [0, 3]
-            for seed, report in by_seed.items():
-                volumes, enc, run_optim, run_probe, aug = recipe(seed)
-                if kind == "random":
-                    ckpt = untrained_checkpoint(enc)
-                else:
-                    run_optim = replace(run_optim, loss=replace(optim.loss, loss_kind=kind, sigma=sigma))
-                    ckpt, _ = pretrain(volumes, enc, run_optim, aug)
-                alone = run_probe_protocol(ckpt, volumes, run_probe)
-                assert report == alone
-                if kind == "supcon":
-                    for name, values in ckpt.params.items():
-                        assert np.array_equal(checkpoints[(kind, sigma)][seed].params[name], values)
+        monkeypatch.setattr("wsp.cli.pretrain", counting_pretrain)
+        methods, sigmas = ["wsp", "supcon", "random", "wsp"], [0.1, 0.5, 0.1]
+        runs = small_sweep(small_volumes, methods=methods, sigmas=sigmas, seeds=[0, 3, 0])
+        # supcon does not read sigma: it trains once per seed, at the first sigma.
+        assert trained == [("wsp", 0.1, 0), ("wsp", 0.5, 0), ("supcon", 0.1, 0),
+                           ("wsp", 0.1, 3), ("wsp", 0.5, 3), ("supcon", 0.1, 3)]
+        assert list(runs) == [(kind, sigma, seed) for seed in (0, 3) for kind in methods[:3] for sigma in sigmas[:2]]
+        for (kind, sigma, seed), (ckpt, report) in runs.items():
+            alone, alone_report = run_alone(small_volumes, kind, sigma, seed)
+            assert report == alone_report
+            save_checkpoint(ckpt, tmp_path / "run.ckpt")
+            save_checkpoint(alone, tmp_path / "alone.ckpt")
+            assert (tmp_path / "run.ckpt").read_bytes() == (tmp_path / "alone.ckpt").read_bytes()
 
 
-def test_benchmark_recipe_holds_the_published_configs():
+def test_benchmark_recipe_holds_the_published_configs(monkeypatch):
     """The committed recipe, read as ``wsp sweep`` reads it, and the builders that the benchmark harness takes from it,
     give the configs of the published benchmark on every seed."""
-    cells, seeds, recipe, _ = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
-    assert cells == [(kind, 0.1) for kind in ("random", "infonce", "supcon", "depth_aware", "wsp")]
-    assert seeds == [0, 1, 2, 3, 4]
+    record, volumes = sweep_plan(load_run_config(BENCHMARK_CONFIG, "sweep"))
+    assert volumes is None
+    assert record["methods"] == ["random", "infonce", "supcon", "depth_aware", "wsp"]
+    assert record["sigmas"] == [0.1]
+    assert record["seeds"] == [0, 1, 2, 3, 4]
     assert BENCHMARK_BATCH == 32
     assert benchmark_generator() == GeneratorConfig(n_volumes=60, slices_per_volume=24, height=32, width=32,
                                                     noise_rate=0.1)
     assert benchmark_generator(n_volumes=128).n_volumes == 128
-    for seed in seeds:
+    for seed in record["seeds"]:
         assert benchmark_encoder(seed) == EncoderConfig(seed=seed)
         for kind in ("wsp", "supcon", "depth_aware", "infonce"):
             loss = LossConfig(tau=0.2, sigma=0.1, loss_kind=kind)
             assert benchmark_optim(kind, seed) == OptimConfig(lr=1e-3, epochs=30, batch_size=32, loss=loss, seed=seed)
-    _, enc, optim, probe, aug = recipe(3)
-    assert (enc, optim, probe, aug) == (EncoderConfig(seed=3), benchmark_optim("wsp", 3), ProbeConfig(seed=3),
-                                        AugmentConfig(seed=3))
+    seen = {}
+
+    def capture_pretrain(volumes, enc, optim, aug):
+        seen.update(volumes=volumes, enc=enc, optim=optim, aug=aug)
+        return untrained_checkpoint(enc), None
+
+    monkeypatch.setattr("wsp.cli.pretrain", capture_pretrain)
+    monkeypatch.setattr("wsp.cli.run_probe_protocol", lambda ckpt, volumes, probe: seen.update(probe=probe))
+    (_, _, _, cohort, _, _), = sweep_runs({**record, "methods": ["wsp"], "seeds": [3]})
+    assert (seen["enc"], seen["optim"], seen["probe"], seen["aug"]) == (
+        EncoderConfig(seed=3), benchmark_optim("wsp", 3), ProbeConfig(seed=3), AugmentConfig(seed=3))
+    assert seen["volumes"] is cohort and len(cohort) == 60

@@ -13,6 +13,7 @@ from wsp.errors import ConfigError, ContractError
 from wsp.losses import (
     DENOMINATOR_CONVENTIONS,
     LOSS_KINDS,
+    SIGMA_KINDS,
     BatchMeta,
     LossConfig,
     compute_loss,
@@ -357,6 +358,12 @@ class TestInvariants:
                 perm = rng.permutation(len(meta))
                 value = compute_loss(Tensor(z[perm]), meta.take(perm), cfg).item()
                 assert value == pytest.approx(base, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_only_the_sigma_kinds_read_sigma(self, rng, kind):
+        _, meta = paired_random_batch(rng, n_slices=5, dim=8)  # 5 slices in 4 classes: two slices share a label
+        narrow, wide = (pair_weights(meta, LossConfig(sigma=sigma, loss_kind=kind)) for sigma in (0.05, 0.5))
+        assert np.array_equal(narrow, wide) == (kind not in SIGMA_KINDS)
 
     def test_sign_of_influence(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)

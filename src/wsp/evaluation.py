@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import slice_id
 from .encoders import EncoderCheckpoint, input_batch
-from .errors import ContractError, check_fields, size_rule
+from .errors import ContractError, NonFiniteError, check_fields, size_rule
 
 EXTRACT_CHUNK = 128  # slices encoded at a time by extract_representations
 
@@ -56,7 +56,6 @@ class ProbeReport:
     std_auc_patient: float
     mean_bacc: float
     std_bacc: float
-    patient_probabilities: dict
 
 
 def extract_representations(ckpt: EncoderCheckpoint, volumes) -> RepresentationTable:
@@ -83,6 +82,9 @@ def extract_representations(ckpt: EncoderCheckpoint, volumes) -> RepresentationT
     for start in range(0, len(images), EXTRACT_CHUNK):
         block = np.stack(images[start : start + EXTRACT_CHUNK]).astype(np.float64, copy=False)
         reprs[start : start + len(block)] = enc.encode(input_batch(enc.config, block)).data
+    # The probe's Hessian and the PCA covariance sum products of these values; the sum of squares bounds every one.
+    if not np.isfinite(np.vdot(reprs, reprs)):
+        raise NonFiniteError("the encoder's representations are non-finite, or their sum of squares overflows")
     return RepresentationTable(
         patient_ids=patient_ids,
         slice_ids=slice_ids,
@@ -180,32 +182,10 @@ def predict_probe(x: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_patient(probabilities, patient_ids) -> dict:
-    """Arithmetic mean of slice probabilities per patient."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if len(probs) != len(patient_ids):
-        raise ContractError("probabilities and patient ids must align")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ContractError("probabilities must lie in [0, 1]")
-    sums: dict = {}
-    counts: dict = {}
-    for pid, prob in zip(patient_ids, probs):
-        sums[pid] = sums.get(pid, 0.0) + float(prob)
-        counts[pid] = counts.get(pid, 0) + 1
-    return {pid: sums[pid] / counts[pid] for pid in sums}
-
-
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied scores share the mean of the ranks they span."""
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[tie_group]
 
 
 def auc(scores, labels) -> float:
@@ -221,15 +201,15 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def balanced_accuracy(probabilities, labels, threshold: float = 0.5) -> float:
-    """(sensitivity + specificity) / 2 at the given probability threshold."""
+def balanced_accuracy(probabilities, labels) -> float:
+    """(sensitivity + specificity) / 2, a probability of 0.5 or more predicting the positive class."""
     probs = np.asarray(probabilities, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     pos = labels == 1
     neg = labels == 0
     if not pos.any() or not neg.any():
         raise ContractError("balanced accuracy needs both classes present")
-    preds = probs >= threshold
+    preds = probs >= 0.5
     sensitivity = float(preds[pos].mean())
     specificity = float((~preds[neg]).mean())
     return 0.5 * (sensitivity + specificity)
@@ -284,52 +264,40 @@ def pca_project(x: np.ndarray, modes: int = 2):
 # ---------------------------------------------------------------------------
 
 
-def _patient_table(table: RepresentationTable):
-    """Patients in order of first appearance, each patient's first row, and their strong labels."""
-    first_row: dict = {}
-    for row, pid in enumerate(table.patient_ids):
-        first_row.setdefault(pid, row)
-    labels = np.asarray(table.y_strong[list(first_row.values())], dtype=np.int64)
-    for pid, label in zip(first_row, labels):
-        if label < 0:
-            raise ContractError(f"patient {pid} lacks a strong label")
-    return list(first_row), first_row, labels
-
-
 def run_probe_protocol(ckpt: EncoderCheckpoint, volumes, cfg: ProbeConfig) -> ProbeReport:
     """Stratified k-fold linear probing with patient-level aggregation."""
     table = extract_representations(ckpt, volumes)
     return probe_representations(table, cfg)
 
 
-def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features: np.ndarray | None = None) -> ProbeReport:
-    """Probe protocol on a precomputed table (features default to table.repr)."""
-    x_all = table.repr if features is None else np.asarray(features, dtype=np.float64)
-    if len(x_all) != len(table):
-        raise ContractError("feature matrix does not match the representation table")
-    patients, first_row, patient_labels = _patient_table(table)
-    folds = stratified_kfold(patients, patient_labels, cfg.folds, cfg.seed)
-    fold_of_patient = {pid: int(f) for pid, f in zip(patients, folds)}
-    slice_folds = np.asarray([fold_of_patient[pid] for pid in table.patient_ids], dtype=np.int64)
+def probe_representations(table: RepresentationTable, cfg: ProbeConfig) -> ProbeReport:
+    """Probe protocol on a precomputed table: folds over patients, each held-out patient scored by the mean of its
+    slices' probabilities."""
+    if len(table.repr) != len(table):
+        raise ContractError("representation matrix does not match the representation table")
+    ids, first_rows, sorted_patient = np.unique(np.asarray(table.patient_ids), return_index=True, return_inverse=True)
+    order = np.argsort(first_rows)  # patients in order of first appearance
+    patient = np.argsort(order)[sorted_patient]  # each slice's patient, in that order
+    ids, labels = ids[order], table.y_strong[first_rows[order]]
+    if (labels < 0).any():
+        raise ContractError(f"patient {ids[np.argmax(labels < 0)]} lacks a strong label")
+    patient_folds = stratified_kfold(ids, labels, cfg.folds, cfg.seed)
+    slice_folds = patient_folds[patient]
+    slice_counts = np.bincount(patient)
     slice_labels = table.y_strong.astype(np.float64)
     fold_auc_patient: list[float] = []
     fold_auc_slice: list[float] = []
     fold_bacc: list[float] = []
-    patient_probs: dict = {}
     for f in range(cfg.folds):
-        train = slice_folds != f
         test = slice_folds == f
-        w, b = fit_logistic_probe(x_all[train], slice_labels[train], cfg)
-        probs = predict_probe(x_all[test], w, b)
-        test_pids = [pid for pid, is_test in zip(table.patient_ids, test) if is_test]
-        per_patient = aggregate_patient(probs, test_pids)
-        patient_probs.update(per_patient)
-        pids_sorted = sorted(per_patient)
-        p_scores = np.asarray([per_patient[pid] for pid in pids_sorted])
-        p_labels = np.asarray(table.y_strong[[first_row[pid] for pid in pids_sorted]], dtype=np.int64)
-        fold_auc_patient.append(auc(p_scores, p_labels))
+        w, b = fit_logistic_probe(table.repr[~test], slice_labels[~test], cfg)
+        probs = predict_probe(table.repr[test], w, b)
+        held_out = patient_folds == f
+        # bincount adds each patient's probabilities in slice order
+        scores = (np.bincount(patient[test], probs, len(ids)) / slice_counts)[held_out]
+        fold_auc_patient.append(auc(scores, labels[held_out]))
         fold_auc_slice.append(auc(probs, table.y_strong[test]))
-        fold_bacc.append(balanced_accuracy(p_scores, p_labels))
+        fold_bacc.append(balanced_accuracy(scores, labels[held_out]))
     return ProbeReport(
         fold_auc_patient=fold_auc_patient,
         fold_auc_slice=fold_auc_slice,
@@ -338,6 +306,4 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig, features
         std_auc_patient=float(np.std(fold_auc_patient)),
         mean_bacc=float(np.mean(fold_bacc)),
         std_bacc=float(np.std(fold_bacc)),
-        patient_probabilities=patient_probs,
     )
-

@@ -195,6 +195,10 @@ def pretrain(
             epoch_losses.append(value)
             global_step += 1
         curve.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(epoch_losses)), lr=float(epoch_lr)))
+    # No forward pass follows the last step to catch parameters that it made non-finite.
+    for name, p in enc.params.items():
+        if not np.isfinite(p.data).all():
+            raise _diverged(f"non-finite parameter {name!r}", epoch, b_idx, meta)
     ckpt = EncoderCheckpoint.from_encoder(
         enc,
         step=global_step,

@@ -224,7 +224,7 @@ def test_criterion_09_pca_structure(grid):
             corr = max(
                 abs(float(np.corrcoef(coords[:, mode], table.d)[0, 1])) for mode in range(2)
             )
-            report = probe_representations(table, ProbeConfig(seed=seed), features=coords)
+            report = probe_representations(replace(table, repr=coords), ProbeConfig(seed=seed))
             stats[kind]["corr"].append(corr)
             stats[kind]["auc2d"].append(report.mean_auc_patient)
     wsp_corr = float(np.mean(stats["wsp"]["corr"]))

@@ -28,7 +28,7 @@ from wsp.data import (
     load_dataset,
     save_dataset,
 )
-from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint
+from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
 from wsp.errors import write_csv
 from wsp.evaluation import ProbeConfig, run_probe_protocol
 from wsp.losses import LossConfig
@@ -255,9 +255,19 @@ class TestPretrain:
                     "--lr", "1e308", "--config", str(config), "--out", str(out)])
         assert code == 4
         err = capsys.readouterr().err
-        assert "numerical failure: checkpoint fc2_b values must be finite, got inf" in err
+        assert "error: non-finite parameter 'fc2_b' at epoch 0, batch 0; batch dump written to" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def huge_weight_checkpoint(dataset_dir, path):
+    """An untrained mlp checkpoint for ``dataset_dir``'s images whose first layer is scaled by 1e306: every parameter
+    is finite, but the representations overflow."""
+    _, volumes = load_dataset(dataset_dir)
+    ckpt = untrained_checkpoint(EncoderConfig(arch="mlp", input_shape=(volumes[0].slices[0].pixels.size,)))
+    ckpt.params["fc1_w"] *= 1e306
+    save_checkpoint(ckpt, path)
+    return path
 
 
 class TestProbe:
@@ -290,6 +300,15 @@ class TestProbe:
         err = capsys.readouterr().err
         assert "data error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_representations_are_numeric_error(self, dataset_dir, tmp_path, capsys):
+        ckpt = huge_weight_checkpoint(dataset_dir, tmp_path / "huge.ckpt")
+        out = tmp_path / "m.csv"
+        assert run(["probe", "--data", str(dataset_dir), "--ckpt", str(ckpt), "--folds", "3", "--out", str(out)]) == 4
+        assert "numerical failure: the encoder's representations are non-finite, or their sum of squares overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_many_folds_is_data_error(self, dataset_dir, checkpoint, tmp_path):
         code = run(
@@ -328,6 +347,16 @@ class TestProject:
         for out in outs:
             assert run(["project", "--data", str(dataset_dir), "--ckpt", str(checkpoint), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_representations_are_numeric_error(self, dataset_dir, tmp_path, capsys):
+        ckpt = huge_weight_checkpoint(dataset_dir, tmp_path / "huge.ckpt")
+        out = tmp_path / "pca.csv"
+        assert run(["project", "--data", str(dataset_dir), "--ckpt", str(ckpt), "--out", str(out)]) == 4
+        assert "numerical failure: the encoder's representations are non-finite, or their sum of squares overflows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -385,6 +414,19 @@ class TestSweep:
         off = (tmp_path / "off.csv").read_bytes()
         assert off == (tmp_path / "api.csv").read_bytes()
         assert off != (tmp_path / "default.csv").read_bytes()
+
+    # This run overflows on purpose; numpy's warnings about it are expected, not faults.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_run_is_numeric_error_and_writes_no_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "sgd.json"
+        cfg.write_text(json.dumps({**TINY_DATA_SWEEP, "optim": {"optimizer": "sgd_momentum", "weight_decay": 0}}))
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--config", str(cfg), "--arch", "mlp", "--epochs", "1", "--batch", "12", "--lr", "1e308",
+                    "--sigmas", "0.1", "--seeds", "0", "--out", str(out)])
+        assert code == 4
+        assert "numerical failure: non-finite parameter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_sigma_is_usage_error(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "s.csv"

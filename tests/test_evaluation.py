@@ -12,7 +12,6 @@ from wsp.errors import ConfigError, ContractError, write_csv
 from wsp.evaluation import (
     ProbeConfig,
     RepresentationTable,
-    aggregate_patient,
     auc,
     balanced_accuracy,
     extract_representations,
@@ -115,28 +114,6 @@ class TestLogisticProbe:
     def test_non_finite_config_value_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             ProbeConfig(**{field: float("nan")})
-
-
-class TestAggregate:
-    def test_mean(self):
-        out = aggregate_patient([0.2, 0.4], ["p", "p"])
-        assert out == {"p": pytest.approx(0.3)}
-
-    def test_single_slice(self):
-        assert aggregate_patient([0.7], ["p"]) == {"p": pytest.approx(0.7)}
-
-    def test_order_invariant(self, rng):
-        probs = rng.random(9)
-        pids = ["a", "b", "c"] * 3
-        base = aggregate_patient(probs, pids)
-        perm = rng.permutation(9)
-        shuffled = aggregate_patient(probs[perm], [pids[i] for i in perm])
-        for key in base:
-            assert shuffled[key] == pytest.approx(base[key], abs=1e-12)
-
-    def test_probability_range_checked(self):
-        with pytest.raises(ContractError):
-            aggregate_patient([1.5], ["p"])
 
 
 class TestAuc:
@@ -285,7 +262,52 @@ def planted_table(small_volumes, plant_signal):
     )
 
 
+def interleaved_table():
+    """Ten patients of 1 to 4 slices each, first appearing out of sorted order, their later slices shuffled together."""
+    rng = np.random.default_rng(5)
+    order = ["p7", "p2", "p9", "p0", "p5", "p3", "p8", "p1", "p6", "p4"]
+    extra = [pid for pid, n in zip(order, [0, 2, 1, 3, 0, 1, 2, 0, 3, 1]) for _ in range(n)]
+    patient_ids = order + [extra[i] for i in rng.permutation(len(extra))]
+    labels = np.asarray([int(pid[1:]) % 2 for pid in patient_ids])
+    features = rng.normal(size=(len(patient_ids), 3))
+    features[:, 0] += 0.8 * labels
+    table = RepresentationTable(
+        patient_ids=patient_ids,
+        slice_ids=[f"{pid}/{i}" for i, pid in enumerate(patient_ids)],
+        d=np.linspace(0, 1, len(patient_ids)),
+        y_weak=labels.copy(),
+        y_strong=labels,
+        repr=features,
+    )
+    return table, order
+
+
 class TestProbeProtocol:
+    def test_patient_scores_are_the_means_of_their_slices_probabilities(self):
+        table, order = interleaved_table()
+        cfg = ProbeConfig(folds=3, seed=2)
+        report = probe_representations(table, cfg)
+        label_of = dict(zip(table.patient_ids, table.y_strong.tolist()))
+        # Folds are drawn over the patients in order of first appearance.
+        fold_of = dict(zip(order, stratified_kfold(order, [label_of[pid] for pid in order], 3, 2)))
+        pids = np.asarray(table.patient_ids)
+        for f in range(3):
+            test = np.asarray([fold_of[pid] == f for pid in table.patient_ids])
+            w, b = fit_logistic_probe(table.repr[~test], table.y_strong[~test].astype(float), cfg)
+            probs = predict_probe(table.repr[test], w, b)
+            held_out = sorted(set(pids[test]))
+            means = [sum(probs[pids[test] == pid]) / int((pids == pid).sum()) for pid in held_out]
+            labels = [label_of[pid] for pid in held_out]
+            assert report.fold_auc_patient[f] == auc(means, labels)
+            assert report.fold_bacc[f] == balanced_accuracy(means, labels)
+            assert report.fold_auc_slice[f] == auc(probs, table.y_strong[test])
+
+    def test_patient_without_strong_label_is_named(self):
+        table, _ = interleaved_table()
+        table.y_strong[table.patient_ids.index("p9")] = -1
+        with pytest.raises(ContractError, match="patient p9 lacks a strong label"):
+            probe_representations(table, ProbeConfig(folds=3))
+
     def test_planted_signal_reaches_auc_one_every_fold(self, small_volumes):
         table = planted_table(small_volumes, plant_signal=True)
         report = probe_representations(table, ProbeConfig(folds=4, seed=0))
@@ -314,8 +336,6 @@ class TestProbeProtocol:
         ckpt = EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random")
         report = run_probe_protocol(ckpt, small_volumes, ProbeConfig(folds=4, seed=1))
         assert len(report.fold_auc_patient) == 4
-        assert len(report.patient_probabilities) == len(small_volumes)
-        assert all(0.0 <= v <= 1.0 for v in report.patient_probabilities.values())
 
     def test_metrics_csv_schema(self, small_volumes, tmp_path):
         ckpt = EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random")

@@ -282,6 +282,57 @@ def interleaved_table():
     return table, order
 
 
+def held_out_patient_scores(monkeypatch, slices):
+    """Every held-out patient score that ``probe_representations`` forms from ``slices``, a list of (patient id,
+    label, probability) rows, with the probe's prediction replaced by each slice's given probability."""
+    import wsp.evaluation as evaluation
+
+    monkeypatch.setattr(evaluation, "predict_probe", lambda x, w, b: x[:, 0])
+    recorded = []
+
+    def recording_bacc(scores, labels):
+        recorded.extend(np.asarray(scores).tolist())
+        return balanced_accuracy(scores, labels)
+
+    monkeypatch.setattr(evaluation, "balanced_accuracy", recording_bacc)
+    labels = np.asarray([label for _, label, _ in slices])
+    table = RepresentationTable(
+        patient_ids=[pid for pid, _, _ in slices],
+        slice_ids=[f"{pid}/{i}" for i, (pid, _, _) in enumerate(slices)],
+        d=np.linspace(0, 1, len(slices)),
+        y_weak=labels.copy(),
+        y_strong=labels,
+        repr=np.asarray([[prob, label] for _, label, prob in slices], dtype=np.float64),
+    )
+    probe_representations(table, ProbeConfig(folds=3, seed=1))
+    return sorted(recorded)
+
+
+# Six patients, three per class: every fold holds out one of each.
+AGGREGATE_SLICES = [
+    ("p", 1, 0.2), ("q", 0, 0.7), ("r", 1, 0.9), ("p", 1, 0.4), ("s", 0, 0.1),
+    ("t", 1, 0.6), ("u", 0, 0.3), ("q", 0, 0.5), ("t", 1, 0.8), ("q", 0, 0.0),
+]  # fmt: skip
+
+
+class TestAggregate:
+    def test_mean(self, monkeypatch):
+        scores = held_out_patient_scores(monkeypatch, AGGREGATE_SLICES)
+        # p: (0.2 + 0.4) / 2, q: (0.7 + 0.5 + 0.0) / 3, t: (0.6 + 0.8) / 2
+        assert scores == pytest.approx(sorted([0.3, 0.4, 0.9, 0.1, 0.7, 0.3]), abs=1e-12)
+
+    def test_single_slice(self, monkeypatch):
+        scores = held_out_patient_scores(monkeypatch, AGGREGATE_SLICES)
+        for single in (0.9, 0.1, 0.3):  # r, s, u
+            assert single in scores
+
+    def test_order_invariant(self, monkeypatch, rng):
+        base = held_out_patient_scores(monkeypatch, AGGREGATE_SLICES)
+        perm = rng.permutation(len(AGGREGATE_SLICES))
+        shuffled = held_out_patient_scores(monkeypatch, [AGGREGATE_SLICES[i] for i in perm])
+        assert shuffled == pytest.approx(base, abs=1e-12)
+
+
 class TestProbeProtocol:
     def test_patient_scores_are_the_means_of_their_slices_probabilities(self):
         table, order = interleaved_table()

@@ -503,9 +503,10 @@ def main(argv=None) -> int:
 
 def run_with_exit_code(func) -> int:
     """``func()``'s exit code; a WspError, OSError or MemoryError it raises is reported on stderr and mapped to its
-    exit code."""
+    exit code. numpy's overflow and invalid-value warnings are silenced: each numeric failure is checked and exits 4."""
     try:
-        return func()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func()
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

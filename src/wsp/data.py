@@ -43,12 +43,10 @@ def normalize_depth(p: int, v_max: int) -> float:
     return p / v_max
 
 
-def clip_intensity(pixels, lo: float = CLIP_LO, hi: float = CLIP_HI) -> np.ndarray:
-    """Clamp to [lo, hi] then rescale affinely onto [0, 1]."""
-    if lo >= hi:
-        raise ConfigError(f"need lo < hi, got [{lo}, {hi}]")
+def clip_intensity(pixels) -> np.ndarray:
+    """Clamp to [CLIP_LO, CLIP_HI] then rescale affinely onto [0, 1]."""
     arr = np.asarray(pixels, dtype=np.float64)
-    return (np.clip(arr, lo, hi) - lo) / (hi - lo)
+    return (np.clip(arr, CLIP_LO, CLIP_HI) - CLIP_LO) / (CLIP_HI - CLIP_LO)
 
 
 @dataclass
@@ -66,7 +64,6 @@ class Volume:
     slices: list
     y_weak: int
     y_strong: int | None = None
-    latent_severity: float | None = None
 
     def __post_init__(self):
         if self.v_max <= 0:
@@ -179,10 +176,12 @@ def _render_slice(cfg: GeneratorConfig, d: float, amplitude: float, aspect: floa
 
 
 def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
-    """Deterministically build (generator, volumes) from (cfg, seed); ``generator`` is the manifest's audit record."""
+    """Deterministically build (generator, volumes) from (cfg, seed); ``generator`` is the manifest's audit record,
+    which alone holds each volume's latent severity."""
     if seed < 0:
         raise ConfigError("seed must be non-negative")
     volumes: list[Volume] = []
+    severities: dict[str, float] = {}
     n = cfg.slices_per_volume
     v_max = n - 1 if n >= 2 else 1
     for v_idx in range(cfg.n_volumes):
@@ -210,18 +209,10 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
             slices.append(
                 Slice(pixels=_render_slice(cfg, d, amp_slice, aspect, rng), p=p, d=d)
             )
-        volumes.append(
-            Volume(
-                volume_id=f"V{v_idx:03d}",
-                patient_id=f"P{v_idx:03d}",
-                v_max=v_max,
-                slices=slices,
-                y_weak=y_weak,
-                y_strong=y_strong,
-                latent_severity=u,
-            )
-        )
-    severities = {v.volume_id: v.latent_severity for v in volumes}
+        volume_id = f"V{v_idx:03d}"
+        severities[volume_id] = u
+        volumes.append(Volume(volume_id=volume_id, patient_id=f"P{v_idx:03d}", v_max=v_max, slices=slices,
+                              y_weak=y_weak, y_strong=y_strong))
     return {"config": asdict(cfg), "seed": seed, "latent_severity": severities}, volumes
 
 
@@ -277,8 +268,6 @@ def _check_manifest(doc: dict, error) -> None:
     generator = doc.get("generator")
     if generator is not None and not isinstance(generator, dict):
         raise error("manifest 'generator' must be an object or null")
-    if not isinstance((generator or {}).get("latent_severity", {}), dict):
-        raise error("manifest 'generator.latent_severity' must be an object")
     if not isinstance(doc.get("volumes"), list) or not doc["volumes"]:
         raise error("manifest 'volumes' must be a non-empty list")
     seen, labels_of_patient = set(), {}
@@ -338,8 +327,8 @@ def save_dataset(generator: dict | None, volumes, out_dir) -> None:
 
 
 def load_dataset(path):
-    """Load (generator, volumes) from a dataset directory or manifest path; ``generator`` is the manifest's audit
-    record or None. The manifest and its images must obey ``_check_manifest`` and ``_check_images``."""
+    """Load (generator, volumes) from a dataset directory or manifest path; ``generator`` is the manifest's generator
+    record as read, or None. The manifest and its images must obey ``_check_manifest`` and ``_check_images``."""
     manifest_path = path
     if os.path.isdir(path):
         manifest_path = os.path.join(path, MANIFEST_NAME)
@@ -349,8 +338,6 @@ def load_dataset(path):
     with open(manifest_path, "rb") as fh:
         doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
     _check_manifest(doc, FormatError)
-    generator = doc.get("generator")
-    severities = (generator or {}).get("latent_severity", {})
     root = os.path.realpath(base)
     volumes = []
     for record in doc["volumes"]:
@@ -366,6 +353,6 @@ def load_dataset(path):
         if v_max != record["v_max"]:
             raise FormatError(f"volume {vid}: V_max {v_max} disagrees with manifest {record['v_max']}")
         volumes.append(Volume(volume_id=vid, patient_id=record["patient_id"], v_max=v_max, slices=slices,
-                              y_weak=record["y_weak"], y_strong=record["y_strong"], latent_severity=severities.get(vid)))
+                              y_weak=record["y_weak"], y_strong=record["y_strong"]))
     _check_images(volumes, FormatError)
-    return generator, volumes
+    return doc.get("generator"), volumes

@@ -215,11 +215,9 @@ def balanced_accuracy(probabilities, labels) -> float:
     return 0.5 * (sensitivity + specificity)
 
 
-def stratified_kfold(patient_ids, labels, k: int = 5, seed: int = 0) -> np.ndarray:
-    """Fold index per patient; per-class counts across folds differ by <= 1."""
+def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
+    """Fold index per patient, given each patient's label; per-class counts across folds differ by <= 1."""
     labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != len(patient_ids):
-        raise ContractError("labels and patient ids must align")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     folds = np.full(len(labels), -1, dtype=np.int64)
     for cls in sorted(set(labels.tolist())):
@@ -281,7 +279,7 @@ def probe_representations(table: RepresentationTable, cfg: ProbeConfig) -> Probe
     ids, labels = ids[order], table.y_strong[first_rows[order]]
     if (labels < 0).any():
         raise ContractError(f"patient {ids[np.argmax(labels < 0)]} lacks a strong label")
-    patient_folds = stratified_kfold(ids, labels, cfg.folds, cfg.seed)
+    patient_folds = stratified_kfold(labels, cfg.folds, cfg.seed)
     slice_folds = patient_folds[patient]
     slice_counts = np.bincount(patient)
     slice_labels = table.y_strong.astype(np.float64)

@@ -121,10 +121,10 @@ def sample_batch(volumes, spec: BatchSpec) -> list[SliceSample]:
     classes, patient_volumes = _patients_by_class(volumes)
     n_patients = sum(len(v) for v in classes.values())
     if spec.mode != "one_slice_per_patient":
-        raise ContractError("sample_batch is the strict sampler; use sample_batch_fallback")
+        raise ContractError("sample_batch is the strict sampler; use epoch_batches in fallback_balanced mode")
     if n_patients < spec.batch_size:
         raise ContractError(
-            f"{n_patients} patients < batch size {spec.batch_size}; use the fallback sampler"
+            f"{n_patients} patients < batch size {spec.batch_size}; use epoch_batches in fallback_balanced mode"
         )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
     quota = _quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng)
@@ -139,31 +139,21 @@ def sample_batch(volumes, spec: BatchSpec) -> list[SliceSample]:
     return [batch[int(i)] for i in order]
 
 
-def sample_batch_fallback(volumes, spec: BatchSpec) -> list[SliceSample]:
-    """Class-balanced draws with patients allowed to repeat."""
-    classes, patient_volumes = _patients_by_class(volumes)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
-    quota = _quota(dict.fromkeys(classes, spec.batch_size), spec.batch_size, rng)
-    batch: list[SliceSample] = []
-    for c, pids in classes.items():
-        for _ in range(quota[c]):
-            pid = pids[int(rng.integers(len(pids)))]
-            batch.append(_draw_slice(patient_volumes, pid, rng))
-    order = rng.permutation(len(batch))
-    return [batch[int(i)] for i in order]
-
-
 def epoch_batches(volumes, spec: BatchSpec) -> list[list[SliceSample]]:
     """One epoch of batches under ``spec.mode``.
 
     Strict: a shuffled partition of all patients into batches of at most N,
     each batch's class counts given by ``_quota`` on what is left of each
-    class. Fallback: one ``sample_batch_fallback`` batch.
+    class. Fallback: one batch of N class-balanced draws, patients allowed to
+    repeat.
     """
-    if spec.mode == "fallback_balanced":
-        return [sample_batch_fallback(volumes, spec)]
     classes, patient_volumes = _patients_by_class(volumes)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
+    if spec.mode == "fallback_balanced":
+        quota = _quota(dict.fromkeys(classes, spec.batch_size), spec.batch_size, rng)
+        batch = [_draw_slice(patient_volumes, pids[int(rng.integers(len(pids)))], rng)
+                 for c, pids in classes.items() for _ in range(quota[c])]
+        return [[batch[int(i)] for i in rng.permutation(len(batch))]]
     queues = {c: [pids[int(i)] for i in rng.permutation(len(pids))] for c, pids in classes.items()}
     batches: list[list[SliceSample]] = []
     remaining = sum(len(q) for q in queues.values())
@@ -380,7 +370,7 @@ def _draw_values(cfg: AugmentConfig, draw_seeds) -> np.ndarray:
 
 
 def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
-    """Flip, rotate, then crop-and-resize each of n equal square images.
+    """Flip, rotate, then crop-and-resize each of n equal square images; disabled, any equal H x W images pass.
 
     View j is deterministic in (cfg, draw_seeds[j]): it consumes the same five
     draws from its own key whether or not each transform ends up active, and
@@ -392,11 +382,13 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
         raise ContractError(f"augment_views needs one draw seed per view, got {len(imgs)} views")
     shape = imgs[0].shape
     for img in imgs:
-        if img.shape != shape or len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-            raise ContractError(f"augment expects equal non-empty square images, got {shape} and {img.shape}")
+        if img.shape != shape or len(shape) != 2 or 0 in shape:
+            raise ContractError(f"augment expects equal non-empty H x W images, got {shape} and {img.shape}")
     out = np.array(imgs, dtype=np.float64)
     if not cfg.enabled:
         return out
+    if shape[0] != shape[1]:  # only the transforms need square images
+        raise ContractError(f"augment expects square images, got {shape}")
     h = w = shape[0]
     u_flip, angle, scale, u_top, u_left = _draw_values(cfg, draw_seeds)
     # The trigonometry stays in math, per view: numpy's vectorized cos and sin

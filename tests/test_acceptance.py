@@ -278,9 +278,8 @@ def test_criterion_11_metric_oracles():
         worst = max(worst, abs(auc(scores, labels) - brute_force_auc(scores, labels)))
     assert worst < 1e-12
 
-    pids = [f"p{i}" for i in range(37)]
     labels = [1] * 17 + [0] * 20
-    folds = stratified_kfold(pids, labels, k=5, seed=5)
+    folds = stratified_kfold(labels, k=5, seed=5)
     assert len(folds) == 37 and set(folds.tolist()) <= set(range(5))
     for cls, total in ((1, 17), (0, 20)):
         per_fold = [int(((folds == f) & (np.asarray(labels) == cls)).sum()) for f in range(5)]

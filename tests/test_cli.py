@@ -155,6 +155,16 @@ class TestPretrain:
         assert code == 0, capsys.readouterr().err
         assert load_checkpoint(out).loss_kind == "infonce"
 
+    def test_non_square_images_train_with_augmentation_disabled(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        assert run(["generate", "--out", str(data), "--volumes", "12", "--slices", "4", "--size", "16x12"]) == 0
+        off = tmp_path / "off.json"
+        off.write_text(json.dumps({"augment": {"enabled": False}}))
+        flags = ["pretrain", "--data", str(data), "--arch", "mlp", "--epochs", "1", "--batch", "4"]
+        assert run([*flags, "--config", str(off), "--out", str(tmp_path / "off.ckpt")]) == 0
+        assert run([*flags, "--out", str(tmp_path / "on.ckpt")]) == 3
+        assert "augment expects square images, got (16, 12)" in capsys.readouterr().err
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         code = run(
             ["pretrain", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out", str(tmp_path / "c")]
@@ -217,9 +227,6 @@ class TestPretrain:
         assert run(["generate", "--out", str(path), "--volumes", "8", "--slices", "4", "--size", "16x16"]) == 0
         return path
 
-    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_projections_exit_numeric_with_batch_dump(self, small_dataset, tmp_path, capsys):
         out = tmp_path / "d.ckpt"
         code = run(["pretrain", "--data", str(small_dataset), "--arch", "mlp", "--epochs", "3", "--batch", "4",
@@ -231,9 +238,6 @@ class TestPretrain:
         assert (dump["epoch"], dump["batch"], len(dump["slice_ids"])) == (0, 1, 8)
         assert not out.exists()
 
-    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_gradient_exit_numeric_with_batch_dump(self, small_dataset, tmp_path, capsys):
         out = tmp_path / "g.ckpt"
         code = run(["pretrain", "--data", str(small_dataset), "--arch", "mlp", "--epochs", "3", "--batch", "4",
@@ -244,9 +248,6 @@ class TestPretrain:
         assert (dump["epoch"], dump["batch"], len(dump["slice_ids"])) == (0, 1, 8)
         assert not out.exists()
 
-    # These runs overflow on purpose; numpy's warnings about it are expected, not faults.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_parameters_are_numeric_error_and_no_checkpoint(self, small_dataset, tmp_path, capsys):
         config = tmp_path / "sgd.json"
         config.write_text(json.dumps({"optim": {"optimizer": "sgd_momentum", "weight_decay": 0}}))
@@ -301,8 +302,6 @@ class TestProbe:
         assert "data error:" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_representations_are_numeric_error(self, dataset_dir, tmp_path, capsys):
         ckpt = huge_weight_checkpoint(dataset_dir, tmp_path / "huge.ckpt")
         out = tmp_path / "m.csv"
@@ -349,8 +348,6 @@ class TestProject:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_representations_are_numeric_error(self, dataset_dir, tmp_path, capsys):
         ckpt = huge_weight_checkpoint(dataset_dir, tmp_path / "huge.ckpt")
         out = tmp_path / "pca.csv"
@@ -415,9 +412,6 @@ class TestSweep:
         assert off == (tmp_path / "api.csv").read_bytes()
         assert off != (tmp_path / "default.csv").read_bytes()
 
-    # This run overflows on purpose; numpy's warnings about it are expected, not faults.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverged_run_is_numeric_error_and_writes_no_csv(self, tmp_path, capsys):
         cfg = tmp_path / "sgd.json"
         cfg.write_text(json.dumps({**TINY_DATA_SWEEP, "optim": {"optimizer": "sgd_momentum", "weight_decay": 0}}))

@@ -241,9 +241,8 @@ class TestBoundaryFuzz:
                 return
             loaded_generator, loaded = load_dataset(target)
         assert loaded_generator == json.loads(json.dumps(generator, default=int))
-        severities = (generator or {}).get("latent_severity", {})
-        assert [(v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong, v.latent_severity) for v in loaded] == [
-            (v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong, severities.get(v.volume_id)) for v in volumes]
+        assert [(v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong) for v in loaded] == [
+            (v.volume_id, v.patient_id, v.v_max, v.y_weak, v.y_strong) for v in volumes]
         for a, b in zip(loaded, volumes):
             assert [(s.p, s.d) for s in a.slices] == [(s.p, s.d) for s in b.slices]
             stored = [np.asarray(s.pixels, np.float32) for s in b.slices]  # what the writer stores

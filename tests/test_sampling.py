@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from wsp.sampling import (
     epoch_batches,
     make_views,
     sample_batch,
-    sample_batch_fallback,
 )
 
 NULL_AUG = AugmentConfig(rotation_degrees=0.0, crop_scale=(1.0, 1.0), flip_prob=0.0)
@@ -113,24 +113,30 @@ class TestStrictSampler:
         assert all(s.slice_id in valid_ids for s in batch)
 
 
+def fallback_batch(volumes, spec):
+    """The one batch of a fallback_balanced epoch."""
+    (batch,) = epoch_batches(volumes, replace(spec, mode="fallback_balanced"))
+    return batch
+
+
 class TestFallbackSampler:
     def test_three_patients_fill_a_batch_of_eight(self, balanced_volumes):
         three = balanced_volumes[:3]
         for draw in range(50):
-            batch = sample_batch_fallback(three, BatchSpec(batch_size=8, seed=draw))
+            batch = fallback_batch(three, BatchSpec(batch_size=8, seed=draw))
             assert len(batch) == 8
             counts = class_counts(batch)
             assert max(counts.values()) - min(counts.values()) <= 1
 
     def test_single_patient_repeats(self, balanced_volumes):
         solo = balanced_volumes[:1]
-        batch = sample_batch_fallback(solo, BatchSpec(batch_size=4, seed=0))
+        batch = fallback_batch(solo, BatchSpec(batch_size=4, seed=0))
         assert {s.patient_id for s in batch} == {solo[0].patient_id}
 
     def test_deterministic(self, balanced_volumes):
         spec = BatchSpec(batch_size=6, seed=9, epoch=1)
-        a = sample_batch_fallback(balanced_volumes[:5], spec)
-        b = sample_batch_fallback(balanced_volumes[:5], spec)
+        a = fallback_batch(balanced_volumes[:5], spec)
+        b = fallback_batch(balanced_volumes[:5], spec)
         assert [s.slice_id for s in a] == [s.slice_id for s in b]
 
 
@@ -163,10 +169,9 @@ class TestEpochPartition:
 
     def test_fallback_mode_is_one_fallback_batch(self, balanced_volumes):
         spec = BatchSpec(batch_size=8, mode="fallback_balanced", seed=3, epoch=1)
-        batches = epoch_batches(balanced_volumes[:3], spec)
-        assert [[s.slice_id for s in b] for b in batches] == [
-            [s.slice_id for s in sample_batch_fallback(balanced_volumes[:3], spec)]
-        ]
+        batches = epoch_batches(balanced_volumes, spec)
+        assert [len(b) for b in batches] == [8]
+        assert set(class_counts(batches[0]).values()) == {2}
 
 
 def uneven_cohort():
@@ -188,16 +193,16 @@ def cohort_of_sizes(sizes):
 def slice_ids(sampler, volumes, spec):
     """The drawn slice ids, batches separated by '|', or the name of the error raised."""
     try:
-        out = sampler(volumes, spec)
+        batches = sampler(volumes, spec)
     except ContractError:
         return "ContractError"
-    batches = out if sampler is epoch_batches else [out]
     return "|".join(",".join(s.slice_id for s in batch) for batch in batches)
 
 
 # sha256 of the slice-id sequences over seeds 0-2 and epochs 0-2 on the uneven cohort. They pin
 # the samplers' draws and numpy's Generator.choice, integers and permutation streams; sample_batch
-# raises on every batch of 14 (class 0 has 2 patients, fewer than 14 // 4).
+# raises on every batch of 14 (class 0 has 2 patients, fewer than 14 // 4). A sample_batch_fallback
+# row is one epoch_batches epoch in fallback_balanced mode, which is a single batch.
 GOLDEN_DIGESTS = {
     ("sample_batch", 6): "24b73ce22f172f0b38503348e20b45b7aba25f760ae98bda7b5dc7586209f7f1",
     ("sample_batch", 10): "9f9b30614fa3894c552897a13bc63b3846ffe3ebc10bb38bc82e3357cfc30c8b",
@@ -214,7 +219,8 @@ GOLDEN_DIGESTS = {
 class TestQuotaRule:
     @pytest.mark.parametrize("name, batch_size", sorted(GOLDEN_DIGESTS))
     def test_golden_slice_sequences(self, name, batch_size):
-        sampler = {"sample_batch": sample_batch, "sample_batch_fallback": sample_batch_fallback,
+        sampler = {"sample_batch": lambda volumes, spec: [sample_batch(volumes, spec)],
+                   "sample_batch_fallback": lambda volumes, spec: [fallback_batch(volumes, spec)],
                    "epoch_batches": epoch_batches}[name]
         volumes = uneven_cohort()
         text = "\n".join(
@@ -289,6 +295,15 @@ class TestAugment:
     def test_square_required(self, rng):
         with pytest.raises(ContractError):
             augment_views([rng.random((8, 10))], AugmentConfig(), [0])[0]
+
+    def test_square_required_only_when_enabled(self, rng):
+        imgs = rng.random((3, 16, 12))
+        out = augment_views(imgs, AugmentConfig(enabled=False), [0, 1, 2])
+        assert out.shape == (3, 16, 12) and np.array_equal(out, imgs)
+        with pytest.raises(ContractError, match="square"):
+            augment_views(imgs, AugmentConfig(), [0, 1, 2])
+        with pytest.raises(ContractError, match="equal non-empty"):
+            augment_views([imgs[0], imgs[0].T], AugmentConfig(enabled=False), [0, 1])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

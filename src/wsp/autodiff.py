@@ -78,28 +78,20 @@ def make_op(
 
 
 class Tape:
-    """Topologically ordered list of the nodes reachable from a root.
+    """The nodes reachable from a root, each once, in creation (``uid``) order.
 
-    Built by iterative post-order traversal of parent links, so every node's
-    parents precede it and each node appears exactly once.
+    An op's output is created after its parents, so every node's parents precede it.
     """
 
     def __init__(self, root: Tensor):
-        self.nodes: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        reached = {root.uid: root}
+        stack = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                self.nodes.append(node)
-                continue
-            if node.uid in seen:
-                continue
-            seen.add(node.uid)
-            stack.append((node, True))
-            for parent in reversed(node._parents):
-                if parent.uid not in seen:
-                    stack.append((parent, False))
+            for parent in stack.pop()._parents:
+                if parent.uid not in reached:
+                    reached[parent.uid] = parent
+                    stack.append(parent)
+        self.nodes: list[Tensor] = [reached[uid] for uid in sorted(reached)]
 
     def __len__(self) -> int:
         return len(self.nodes)

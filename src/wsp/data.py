@@ -327,28 +327,27 @@ def save_dataset(generator: dict | None, volumes, out_dir) -> None:
 
 
 def load_dataset(path):
-    """Load (generator, volumes) from a dataset directory or manifest path; ``generator`` is the manifest's generator
-    record as read, or None. The manifest and its images must obey ``_check_manifest`` and ``_check_images``."""
-    manifest_path = path
-    if os.path.isdir(path):
-        manifest_path = os.path.join(path, MANIFEST_NAME)
+    """Load (generator, volumes) from a dataset directory; ``generator`` is the manifest's generator record as read,
+    or None. The manifest and images obey ``_check_manifest`` and ``_check_images``, and no two records share a file."""
+    manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise FormatError(f"manifest not found: {manifest_path}")
-    base = os.path.dirname(manifest_path)
     with open(manifest_path, "rb") as fh:
         doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
     _check_manifest(doc, FormatError)
-    root = os.path.realpath(base)
-    volumes = []
+    root = os.path.realpath(path)
+    volumes, vid_of_path = [], {}
     for record in doc["volumes"]:
         vid, file = record["id"], record["file"]
         if "\0" in file:
             raise FormatError(f"volume {vid}: file {file!r} contains a NUL character")
-        vol_path = os.path.realpath(os.path.join(base, file))
+        vol_path = os.path.realpath(os.path.join(path, file))
         if os.path.commonpath([root, vol_path]) != root:
             raise FormatError(f"volume {vid}: file {file!r} lies outside the dataset directory")
         if not os.path.exists(vol_path):
             raise FormatError(f"manifest references missing file: {file}")
+        if vid_of_path.setdefault(vol_path, vid) != vid:
+            raise FormatError(f"volume {vid}: file {file!r} is also volume {vid_of_path[vol_path]}'s file")
         slices, v_max = read_volume_file(vol_path)
         if v_max != record["v_max"]:
             raise FormatError(f"volume {vid}: V_max {v_max} disagrees with manifest {record['v_max']}")

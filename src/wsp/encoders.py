@@ -57,24 +57,21 @@ class EncoderConfig:
                 raise ConfigError("conv_kernels and conv_strides must both have length 5")
             if len(self.input_shape) != 3:
                 raise ConfigError(f"tiny_cnn input_shape must be (C, H, W), got {self.input_shape}")
-            self._spatial_plan()  # raises on impossible geometry
+            self._check_geometry()
         else:
             if len(self.input_shape) != 1:
                 raise ConfigError(f"mlp input_shape must be (features,), got {self.input_shape}")
             if not self.mlp_hidden:
                 raise ConfigError("mlp needs at least one hidden layer")
 
-    def _spatial_plan(self) -> list[tuple[int, int]]:
-        """Spatial size after each conv stage; fails fast on invalid geometry."""
+    def _check_geometry(self) -> None:
+        """ConfigError unless each conv stage's kernel fits the spatial size the stages before it leave."""
         _, h, w = self.input_shape
-        plan = []
         for i, (k, s) in enumerate(zip(self.conv_kernels, self.conv_strides)):
             if k > h or k > w:
                 raise ConfigError(f"stage {i}: kernel {k} exceeds spatial size {h}x{w}")
             h = (h - k) // s + 1
             w = (w - k) // s + 1
-            plan.append((h, w))
-        return plan
 
 
 def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -198,12 +195,17 @@ def untrained_checkpoint(cfg: EncoderConfig) -> EncoderCheckpoint:
     return EncoderCheckpoint.from_encoder(init_encoder(cfg), step=0, loss_kind="random")
 
 
-def _check_header(step, loss_kind, loss_sigma, error) -> None:
-    """The checkpoint header's rule, raised as ``error`` (the encoder config checks itself)."""
-    check_value("checkpoint header step", step, int, "[0, inf)", error)
-    check_value("checkpoint header loss_kind", loss_kind, str, None, error)
-    if loss_sigma is not None:
-        check_value("checkpoint header loss_sigma", loss_sigma, float, None, error)
+def _check_header(meta: dict, error) -> None:
+    """The checkpoint header's rule, raised as ``error``: exactly the keys config (an object, which checks itself when
+    built), step (an integer >= 0), loss_kind (a string) and loss_sigma (a finite number or null)."""
+    if sorted(meta) != ["config", "loss_kind", "loss_sigma", "step"]:
+        raise error(f"checkpoint header keys {sorted(meta)} must be exactly config, loss_kind, loss_sigma and step")
+    if not isinstance(meta["config"], dict):
+        raise error("checkpoint header's 'config' must be a JSON object")
+    check_value("checkpoint header step", meta["step"], int, "[0, inf)", error)
+    check_value("checkpoint header loss_kind", meta["loss_kind"], str, None, error)
+    if meta["loss_sigma"] is not None:
+        check_value("checkpoint header loss_sigma", meta["loss_sigma"], float, None, error)
 
 
 def _check_params(cfg: EncoderConfig, params: dict, error) -> None:
@@ -219,13 +221,13 @@ def _check_params(cfg: EncoderConfig, params: dict, error) -> None:
 def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
     """Write ``ckpt``. One that ``load_checkpoint`` would refuse is refused before the first byte: ContractError, or
     NonFiniteError for a non-finite parameter value."""
-    _check_header(ckpt.step, ckpt.loss_kind, ckpt.loss_sigma, ContractError)
+    meta = {"config": asdict(ckpt.config), "loss_kind": ckpt.loss_kind, "loss_sigma": ckpt.loss_sigma,
+            "step": ckpt.step}
+    _check_header(meta, ContractError)
     _check_params(ckpt.config, ckpt.params, ContractError)
     arrays = {name: np.ascontiguousarray(values, dtype="<f8") for name, values in ckpt.params.items()}
     for name, arr in arrays.items():
         check_array(f"checkpoint {name} values", arr, *_PARAM_RULE)
-    meta = {"config": asdict(ckpt.config), "loss_kind": ckpt.loss_kind, "loss_sigma": ckpt.loss_sigma,
-            "step": ckpt.step}
     blob = encode_json(meta, compact=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -243,9 +245,8 @@ def load_checkpoint(path) -> EncoderCheckpoint:
     (blob_len,) = reader.unpack("<I", "header length")
     header_error = functools.partial(FormatError, offset=reader.off)
     meta = parse_json(reader.take(blob_len, "header"), "checkpoint header", header_error)
-    if not isinstance(meta.get("config", {}), dict):
-        raise header_error("checkpoint header's 'config' must be a JSON object")
-    cfg = build_config(EncoderConfig, meta.get("config", {}), header_error)
+    _check_header(meta, header_error)
+    cfg = build_config(EncoderConfig, meta["config"], header_error)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(cfg).items():
         (rank,) = reader.unpack("<B", f"{name} rank")
@@ -256,6 +257,5 @@ def load_checkpoint(path) -> EncoderCheckpoint:
         values = reader.array("<f8", count, f"{name} values", *_PARAM_RULE)
         params[name] = values.reshape(extents).astype(np.float64)
     reader.finish()
-    step, loss_kind, sigma = meta.get("step", 0), meta.get("loss_kind", "none"), meta.get("loss_sigma")
-    _check_header(step, loss_kind, sigma, header_error)
-    return EncoderCheckpoint(cfg, params, step, loss_kind, None if sigma is None else float(sigma))
+    sigma = meta["loss_sigma"]
+    return EncoderCheckpoint(cfg, params, meta["step"], meta["loss_kind"], None if sigma is None else float(sigma))

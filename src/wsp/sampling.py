@@ -372,9 +372,9 @@ def _draw_values(cfg: AugmentConfig, draw_seeds) -> np.ndarray:
 def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
     """Flip, rotate, then crop-and-resize each of n equal square images; disabled, any equal H x W images pass.
 
-    View j is deterministic in (cfg, draw_seeds[j]): it consumes the same five
-    draws from its own key whether or not each transform ends up active, and
-    goes through the same per-pixel arithmetic whatever the other views are.
+    View j is deterministic in (cfg, draw_seeds[j]): five draws from its own key,
+    then the same per-pixel arithmetic whatever the other views are. Every view is
+    rotated and cropped; a zero angle or a full-size crop resamples to the identity.
     Returns a float64 n,h,w array.
     """
     imgs = [np.asarray(p) for p in pixels]
@@ -400,8 +400,6 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
     top = (h - side) * u_top
     left = (w - side) * u_left
     flip = u_flip < cfg.flip_prob
-    rotate = angle != 0.0
-    crop = side != h
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rr, cc = np.mgrid[0:h, 0:w].astype(np.float64)
     dy = rr - cy
@@ -414,17 +412,12 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
         sel = flip[part]
         if sel.any():
             view[sel] = view[sel][:, :, ::-1]
-        sel = rotate[part]
-        if sel.any():
-            c = cos[part][sel][:, None, None]
-            s = sin[part][sel][:, None, None]
-            view[sel] = _bilinear_stack(view[sel], cy + c * dy + s * dx, cx - s * dy + c * dx)
-        sel = crop[part]
-        if sel.any():
-            sd = side[part][sel][:, None]
-            rows = top[part][sel][:, None] + centers * sd / h - 0.5
-            cols = left[part][sel][:, None] + centers * sd / w - 0.5
-            view[sel] = _bilinear_stack(view[sel], rows[:, :, None], cols[:, None, :])
+        c, s = cos[part, None, None], sin[part, None, None]
+        view[:] = _bilinear_stack(view, cy + c * dy + s * dx, cx - s * dy + c * dx)
+        sd = side[part, None]
+        rows = top[part, None] + centers * sd / h - 0.5
+        cols = left[part, None] + centers * sd / w - 0.5
+        view[:] = _bilinear_stack(view, rows[:, :, None], cols[:, None, :])
     return out
 
 

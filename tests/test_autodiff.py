@@ -290,8 +290,12 @@ class TestBackward:
     def test_gradient_accumulates_over_reuse(self):
         # x enters x * x twice and then (x * x) * x once: d/dx x^3 = 3 x^2.
         x = Tensor([2.0], requires_grad=True)
-        grads = ad.backward(ad.sum_all(product(product(x, x), x)))
+        root = ad.sum_all(product(product(x, x), x))
+        grads = ad.backward(root)
         np.testing.assert_allclose(grads.wrt(x), [12.0])
+        # The tape lists x, x * x, (x * x) * x and the sum once each, in creation order.
+        uids = [node.uid for node in ad.Tape(root).nodes]
+        assert len(uids) == 4 and uids == sorted(set(uids))
 
 
 class TestFiniteDiff:

@@ -165,16 +165,17 @@ class TestPretrain:
         assert run([*flags, "--out", str(tmp_path / "on.ckpt")]) == 3
         assert "augment expects square images, got (16, 12)" in capsys.readouterr().err
 
-    def test_missing_dataset_is_data_error(self, tmp_path):
-        code = run(
-            ["pretrain", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out", str(tmp_path / "c")]
-        )
-        assert code == 3
+    def test_missing_dataset_is_data_error(self, dataset_dir, tmp_path):
+        # --data takes the dataset directory; its manifest's path is not one.
+        for data in (tmp_path / "nope", dataset_dir / "manifest.json"):
+            code = run(["pretrain", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "c")])
+            assert code == 3
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda r: 5, lambda r: {**r, "file": 7}, lambda r: {**r, "file": "../" + r["file"]}],
-        ids=["record-not-object", "file-not-string", "file-outside"],
+        [lambda r: 5, lambda r: {**r, "file": 7}, lambda r: {**r, "file": "../" + r["file"]},
+         lambda r: {**r, "file": "V001.wspv"}],
+        ids=["record-not-object", "file-not-string", "file-outside", "file-shared"],
     )
     def test_malformed_manifest_record_is_data_error(self, dataset_dir, tmp_path, capsys, edit):
         data = tmp_path / "set"

@@ -439,6 +439,18 @@ class TestDiskFormat:
         with pytest.raises(FormatError, match="outside the dataset directory"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("spelling", ["V000.wspv", "./V000.wspv"])
+    def test_two_records_naming_one_file_rejected(self, tmp_path, spelling):
+        # One volume scored as two patients would leak it across probe folds.
+        root = self.dataset_with_record(tmp_path, lambda r: {**r, "file": spelling})
+        with pytest.raises(FormatError, match="V001: file .* is also volume V000's file"):
+            load_dataset(root)
+
+    def test_manifest_path_is_not_a_dataset_directory(self, tmp_path):
+        root = self.dataset_with_record(tmp_path, lambda r: r)
+        with pytest.raises(FormatError, match="manifest not found"):
+            load_dataset(root / "manifest.json")
+
     def test_file_in_subdirectory_loads(self, tmp_path):
         def move(record):
             (tmp_path / "set" / "sub").mkdir()

@@ -218,16 +218,21 @@ class TestCheckpoint:
             lambda h: {**h, "loss_sigma": "0.5"},
             lambda h: {**h, "loss_sigma": 10**400},
             lambda h: {**h, "loss_kind": 5},
+            lambda h: {"config": h["config"]},
+            lambda h: {k: v for k, v in h.items() if k != "loss_kind"},
+            lambda h: {**h, "loss": "wsp"},
         ],
         ids=["list", "string", "config-list", "config-seed", "step", "loss_sigma", "step-float", "step-string",
-             "step-negative", "loss_sigma-string", "loss_sigma-huge", "loss_kind-int"],
+             "step-negative", "loss_sigma-string", "loss_sigma-huge", "loss_kind-int", "missing-keys",
+             "missing-loss_kind", "extra-key"],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "h.ckpt"
         save_checkpoint(EncoderCheckpoint.from_encoder(init_encoder(MLP_CFG), loss_sigma=0.1), path)
         path.write_bytes(rewrite_checkpoint_header(path.read_bytes(), edit))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_checkpoint(path)
+        assert err.value.offset == 10  # the header's first byte
 
     @pytest.mark.parametrize("header", [b'{"step": "\xff"}', b"[" * 100000 + b"]" * 100000],
                              ids=["invalid-utf8", "deeply-nested"])

@@ -262,9 +262,9 @@ class TestQuotaRule:
 
 class TestAugment:
     def test_null_augmentation_is_identity(self, rng):
-        img = rng.random((16, 16))
-        out = augment_views([img], NULL_AUG, [0])[0]
-        np.testing.assert_allclose(out, img, atol=1e-6)
+        # Bit for bit, float32 pixels too: a zero angle and a full-size crop resample on the pixel grid.
+        imgs = [rng.random((16, 16)), rng.random((16, 16)).astype(np.float32)]
+        assert np.array_equal(augment_views(imgs, NULL_AUG, [0, 1]), imgs)
 
     def test_flip_is_involution(self, rng):
         img = rng.random((12, 12))

@@ -30,7 +30,7 @@ from .data import (
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
 from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, parse_json
-from .errors import write_csv, write_json
+from .errors import replacing, write_csv, write_json
 from .evaluation import ProbeConfig, extract_representations, pca_project, run_probe_protocol
 from .losses import LOSS_KINDS, SIGMA_KINDS, LossConfig, gradient_check
 from .sampling import AugmentConfig
@@ -405,7 +405,7 @@ def write_pca_svg(path, table, coords) -> None:
             f'fill="rgb({rgb[0]},{rgb[1]},{rgb[2]})" fill-opacity="0.85"/>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ByteReader, ConfigError, ContractError, FormatError
-from .errors import check_array, check_fields, check_value, encode_json, parse_json, size_rule
+from .errors import check_array, check_fields, check_value, encode_json, parse_json, replacing, size_rule
 
 VOLUME_MAGIC = b"WSPV"
 VOLUME_VERSION = 1
@@ -224,7 +224,7 @@ def generate_synthetic_dataset(cfg: GeneratorConfig, seed: int):
 def write_volume_file(path, volume: Volume) -> None:
     """Write ``volume`` as it is; ``save_dataset`` checks a dataset's rules before it calls this."""
     h, w = volume.slices[0].pixels.shape if volume.slices else (0, 0)
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(VOLUME_MAGIC)
         fh.write(struct.pack("<H", VOLUME_VERSION))
         fh.write(struct.pack("<IIII", h, w, len(volume.slices), volume.v_max))
@@ -322,7 +322,7 @@ def save_dataset(generator: dict | None, volumes, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for v, record in zip(volumes, records):
         write_volume_file(os.path.join(out_dir, record["file"]), v)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(out_dir, MANIFEST_NAME)) as fh:
         fh.write(text)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ByteReader, ConfigError, ContractError, FormatError, build_config, check_array, check_fields
-from .errors import check_value, encode_json, parse_json, size_rule
+from .errors import check_value, encode_json, parse_json, replacing, size_rule
 
 CHECKPOINT_MAGIC = b"WSPC"
 CHECKPOINT_VERSION = 1
@@ -229,7 +229,7 @@ def save_checkpoint(ckpt: EncoderCheckpoint, path) -> None:
     for name, arr in arrays.items():
         check_array(f"checkpoint {name} values", arr, *_PARAM_RULE)
     blob = encode_json(meta, compact=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

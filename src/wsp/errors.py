@@ -1,10 +1,13 @@
 """Exceptions, the one check of every config field, the config builder, and one reader or writer per file kind."""
 
+import contextlib
 import functools
 import json
 import math
 import numbers
 import operator
+import os
+import stat
 import struct
 import typing
 
@@ -194,6 +197,33 @@ def check_array(name: str, values: np.ndarray, rule: str, valid) -> None:
         raise (ContractError if np.isfinite(bad) else NonFiniteError)(f"{name} must be {rule}, got {bad}")
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """A file to write ``path``'s new contents to; ``path`` gets them whole when the block exits, and keeps its old
+    contents (or stays absent) when the block raises.
+
+    The file is a temporary sibling of ``path`` that ``os.replace`` moves onto it, so a failed or interrupted write
+    leaves no part of the new contents at ``path``; on an exception the temporary is removed. A symbolic link is
+    followed, and an existing target that is not a regular file (a device, a pipe) is written in place.
+    """
+    target = os.path.realpath(path)
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(target) and not stat.S_ISREG(os.stat(target).st_mode):
+        with open(target, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -205,7 +235,7 @@ def write_csv(path, header, rows, comment=None) -> None:
 
     Strings are written as they are, integers (numpy's too) as integers, other numbers as ``repr(float(v))``.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         if comment is not None:
             fh.write("# " + ",".join(map(_csv_cell, comment)) + "\n")
         for row in (header, *rows):
@@ -226,5 +256,5 @@ def encode_json(doc, compact: bool = False) -> str:
 
 def write_json(path, doc) -> None:
     text = encode_json(doc)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(text)

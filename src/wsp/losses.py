@@ -94,15 +94,6 @@ class BatchMeta:
     def __len__(self) -> int:
         return len(self.y)
 
-    def take(self, indices: Sequence[int]) -> "BatchMeta":
-        idx = list(indices)
-        return BatchMeta(
-            self.y[idx],
-            self.d[idx],
-            [self.slice_ids[i] for i in idx],
-            [self.patient_ids[i] for i in idx],
-        )
-
 
 def similarity_matrix(z: Tensor, tau: float) -> Tensor:
     """Scaled Gram matrix S[a, b] = (z_a . z_b) / tau over unit rows."""

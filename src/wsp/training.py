@@ -7,7 +7,11 @@ randomness from explicit (seed, epoch, batch, position) keys.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +146,62 @@ def _diverged(what: str, epoch: int, b_idx: int, meta: BatchMeta) -> NonFiniteEr
     return err
 
 
+def _spare_cpu() -> bool:
+    """True when this process may use more CPUs than BLAS runs threads, so that a prefetch thread has a core.
+
+    The BLAS thread count is read as OpenBLAS reads it at start-up: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer; with none, BLAS uses every usable CPU.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return cpus > threads
+    return False
+
+
+def _step_inputs(volumes, enc_cfg: EncoderConfig, optim_cfg: OptimConfig, aug_cfg: AugmentConfig, mode: str):
+    """Every step's ``(epoch, b_idx, x, meta)``, in order."""
+    for epoch in range(optim_cfg.epochs):
+        batches = epoch_batches(volumes, BatchSpec(optim_cfg.batch_size, mode, optim_cfg.seed, epoch))
+        for b_idx, batch in enumerate(batches):
+            yield (epoch, b_idx, *_assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg))
+
+
+_END = object()
+
+
+class _Prefetch:
+    """``items``, each made on one worker thread while the caller works on the one before.
+
+    The first item is started at construction. An item's error is raised by the ``next`` that asks for it, as a
+    serial loop would raise it. ``close`` waits for the item in flight, drops it, and closes ``items``. The worker
+    runs under the caller's numpy error state.
+    """
+
+    def __init__(self, items):
+        self.items = items
+        self.pool = ThreadPoolExecutor(1, "wsp-prefetch", functools.partial(np.seterr, **np.geterr()))
+        self.ahead = self.pool.submit(next, items, _END)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = self.ahead.result()
+        if item is _END:
+            raise StopIteration
+        self.ahead = self.pool.submit(next, self.items, _END)
+        return item
+
+    def close(self) -> None:
+        self.pool.shutdown()
+        self.items.close()
+
+
 def pretrain(
     volumes,
     enc_cfg: EncoderConfig,
@@ -150,25 +210,23 @@ def pretrain(
 ):
     """Train an encoder on the given (already slice-selected) volumes.
 
-    Returns (EncoderCheckpoint, list of per-epoch records).
+    Returns (EncoderCheckpoint, list of per-epoch records). When a CPU is free of BLAS threads (``_spare_cpu``), each
+    step's views are made on a worker thread during the step before; they depend only on their keys, so the result is
+    the same bytes either way.
     """
     if aug_cfg is None:
         aug_cfg = AugmentConfig(seed=optim_cfg.seed)
-    enc = init_encoder(enc_cfg)
-    state = init_optim_state(enc.params)
     n_patients = len({v.patient_id for v in volumes})
     # With fewer patients than the batch, each epoch is one balanced batch in which patients repeat.
     mode = "one_slice_per_patient" if n_patients >= optim_cfg.batch_size else "fallback_balanced"
     steps_per_epoch = math.ceil(n_patients / optim_cfg.batch_size)
     total_iters = optim_cfg.epochs * steps_per_epoch
-    curve: list[EpochRecord] = []
-    global_step = 0
-    for epoch in range(optim_cfg.epochs):
-        batches = epoch_batches(volumes, BatchSpec(optim_cfg.batch_size, mode, optim_cfg.seed, epoch))
-        epoch_losses = []
-        epoch_lr = None
-        for b_idx, batch in enumerate(batches):
-            x, meta = _assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg)
+    inputs = _step_inputs(volumes, enc_cfg, optim_cfg, aug_cfg, mode)
+    done = []  # (epoch, loss, lr) of each step
+    with contextlib.closing(_Prefetch(inputs) if _spare_cpu() else inputs) as stream:
+        enc = init_encoder(enc_cfg)
+        state = init_optim_state(enc.params)
+        for global_step, (epoch, b_idx, x, meta) in enumerate(stream):
             try:
                 z = enc.project(enc.encode(x))
             except NonFiniteError as exc:  # diverged parameters
@@ -182,8 +240,6 @@ def pretrain(
             if not math.isfinite(value):
                 raise _diverged(f"non-finite loss {value}", epoch, b_idx, meta)
             lr_t = cosine_lr(global_step, total_iters, optim_cfg.lr)
-            if epoch_lr is None:
-                epoch_lr = lr_t
             grad_map = ad.backward(loss)
             grads = {name: grad_map.wrt(p) for name, p in enc.params.items()}
             try:
@@ -192,18 +248,19 @@ def pretrain(
                 raise _diverged(str(exc), epoch, b_idx, meta) from exc
             # Drop the spent step graph before the next forward pass.
             del x, z, loss, grad_map
-            epoch_losses.append(value)
-            global_step += 1
-        curve.append(EpochRecord(epoch=epoch, mean_loss=float(np.mean(epoch_losses)), lr=float(epoch_lr)))
+            done.append((epoch, value, lr_t))
     # No forward pass follows the last step to catch parameters that it made non-finite.
     for name, p in enc.params.items():
         if not np.isfinite(p.data).all():
             raise _diverged(f"non-finite parameter {name!r}", epoch, b_idx, meta)
+    curve = []
+    for e in range(optim_cfg.epochs):
+        rows = [row for row in done if row[0] == e]
+        curve.append(EpochRecord(epoch=e, mean_loss=float(np.mean([row[1] for row in rows])), lr=float(rows[0][2])))
     ckpt = EncoderCheckpoint.from_encoder(
         enc,
-        step=global_step,
+        step=len(done),
         loss_kind=optim_cfg.loss.loss_kind,
         loss_sigma=optim_cfg.loss.sigma,
     )
     return ckpt, curve
-

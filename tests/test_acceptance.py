@@ -18,7 +18,7 @@ from wsp.benchmark import BENCHMARK_CONFIG
 from wsp.cli import DEFAULT_SWEEP_SIGMAS, load_run_config, main, sweep_plan, sweep_runs
 from wsp.evaluation import ProbeConfig, auc, extract_representations, pca_project, probe_representations
 from wsp.evaluation import stratified_kfold
-from wsp.losses import LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
+from wsp.losses import BatchMeta, LossConfig, compute_loss, gradient_check, normalize_rows, pair_weights
 from wsp.sampling import BatchSpec, epoch_batches, sample_batch
 from wsp.training import cosine_lr
 
@@ -95,20 +95,17 @@ def test_criterion_02_reduction_identities():
         zt = Tensor(z)
         cfg = LossConfig(tau=0.4, sigma=0.15)
 
-        equal_d = meta.take(range(len(meta)))
-        equal_d.d[:] = 0.5
+        equal_d = BatchMeta(meta.y, np.full(len(meta), 0.5), meta.slice_ids, meta.patient_ids)
         a = loss("wsp", zt, equal_d, cfg)
         b = loss("supcon", zt, equal_d, cfg)
         worst["supcon"] = max(worst["supcon"], abs(a - b))
 
-        equal_y = meta.take(range(len(meta)))
-        equal_y.y[:] = 3
+        equal_y = BatchMeta(np.full(len(meta), 3), meta.d, meta.slice_ids, meta.patient_ids)
         a = loss("wsp", zt, equal_y, cfg)
         b = loss("depth_aware", zt, equal_y, cfg)
         worst["depth"] = max(worst["depth"], abs(a - b))
 
-        unique = meta.take(range(len(meta)))
-        unique.y[:] = np.repeat(np.arange(len(meta) // 2), 2)
+        unique = BatchMeta(np.repeat(np.arange(len(meta) // 2), 2), meta.d, meta.slice_ids, meta.patient_ids)
         a = loss("wsp", zt, unique, cfg)
         b = loss("infonce", zt, unique, cfg)
         worst["infonce"] = max(worst["infonce"], abs(a - b))

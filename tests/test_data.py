@@ -1,13 +1,17 @@
+import errno
 import hashlib
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wsp.cli import main
+from wsp import cli, data, encoders, errors
+from wsp.cli import main, write_pca_svg
 from wsp.data import (
     GeneratorConfig,
     Slice,
@@ -19,8 +23,11 @@ from wsp.data import (
     normalize_depth,
     save_dataset,
     select_central_slices,
+    write_volume_file,
 )
-from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError
+from wsp.encoders import EncoderConfig, save_checkpoint, untrained_checkpoint
+from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError, write_csv, write_json
+from wsp.evaluation import RepresentationTable
 
 
 class TestNormalizeDepth:
@@ -538,3 +545,96 @@ class TestDiskFormat:
                 slices=[Slice(pixels=np.zeros((2, 2), dtype=np.float32), p=0, d=0.5)],
                 y_weak=0,
             )
+
+
+def _volume(seed):
+    return generate_synthetic_dataset(GeneratorConfig(n_volumes=1, slices_per_volume=2), seed=seed)[1][0]
+
+
+def _scatter(seed):
+    d = np.random.default_rng(seed).random(20)
+    table = RepresentationTable([f"p{i}" for i in range(20)], [f"s{i}" for i in range(20)], d,
+                                np.zeros(20, dtype=int), np.zeros(20, dtype=int), np.zeros((20, 2)))
+    return table, np.stack([d, d[::-1]], axis=1)
+
+
+# Each writer, as (file name, write(path, seed)); two seeds write different bytes.
+WRITERS = {
+    "checkpoint": ("out.ckpt", lambda path, seed: save_checkpoint(
+        untrained_checkpoint(EncoderConfig(arch="mlp", input_shape=(16,), seed=seed)), path)),
+    "volume_file": ("V000.wspv", lambda path, seed: write_volume_file(path, _volume(seed))),
+    "manifest": ("manifest.json", lambda path, seed: save_dataset(
+        *generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=seed), path.parent)),
+    "csv": ("out.csv", lambda path, seed: write_csv(path, ("seed", "row"), [(seed, i) for i in range(100)])),
+    "json": ("out.json", lambda path, seed: write_json(path, {"seed": seed, "rows": list(range(100))})),
+    "svg": ("out.svg", lambda path, seed: write_pca_svg(path, *_scatter(seed))),
+}
+
+
+class _FullDisk:
+    """A file whose writes fail with EFBIG once ``budget`` bytes are written, as under ``ulimit -f``."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, chunk):
+        if len(chunk) > self.budget:
+            self.fh.write(chunk[: self.budget])
+            self.budget = 0
+            raise OSError(errno.EFBIG, "File too large")
+        self.budget -= len(chunk)
+        return self.fh.write(chunk)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+class TestWholeOrNothing:
+    """A write that fails partway leaves the previous file as it was and nothing else behind."""
+
+    @pytest.mark.parametrize("budget", [0, 8])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_overwrite_keeps_the_previous_bytes(self, tmp_path, monkeypatch, writer, budget):
+        name, write = WRITERS[writer]
+        path = tmp_path / "out" / name
+        path.parent.mkdir()
+        write(path, 0)
+        before = {f: f.read_bytes() for f in path.parent.iterdir()}
+        write(path, 1)
+        assert path.read_bytes() != before[path]  # the second seed writes other bytes
+        write(path, 0)
+
+        def capped_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return _FullDisk(fh, budget) if "r" not in mode and name in os.fspath(file) else fh
+
+        for module in (cli, data, encoders, errors):
+            monkeypatch.setattr(module, "open", capped_open, raising=False)
+        with pytest.raises(OSError, match="File too large"):
+            write(path, 1)
+        assert path.read_bytes() == before[path]
+        assert sorted(path.parent.iterdir()) == sorted(before)  # no temporary left
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # with a reader open, the writer's open does not block
+        try:
+            write_json(fifo, {"new": 1})
+            assert os.read(reader, 100) == b'{\n "new": 1\n}\n'
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_a_symbolic_link_is_written_through(self, tmp_path):
+        (tmp_path / "real.json").write_text("old")
+        (tmp_path / "link.json").symlink_to(tmp_path / "real.json")
+        write_json(tmp_path / "link.json", {"new": 1})
+        assert (tmp_path / "link.json").is_symlink()
+        assert json.loads((tmp_path / "real.json").read_text()) == {"new": 1}

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from wsp.encoders import EncoderConfig, save_checkpoint
 from wsp.errors import ConfigError, ContractError, NonFiniteError, write_csv
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
+from wsp import training
 from wsp.training import (
     EpochRecord,
     OptimConfig,
@@ -253,6 +255,119 @@ def test_spent_step_graph_is_released_before_the_next_step(small_volumes, traced
     one = traced_peak(lambda: pretrain(small_volumes, enc_cfg, OptimConfig(epochs=1, batch_size=16)))
     three = traced_peak(lambda: pretrain(small_volumes, enc_cfg, OptimConfig(epochs=3, batch_size=16)))
     assert three - one <= 2**19
+
+
+def test_spent_step_graph_is_released_before_the_next_step_with_prefetch(small_volumes, traced_peak, monkeypatch):
+    # The same bound with the next batch's views made during each step: only that one batch is added.
+    monkeypatch.setattr(training, "_spare_cpu", lambda: True)
+    test_spent_step_graph_is_released_before_the_next_step(small_volumes, traced_peak)
+
+
+class TestPrefetch:
+    """The step loop with the next batch made on a worker thread (``_spare_cpu`` true) against the serial loop."""
+
+    def optim(self):
+        return OptimConfig(lr=1e-3, epochs=2, batch_size=8, loss=LossConfig(tau=0.2, sigma=0.1), seed=9)
+
+    def enc(self):
+        return replace(SMALL_ENC, seed=9)
+
+    @staticmethod
+    def run(monkeypatch, prefetch, *args):
+        """``pretrain(*args)`` down one path; asserts that it leaves no worker thread behind, whether it returns or
+        raises."""
+        monkeypatch.setattr(training, "_spare_cpu", lambda: prefetch)
+        before = set(threading.enumerate())
+        try:
+            return pretrain(*args)
+        finally:
+            assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("n_volumes", [16, 4], ids=["strict", "fallback"])
+    def test_both_paths_give_the_same_bytes(self, small_volumes, tmp_path, monkeypatch, n_volumes):
+        volumes = small_volumes[:n_volumes]
+        results = {}
+        for prefetch in (False, True):
+            ckpt, curve = self.run(monkeypatch, prefetch, volumes, self.enc(), self.optim())
+            save_checkpoint(ckpt, tmp_path / f"{prefetch}.ckpt")
+            results[prefetch] = ((tmp_path / f"{prefetch}.ckpt").read_bytes(), curve)
+        assert results[False] == results[True]
+        assert len(results[True][1]) == 2
+
+    def failing_assembly(self, monkeypatch, failed: threading.Event):
+        """Make the assembly of batch 1 raise a ContractError, and set ``failed`` when it does."""
+        assemble = training._assemble_batch
+
+        def patched(batch, aug_cfg, key, enc_cfg):
+            if key[2] == 1:
+                failed.set()
+                raise ContractError("assembly of batch 1")
+            return assemble(batch, aug_cfg, key, enc_cfg)
+
+        monkeypatch.setattr(training, "_assemble_batch", patched)
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["serial", "prefetch"])
+    def test_assembly_error_surfaces_after_the_step_before(self, small_volumes, monkeypatch, prefetch):
+        steps = []
+        step = training.optimizer_step
+        monkeypatch.setattr(training, "optimizer_step", lambda *args: (step(*args), steps.append(args[2].step)))
+        self.failing_assembly(monkeypatch, threading.Event())
+        with pytest.raises(ContractError, match="assembly of batch 1"):
+            self.run(monkeypatch, prefetch, small_volumes, self.enc(), self.optim())
+        assert steps == [1]  # step 0's optimizer_step ran, and only it
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["serial", "prefetch"])
+    def test_a_failing_step_raises_its_own_error(self, small_volumes, monkeypatch, prefetch):
+        failed = threading.Event()
+        self.failing_assembly(monkeypatch, failed)
+
+        def poisoned(z, meta, cfg):
+            if prefetch:  # let batch 1's assembly fail on the worker first
+                assert failed.wait(timeout=60)
+            return Tensor(np.array(np.nan))
+
+        monkeypatch.setattr(training, "compute_loss", poisoned)
+        with pytest.raises(NonFiniteError) as err:
+            self.run(monkeypatch, prefetch, small_volumes, self.enc(), self.optim())
+        assert (err.value.details["epoch"], err.value.details["batch"]) == (0, 0)
+
+
+class TestSpareCpu:
+    """The rule that picks the prefetch path: more usable CPUs than BLAS threads."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_variables(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+
+    def spare(self, monkeypatch, cpus, **env):
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        return training._spare_cpu()
+
+    def test_one_blas_thread_on_two_cpus_leaves_one_spare(self, monkeypatch):
+        assert self.spare(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+
+    def test_unset_means_blas_uses_every_cpu(self, monkeypatch):
+        assert not self.spare(monkeypatch, 2)
+
+    def test_one_cpu_has_none_spare(self, monkeypatch):
+        assert not self.spare(monkeypatch, 1, OPENBLAS_NUM_THREADS="1")
+
+    def test_as_many_blas_threads_as_cpus(self, monkeypatch):
+        assert not self.spare(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
+
+    def test_omp_is_read_only_without_openblas(self, monkeypatch):
+        assert self.spare(monkeypatch, 2, OMP_NUM_THREADS="1")
+        assert not self.spare(monkeypatch, 2, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2")
+
+    def test_goto_comes_before_omp(self, monkeypatch):
+        assert self.spare(monkeypatch, 2, GOTO_NUM_THREADS="1", OMP_NUM_THREADS="2")
+
+    @pytest.mark.parametrize("value", ["", "0", "-1", "x"])
+    def test_a_value_that_is_no_positive_count_is_unset(self, monkeypatch, value):
+        assert self.spare(monkeypatch, 2, OPENBLAS_NUM_THREADS=value, OMP_NUM_THREADS="1")
 
 
 def test_write_loss_curve(tmp_path):

@@ -61,36 +61,23 @@ class ProbeReport:
 def extract_representations(ckpt: EncoderCheckpoint, volumes) -> RepresentationTable:
     """Representation vectors for every retained slice, augmentation off."""
     enc = ckpt.to_encoder()
-    patient_ids: list = []
-    slice_ids: list = []
-    depth: list = []
-    y_weak: list = []
-    y_strong: list = []
-    images: list = []
-    for vol in volumes:
-        for s in vol.slices:
-            patient_ids.append(vol.patient_id)
-            slice_ids.append(slice_id(vol, s))
-            depth.append(s.d)
-            y_weak.append(vol.y_weak)
-            y_strong.append(-1 if vol.y_strong is None else int(vol.y_strong))
-            images.append(s.pixels)
-    if not images:
+    rows = [(vol, s) for vol in volumes for s in vol.slices]
+    if not rows:
         raise ContractError("no retained slices to embed")
     # The encoder is frozen, so no chunk records a graph; pixels become float64 one chunk at a time.
-    reprs = np.empty((len(images), enc.config.repr_dim))
-    for start in range(0, len(images), EXTRACT_CHUNK):
-        block = np.stack(images[start : start + EXTRACT_CHUNK]).astype(np.float64, copy=False)
+    reprs = np.empty((len(rows), enc.config.repr_dim))
+    for start in range(0, len(rows), EXTRACT_CHUNK):
+        block = np.stack([s.pixels for _, s in rows[start : start + EXTRACT_CHUNK]]).astype(np.float64, copy=False)
         reprs[start : start + len(block)] = enc.encode(input_batch(enc.config, block)).data
     # The probe's Hessian and the PCA covariance sum products of these values; the sum of squares bounds every one.
     if not np.isfinite(np.vdot(reprs, reprs)):
         raise NonFiniteError("the encoder's representations are non-finite, or their sum of squares overflows")
     return RepresentationTable(
-        patient_ids=patient_ids,
-        slice_ids=slice_ids,
-        d=np.asarray(depth),
-        y_weak=np.asarray(y_weak, dtype=np.int64),
-        y_strong=np.asarray(y_strong, dtype=np.int64),
+        patient_ids=[vol.patient_id for vol, _ in rows],
+        slice_ids=[slice_id(vol, s) for vol, s in rows],
+        d=np.asarray([s.d for _, s in rows]),
+        y_weak=np.asarray([vol.y_weak for vol, _ in rows], dtype=np.int64),
+        y_strong=np.asarray([-1 if vol.y_strong is None else int(vol.y_strong) for vol, _ in rows], dtype=np.int64),
         repr=reprs,
     )
 

@@ -61,6 +61,8 @@ class LossConfig:
         )
         if not 2 * self.sigma * self.sigma >= 1 / sys.float_info.max:  # the depth kernel's 1 / (2 sigma^2) is finite
             raise ConfigError(f"sigma {self.sigma} is too small: 1 / (2 * sigma**2) overflows")
+        if not np.isfinite(1 / self.tau):  # the similarity scale 1 / tau
+            raise ConfigError(f"tau {self.tau} is too small: 1 / tau overflows")
 
 
 class BatchMeta:

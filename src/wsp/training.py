@@ -171,35 +171,21 @@ def _step_inputs(volumes, enc_cfg: EncoderConfig, optim_cfg: OptimConfig, aug_cf
             yield (epoch, b_idx, *_assemble_batch(batch, aug_cfg, (optim_cfg.seed, epoch, b_idx), enc_cfg))
 
 
-_END = object()
-
-
-class _Prefetch:
+def _prefetch(items):
     """``items``, each made on one worker thread while the caller works on the one before.
 
-    The first item is started at construction. An item's error is raised by the ``next`` that asks for it, as a
-    serial loop would raise it. ``close`` waits for the item in flight, drops it, and closes ``items``. The worker
+    The first item is started by the first ``next``. An item's error is raised by the ``next`` that asks for it, as
+    a serial loop would raise it. ``close`` waits for the item in flight, drops it, and closes ``items``. The worker
     runs under the caller's numpy error state.
     """
-
-    def __init__(self, items):
-        self.items = items
-        self.pool = ThreadPoolExecutor(1, "wsp-prefetch", functools.partial(np.seterr, **np.geterr()))
-        self.ahead = self.pool.submit(next, items, _END)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        item = self.ahead.result()
-        if item is _END:
-            raise StopIteration
-        self.ahead = self.pool.submit(next, self.items, _END)
-        return item
-
-    def close(self) -> None:
-        self.pool.shutdown()
-        self.items.close()
+    try:
+        with ThreadPoolExecutor(1, "wsp-prefetch", functools.partial(np.seterr, **np.geterr())) as pool:
+            ahead = pool.submit(next, items, None)
+            while (item := ahead.result()) is not None:
+                ahead = pool.submit(next, items, None)
+                yield item
+    finally:
+        items.close()
 
 
 def pretrain(
@@ -222,8 +208,8 @@ def pretrain(
     steps_per_epoch = math.ceil(n_patients / optim_cfg.batch_size)
     total_iters = optim_cfg.epochs * steps_per_epoch
     inputs = _step_inputs(volumes, enc_cfg, optim_cfg, aug_cfg, mode)
-    done = []  # (epoch, loss, lr) of each step
-    with contextlib.closing(_Prefetch(inputs) if _spare_cpu() else inputs) as stream:
+    losses = []  # each step's loss, in step order
+    with contextlib.closing(_prefetch(inputs) if _spare_cpu() else inputs) as stream:
         enc = init_encoder(enc_cfg)
         state = init_optim_state(enc.params)
         for global_step, (epoch, b_idx, x, meta) in enumerate(stream):
@@ -248,19 +234,15 @@ def pretrain(
                 raise _diverged(str(exc), epoch, b_idx, meta) from exc
             # Drop the spent step graph before the next forward pass.
             del x, z, loss, grad_map
-            done.append((epoch, value, lr_t))
+            losses.append(value)
     # No forward pass follows the last step to catch parameters that it made non-finite.
     for name, p in enc.params.items():
         if not np.isfinite(p.data).all():
             raise _diverged(f"non-finite parameter {name!r}", epoch, b_idx, meta)
-    curve = []
-    for e in range(optim_cfg.epochs):
-        rows = [row for row in done if row[0] == e]
-        curve.append(EpochRecord(epoch=e, mean_loss=float(np.mean([row[1] for row in rows])), lr=float(rows[0][2])))
+    starts = range(0, total_iters, steps_per_epoch)  # each epoch's first step
+    curve = [EpochRecord(e, float(np.mean(losses[s : s + steps_per_epoch])), cosine_lr(s, total_iters, optim_cfg.lr))
+             for e, s in enumerate(starts)]
     ckpt = EncoderCheckpoint.from_encoder(
-        enc,
-        step=len(done),
-        loss_kind=optim_cfg.loss.loss_kind,
-        loss_sigma=optim_cfg.loss.sigma,
+        enc, step=len(losses), loss_kind=optim_cfg.loss.loss_kind, loss_sigma=optim_cfg.loss.sigma
     )
     return ckpt, curve

@@ -442,6 +442,17 @@ class TestSweep:
         assert "usage error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tau_whose_reciprocal_overflows_is_usage_error_before_any_run(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("wsp.cli.pretrain", no_training)
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1", "--tau", "1e-310", "--epochs", "1",
+                    "--batch", "4", "--out", str(out)])
+        assert code == 2
+        assert "usage error: invalid LossConfig: tau" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_sigma_grid_documented(self):
         parser = build_parser()
         help_text = parser.parse_args(["sweep", "--data", "d", "--out", "o"])
@@ -912,6 +923,7 @@ class TestParser:
             {"augment": {"enabled": "no"}},
             {"optim": {"lr": 10**400}},
             {"loss": {"tau": 10**400}},
+            {"loss": {"tau": 1e-310}},
             {"seed": True},
             {"seed": float("nan")},
             {"seed": -1},
@@ -938,8 +950,8 @@ class TestParser:
             "encoder.proj_dim-float", "encoder.conv_channels-zero", "loss.sigma-nan", "loss.tau-nan",
             "optim.lr-nan", "optim.lr-inf", "optim.beta1-range", "optim.eps-negative", "optim.momentum-nan",
             "optim.weight_decay-nan", "optim.weight_decay-huge", "optim.batch_size-bool", "augment.enabled-string",
-            "optim.lr-huge-int", "loss.tau-huge-int", "seed-bool", "seed-nan", "seed-negative", "output_dir-bool",
-            "fraction-bool", "fraction-nan", "fraction-zero", "encoder.proj_hidden-huge-int",
+            "optim.lr-huge-int", "loss.tau-huge-int", "loss.tau-subnormal", "seed-bool", "seed-nan", "seed-negative",
+            "output_dir-bool", "fraction-bool", "fraction-nan", "fraction-zero", "encoder.proj_hidden-huge-int",
             "encoder.mlp_hidden-above-u32", "data.central_fraction-moved", "sigmas-empty", "sigmas-string",
             "seeds-float", "seeds-bool", "command-int", "data_dir-null", "seeds-negative", "sigmas-negative",
             "methods-unknown", "methods-string",
@@ -1005,12 +1017,13 @@ class TestParser:
         assert "usage error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "3"], ["--sigma", "nan"], ["--sigma", "1e-200"],
-                                       ["--lr", "inf"]],
-                             ids=["batch-zero", "batch-odd", "sigma-nan", "sigma-underflow", "lr-inf"])
+                                       ["--lr", "inf"], ["--tau", "1e-310"]],
+                             ids=["batch-zero", "batch-odd", "sigma-nan", "sigma-underflow", "lr-inf", "tau-subnormal"])
     def test_bad_flag_value_is_usage_error(self, dataset_dir, tmp_path, capsys, flags):
         code = run(["pretrain", "--data", str(dataset_dir), "--epochs", "1", *flags, "--out", str(tmp_path / "c")])
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists() and not (tmp_path / "c.dump.json").exists()
 
     def test_non_integer_checkpoint_header_value_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

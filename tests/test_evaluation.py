@@ -49,6 +49,18 @@ class TestExtract:
         b = extract_representations(trained_ckpt, small_volumes)
         assert not np.allclose(a.repr, b.repr)
 
+    def test_rows_follow_volume_then_slice_order(self, small_volumes):
+        volumes = [small_volumes[5], replace(small_volumes[2], y_strong=None), small_volumes[0]]
+        table = extract_representations(EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random"), volumes)
+        rows = [(v, s) for v in volumes for s in v.slices]
+        assert table.patient_ids == [v.patient_id for v, _ in rows]
+        assert table.slice_ids == [f"{v.volume_id}/{s.p}" for v, s in rows]
+        assert table.d.tolist() == [s.d for _, s in rows]
+        assert table.y_weak.tolist() == [v.y_weak for v, _ in rows]
+        n = len(small_volumes[5].slices)
+        assert table.y_strong.tolist() == [small_volumes[5].y_strong] * n + [-1] * n + [small_volumes[0].y_strong] * n
+        assert (table.y_weak.dtype, table.y_strong.dtype, table.d.dtype) == (np.int64, np.int64, np.float64)
+
     def test_to_encoder_is_frozen(self):
         enc = EncoderCheckpoint.from_encoder(init_encoder(SMALL_ENC), 0, "random").to_encoder()
         assert not any(p.requires_grad for p in enc.params.values())

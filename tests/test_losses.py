@@ -66,6 +66,12 @@ class TestConfig:
             LossConfig(sigma=sigma)
         assert LossConfig(sigma=1e-154).sigma == 1e-154
 
+    @pytest.mark.parametrize("tau", [1e-310, 5e-324])
+    def test_tau_whose_reciprocal_overflows_rejected(self, tau):
+        with pytest.raises(ConfigError, match="tau"):
+            LossConfig(tau=tau)
+        assert LossConfig(tau=1e-307).tau == 1e-307
+
 
 class TestBatchMeta:
     def test_depth_range_enforced(self):

@@ -332,6 +332,42 @@ class TestPrefetch:
         assert (err.value.details["epoch"], err.value.details["batch"]) == (0, 0)
 
 
+class TestEpochRecords:
+    """Each epoch's record: the mean of its steps' losses and the lr of its first step, on both paths."""
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["serial", "prefetch"])
+    @pytest.mark.parametrize("n_volumes, batch_size, steps_per_epoch", [(16, 4, 4), (4, 8, 1)],
+                             ids=["strict", "fallback"])
+    def test_mean_step_loss_and_first_step_lr(self, small_volumes, monkeypatch, prefetch, n_volumes, batch_size,
+                                              steps_per_epoch):
+        step_losses, lrs = [], {}
+        loss_fn, lr_fn = training.compute_loss, training.cosine_lr
+
+        def recorded_loss(*args):
+            loss = loss_fn(*args)
+            step_losses.append(loss.item())
+            return loss
+
+        def recorded_lr(step, total_steps, lr):
+            lr_t = lr_fn(step, total_steps, lr)
+            lrs.setdefault(step, lr_t)
+            return lr_t
+
+        monkeypatch.setattr(training, "compute_loss", recorded_loss)
+        monkeypatch.setattr(training, "cosine_lr", recorded_lr)
+        monkeypatch.setattr(training, "_spare_cpu", lambda: prefetch)
+        optim = OptimConfig(lr=1e-3, epochs=3, batch_size=batch_size, loss=LossConfig(tau=0.2, sigma=0.1), seed=3)
+        ckpt, curve = pretrain(small_volumes[:n_volumes], replace(SMALL_ENC, seed=3), optim)
+        assert len(step_losses) == ckpt.step == 3 * steps_per_epoch
+        assert sorted(lrs) == list(range(3 * steps_per_epoch))
+        for e, rec in enumerate(curve):
+            first = e * steps_per_epoch
+            assert rec.epoch == e
+            assert rec.mean_loss == float(np.mean(step_losses[first : first + steps_per_epoch]))
+            assert rec.lr == lrs[first] == cosine_lr(first, 3 * steps_per_epoch, 1e-3)
+        assert len({rec.lr for rec in curve}) == 3
+
+
 class TestSpareCpu:
     """The rule that picks the prefetch path: more usable CPUs than BLAS threads."""
 

@@ -30,7 +30,7 @@ class Tensor:
     in-place parameter updates are only legal between forward passes.
     """
 
-    __slots__ = ("data", "requires_grad", "uid", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "uid", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -41,7 +41,6 @@ class Tensor:
         self.uid = next(_uid_counter)
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._op: str | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,16 +51,11 @@ class Tensor:
             raise ContractError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f" op={self._op}" if self._op else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
 
 def make_op(
     data: np.ndarray,
     parents: Iterable[Tensor],
     backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
-    op: str,
 ) -> Tensor:
     """Wrap an op result, recording it on the graph iff a parent needs grad.
 
@@ -73,7 +67,6 @@ def make_op(
     if out.requires_grad:
         out._parents = parents
         out._backward_fn = backward_fn
-        out._op = op
     return out
 
 
@@ -158,17 +151,17 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gx = g @ w.data.T if x.requires_grad else None
         return gx, x.data.T @ g, g.sum(axis=0)
 
-    return make_op(out, (x, w, b), bwd, "affine")
+    return make_op(out, (x, w, b), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return make_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,), "relu")
+    return make_op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    return make_op(out, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),), "sum_all")
+    return make_op(out, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.data.dtype),))
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -186,7 +179,7 @@ def l2_normalize(x: Tensor) -> Tensor:
         inner = (g * y).sum(axis=1, keepdims=True)
         return ((g - y * inner) / norms,)
 
-    return make_op(y, (x,), bwd, "l2_normalize")
+    return make_op(y, (x,), bwd)
 
 
 def _conv(x: np.ndarray, k: np.ndarray, stride: int, need_gx: bool):
@@ -248,7 +241,7 @@ def conv2d(x: Tensor, k: Tensor, stride: int = 1) -> Tensor:
         gx, gk = grads(g.transpose(0, 2, 3, 1).reshape(-1, k.shape[0]))
         return (None if gx is None else gx.transpose(0, 3, 1, 2)), gk
 
-    return make_op(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd, "conv2d")
+    return make_op(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd)
 
 
 def conv_bias_relu(x: Tensor, k: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -272,14 +265,14 @@ def conv_bias_relu(x: Tensor, k: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gb = np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
         return gx, gk, gb
 
-    return make_op(out, (x, k, b), bwd, "conv_bias_relu")
+    return make_op(out, (x, k, b), bwd)
 
 
 def channels_last(x: Tensor) -> Tensor:
     """A B,C,H,W batch as B,H,W,C (a view, no copy)."""
     if x.data.ndim != 4:
         raise ContractError(f"channels_last expects 4-d input, got {x.shape}")
-    return make_op(x.data.transpose(0, 2, 3, 1), (x,), lambda g: (g.transpose(0, 3, 1, 2),), "channels_last")
+    return make_op(x.data.transpose(0, 2, 3, 1), (x,), lambda g: (g.transpose(0, 3, 1, 2),))
 
 
 def spatial_mean(x: Tensor) -> Tensor:
@@ -293,7 +286,7 @@ def spatial_mean(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.broadcast_to(g[:, None, None, :], x.shape) / (h * w),)
 
-    return make_op(out, (x,), bwd, "spatial_mean")
+    return make_op(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

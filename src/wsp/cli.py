@@ -42,6 +42,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
+DEFAULT_SEED = 0  # the top-level seed of generate and gradcheck
 
 _LOSS_FLAG_TO_KIND = {"wsp": "wsp", "supcon": "supcon", "depth": "depth_aware", "infonce": "infonce"}
 
@@ -172,7 +173,7 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
 
 def cmd_generate(doc: dict, args) -> int:
     cfg = build_config(GeneratorConfig, _section(doc, args, "data", **_parse_size(args.size)), ConfigError)
-    seed = _top(doc, args, "seed", 0)
+    seed = _top(doc, args, "seed", DEFAULT_SEED)
     out = _resolve_out(doc, args.out)
     generator, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(generator, volumes, out)
@@ -202,7 +203,7 @@ def _load_trimmed(doc: dict, args):
 def _encoder_config(doc: dict, args, image_shape) -> EncoderConfig:
     body = _section(doc, args, "encoder")
     if "input_shape" not in body:
-        body["input_shape"] = input_shape(body.get("arch", "tiny_cnn"), image_shape)
+        body["input_shape"] = input_shape(body.get("arch", EncoderConfig.arch), image_shape)
     return build_config(EncoderConfig, body, ConfigError)
 
 
@@ -233,7 +234,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     write_csv(out + ".loss.csv", ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
     record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
     _echo_config(out, args, {**record, "central_fraction": fraction})
-    print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6f}")
+    print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6g}")
     return EXIT_OK
 
 
@@ -284,7 +285,7 @@ def cmd_project(doc: dict, args) -> int:
 
 
 def cmd_gradcheck(doc: dict, args) -> int:
-    results = gradient_check(seed=_top(doc, args, "seed", 0))
+    results = gradient_check(seed=_top(doc, args, "seed", DEFAULT_SEED))
     failed = []
     for kind, err in results.items():
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -298,6 +299,7 @@ def cmd_gradcheck(doc: dict, args) -> int:
 
 
 DEFAULT_SWEEP_SIGMAS = (0.01, 0.1, 0.2, 0.3, 0.5)
+DEFAULT_SWEEP_METHODS = ("wsp",)
 
 # A sweep given by its run-config alone (see sweep_plan).
 _NO_FLAGS = argparse.Namespace(data=None, seed=None)
@@ -311,7 +313,7 @@ def sweep_plan(doc: dict, args=_NO_FLAGS):
     is a usage error, so an echo never replays on another dataset than its own.
     """
     record = {"sigmas": _top(doc, args, "sigmas", list(DEFAULT_SWEEP_SIGMAS))}
-    record["methods"] = _top(doc, args, "methods", ["wsp"])
+    record["methods"] = _top(doc, args, "methods", list(DEFAULT_SWEEP_METHODS))
     if args.data is None:
         fraction, volumes = _top(doc, args, "central_fraction", CENTRAL_FRACTION), None
         record["data"] = build_config(GeneratorConfig, _section(doc, args, "data"), ConfigError)
@@ -375,35 +377,22 @@ def cmd_sweep(doc: dict, args) -> int:
 def write_pca_svg(path, table, coords) -> None:
     """Static scatter: hue encodes the strong label, shade encodes depth."""
     size, margin, radius = 640, 48, 4.0
-    xs = coords[:, 0]
-    ys = coords[:, 1]
-    span_x = float(xs.max() - xs.min()) or 1.0
-    span_y = float(ys.max() - ys.min()) or 1.0
-    inner = size - 2 * margin
+    hues = {1: ((250, 140, 120), (130, 20, 20)), 0: ((120, 170, 250), (10, 40, 120))}  # label -> (base, dark) rgb
+    low = coords.min(axis=0)
+    spans = coords.max(axis=0) - low
+    spans[spans == 0] = 1.0
+    scaled = (size - 2 * margin) * (coords - low) / spans
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        '<!-- hue: blue = strong label 0, red = strong label 1, gray = unlabeled; '
-        "darker = deeper slice -->",
+        "<!-- hue: blue = strong label 0, red = strong label 1, gray = unlabeled; darker = deeper slice -->",
     ]
-    for i in range(len(table)):
-        cx = margin + inner * (float(xs[i]) - float(xs.min())) / span_x
-        cy = size - margin - inner * (float(ys[i]) - float(ys.min())) / span_y
-        depth = float(table.d[i])
-        label = int(table.y_strong[i])
-        if label == 1:
-            base, dark = (250, 140, 120), (130, 20, 20)
-        elif label == 0:
-            base, dark = (120, 170, 250), (10, 40, 120)
-        else:
-            base, dark = (200, 200, 200), (60, 60, 60)
-        rgb = tuple(round(b + (d - b) * depth) for b, d in zip(base, dark))
-        parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius}" '
-            f'fill="rgb({rgb[0]},{rgb[1]},{rgb[2]})" fill-opacity="0.85"/>'
-        )
+    points = zip(margin + scaled[:, 0], size - margin - scaled[:, 1], table.d.tolist(), table.y_strong.tolist())
+    for cx, cy, depth, label in points:
+        base, dark = hues.get(label, ((200, 200, 200), (60, 60, 60)))
+        rgb = ",".join(str(round(b + (d - b) * depth)) for b, d in zip(base, dark))
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius}" fill="rgb({rgb})" fill-opacity="0.85"/>')
     parts.append("</svg>")
     with replacing(path) as fh:
         fh.write("\n".join(parts) + "\n")
@@ -420,23 +409,28 @@ _FLAGS = {
     "--data": ("data", {"required": True, "help": "dataset directory"}),
     "--ckpt": ("ckpt", {"required": True, "help": "checkpoint path, or 'random' for an untrained encoder"}),
     "--out": ("out", {"required": True}),
-    "--volumes": ("data.n_volumes", {"type": int, "help": "number of volumes (default 60)"}),
-    "--slices": ("data.slices_per_volume", {"type": int, "help": "slices per volume (default 24)"}),
-    "--size": ("size", {"help": "image size as HxW (default 32x32)"}),
-    "--noise": ("data.noise_rate", {"type": float, "help": "label-noise rate rho (default 0.1)"}),
-    "--fraction": ("central_fraction", {"type": float, "help": "central-slice fraction (default 0.7)"}),
-    "--arch": ("encoder.arch", {"choices": ARCHS, "help": "encoder architecture (default tiny_cnn)"}),
-    "--loss": ("loss", {"choices": sorted(_LOSS_FLAG_TO_KIND), "help": "loss kind (default wsp)"}),
-    "--sigma": ("loss.sigma", {"type": float, "help": "depth-kernel bandwidth (default 0.1)"}),
-    "--tau": ("loss.tau", {"type": float, "help": "similarity temperature (default 0.1)"}),
-    "--epochs": ("optim.epochs", {"type": int, "help": "training epochs (default 30)"}),
-    "--batch": ("optim.batch_size", {"type": int, "help": "batch size in slices (default 32)"}),
-    "--lr": ("optim.lr", {"type": float, "help": "peak learning rate (default 1e-4)"}),
-    "--weight-decay": ("optim.weight_decay", {"type": float, "help": "decoupled weight decay (default 1e-4)"}),
-    "--folds": ("probe.folds", {"type": int, "help": "cross-validation folds (default 5)"}),
-    "--sigmas": ("sigmas", {"help": "comma-separated bandwidths (default 0.01,0.1,0.2,0.3,0.5)"}),
-    "--seeds": ("seeds", {"help": "comma-separated seeds (default: the --seed value)"}),
-    "--methods": ("methods", {"help": "comma-separated methods, each random or a loss kind (default wsp)"}),
+    "--volumes": ("data.n_volumes", {"type": int, "help": f"number of volumes (default {GeneratorConfig.n_volumes})"}),
+    "--slices": ("data.slices_per_volume",
+                 {"type": int, "help": f"slices per volume (default {GeneratorConfig.slices_per_volume})"}),
+    "--size": ("size", {"help": f"image size as HxW (default {GeneratorConfig.height}x{GeneratorConfig.width})"}),
+    "--noise": ("data.noise_rate",
+                {"type": float, "help": f"label-noise rate rho (default {GeneratorConfig.noise_rate})"}),
+    "--fraction": ("central_fraction", {"type": float, "help": f"central-slice fraction (default {CENTRAL_FRACTION})"}),
+    "--arch": ("encoder.arch", {"choices": ARCHS, "help": f"encoder architecture (default {EncoderConfig.arch})"}),
+    "--loss": ("loss", {"choices": sorted(_LOSS_FLAG_TO_KIND), "help": f"loss kind (default {LossConfig.loss_kind})"}),
+    "--sigma": ("loss.sigma", {"type": float, "help": f"depth-kernel bandwidth (default {LossConfig.sigma})"}),
+    "--tau": ("loss.tau", {"type": float, "help": f"similarity temperature (default {LossConfig.tau})"}),
+    "--epochs": ("optim.epochs", {"type": int, "help": f"training epochs (default {OptimConfig.epochs})"}),
+    "--batch": ("optim.batch_size", {"type": int, "help": f"batch size in slices (default {OptimConfig.batch_size})"}),
+    "--lr": ("optim.lr", {"type": float, "help": f"peak learning rate (default {OptimConfig.lr})"}),
+    "--weight-decay": ("optim.weight_decay",
+                       {"type": float, "help": f"decoupled weight decay (default {OptimConfig.weight_decay})"}),
+    "--folds": ("probe.folds", {"type": int, "help": f"cross-validation folds (default {ProbeConfig.folds})"}),
+    "--sigmas": ("sigmas", {"help": "comma-separated bandwidths "
+                            f"(default {','.join(map(str, DEFAULT_SWEEP_SIGMAS))})"}),
+    "--seeds": ("seeds", {"help": "comma-separated seeds (default: the optim seed)"}),
+    "--methods": ("methods", {"help": "comma-separated methods, each random or a loss kind "
+                                      f"(default {','.join(DEFAULT_SWEEP_METHODS)})"}),
     "--svg": ("svg", {"help": "optional scatter SVG output path"}),
     "--embeddings": ("embeddings", {"help": "optional raw-representation CSV output path"}),
     "--seed": ("seed", {"type": int}),
@@ -450,28 +444,29 @@ _RANDOM_ARCH = ("--arch", "architecture for --ckpt random")
 _COMMANDS = {
     "generate": (cmd_generate, "write a deterministic synthetic dataset", [
         ("--out", "output dataset directory"), "--volumes", "--slices", "--size", "--noise",
-        ("--seed", "generator seed (default 0)"), "--config",
+        ("--seed", f"generator seed (default {DEFAULT_SEED})"), "--config",
     ]),
     "pretrain": (cmd_pretrain, "contrastive pretraining on a dataset", [
         "--data", "--loss", "--sigma", "--tau", "--epochs", "--batch", "--lr", "--weight-decay", "--arch",
-        "--fraction", ("--out", "checkpoint output path"), ("--seed", "training seed (default 0)"), "--config",
+        "--fraction", ("--out", "checkpoint output path"), ("--seed", f"training seed (default {OptimConfig.seed})"),
+        "--config",
     ]),
     "probe": (cmd_probe, "linear probe with stratified cross-validation", [
         "--data", "--ckpt", "--folds", _RANDOM_ARCH, "--fraction", ("--out", "metrics CSV output path"),
-        ("--seed", "fold/init seed (default 0)"), "--config",
+        ("--seed", f"fold/init seed (default {ProbeConfig.seed})"), "--config",
     ]),
     "project": (cmd_project, "export the 2-mode PCA of representations", [
         "--data", "--ckpt", _RANDOM_ARCH, "--fraction", ("--out", "PCA CSV output path"), "--svg", "--embeddings",
-        ("--seed", "seed for --ckpt random (default 0)"), "--config",
+        ("--seed", f"seed for --ckpt random (default {EncoderConfig.seed})"), "--config",
     ]),
     "gradcheck": (cmd_gradcheck, "verify loss gradients against finite differences", [
-        ("--seed", "random seed for the check batches (default 0)"),
+        ("--seed", f"random seed for the check batches (default {DEFAULT_SEED})"),
     ]),
     "sweep": (cmd_sweep, "pretrain+probe over a grid of methods and sigma values", [
         ("--data", {"required": False, "help": "dataset directory (default: generate each seed's cohort from the "
                                                "data section with that seed)"}),
         "--methods", "--sigmas", "--seeds", "--epochs", "--batch", "--lr", "--tau", "--arch", "--fraction",
-        ("--out", "sweep CSV output path"), ("--seed", "base seed (default 0)"), "--config",
+        ("--out", "sweep CSV output path"), ("--seed", f"base seed (default {OptimConfig.seed})"), "--config",
     ]),
 }
 

@@ -114,7 +114,7 @@ def similarity_matrix(z: Tensor, tau: float) -> Tensor:
         g = g * c
         return (g @ zt.T + (z.data.T @ g).T,)
 
-    return ad.make_op((z.data @ zt) * c, (z,), bwd, "similarity_matrix")
+    return ad.make_op((z.data @ zt) * c, (z,), bwd)
 
 
 def _sibling_index(meta: BatchMeta) -> np.ndarray:
@@ -208,7 +208,7 @@ def pair_weights(meta: BatchMeta, cfg: LossConfig) -> np.ndarray:
         eligible = not_self
     else:  # wsp, supcon share the label-gated positive set
         eligible = (meta.y[:, None] == meta.y[None, :]) & not_self
-    if cfg.loss_kind == "supcon":
+    if cfg.loss_kind not in SIGMA_KINDS:
         return eligible.astype(np.float64)
     diff = meta.d[:, None] - meta.d[None, :]
     gauss = np.exp(-(diff * diff) / (2.0 * cfg.sigma * cfg.sigma))
@@ -244,7 +244,7 @@ def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
         w = g * c * weights
         return (w + lse_vjp(-w),)
 
-    return ad.make_op(np.asarray((weights * (s.data - lse)).sum()) * c, (s,), bwd, "similarity_loss")
+    return ad.make_op(np.asarray((weights * (s.data - lse)).sum()) * c, (s,), bwd)
 
 
 def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:

@@ -19,7 +19,7 @@ from wsp.data import write_volume_file
 
 def product(a, b):
     """Elementwise a * b as one tape op, for tests of the backward engine."""
-    return ad.make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "product")
+    return ad.make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def naive_kernel_loss(z, y, d, slice_ids, tau, sigma, kind, convention="exclude_anchor"):

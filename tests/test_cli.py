@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import filecmp
 import hashlib
 import json
 import os
+import re
 import resource
 import shutil
 import struct
@@ -18,8 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsp.benchmark import BENCHMARK_CONFIG
-from wsp.cli import _COMMANDS, _FLAGS, build_parser, main, sweep_runs
+from wsp.cli import (
+    _COMMANDS,
+    _FLAGS,
+    DEFAULT_SEED,
+    DEFAULT_SWEEP_METHODS,
+    DEFAULT_SWEEP_SIGMAS,
+    build_parser,
+    main,
+    sweep_plan,
+    sweep_runs,
+    write_pca_svg,
+)
 from wsp.data import (
+    CENTRAL_FRACTION,
     GeneratorConfig,
     Slice,
     Volume,
@@ -30,7 +44,7 @@ from wsp.data import (
 )
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
 from wsp.errors import write_csv
-from wsp.evaluation import ProbeConfig, run_probe_protocol
+from wsp.evaluation import ProbeConfig, RepresentationTable, run_probe_protocol
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
 from wsp.training import OptimConfig, pretrain
@@ -109,6 +123,19 @@ class TestPretrain:
         curve = checkpoint.parent.joinpath(checkpoint.name + ".loss.csv").read_text().splitlines()
         assert curve[0] == "epoch,mean_loss,lr"
         assert len(curve) == 2  # one epoch
+
+    def test_summary_states_a_huge_loss_in_six_significant_digits(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "t.ckpt"
+        assert run(["generate", "--out", str(data), "--volumes", "12", "--slices", "4"]) == 0
+        capsys.readouterr()
+        code = run(["pretrain", "--data", str(data), "--arch", "mlp", "--epochs", "1", "--batch", "4",
+                    "--tau", "1e-307", "--out", str(out)])
+        assert code == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        last = float(out.parent.joinpath(out.name + ".loss.csv").read_text().splitlines()[-1].split(",")[1])
+        assert 1e300 < last < float("inf")  # finite, and 300 digits long in fixed point
+        assert len(line) < 100
+        assert float(line.rsplit(" ", 1)[1]) == float(f"{last:.6g}")
 
     def test_sigma_warning_for_supcon(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "s.ckpt"
@@ -348,6 +375,14 @@ class TestProject:
             assert run(["project", "--data", str(dataset_dir), "--ckpt", str(checkpoint), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_scatter_svg_bytes(self, tmp_path):
+        # One point of each hue: strong label 1 (red), 0 (blue) and -1 (unlabeled, grey), at three depths.
+        table = RepresentationTable(["p0", "p1", "p2"], ["s0", "s1", "s2"], np.array([0.0, 0.5, 0.75]),
+                                    np.array([1, 0, 1]), np.array([1, 0, -1]), np.zeros((3, 2)))
+        svg = tmp_path / "three.svg"
+        write_pca_svg(svg, table, np.array([[0.0, 1.0], [2.5, -1.0], [-1.25, 0.5]]))
+        digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+        assert digest == "49ebaee42be983bc364006349ca33359e34b0dcd91349616c69665150fe81a73"
 
     def test_non_finite_representations_are_numeric_error(self, dataset_dir, tmp_path, capsys):
         ckpt = huge_weight_checkpoint(dataset_dir, tmp_path / "huge.ckpt")
@@ -838,7 +873,56 @@ def test_write_csv_formats_each_cell_kind(tmp_path):
     )
 
 
+# The value the code applies to each flag left out, which the flag's --help states as "(default X)".
+APPLIED_DEFAULTS = {
+    "--volumes": GeneratorConfig.n_volumes,
+    "--slices": GeneratorConfig.slices_per_volume,
+    "--size": f"{GeneratorConfig.height}x{GeneratorConfig.width}",
+    "--noise": GeneratorConfig.noise_rate,
+    "--fraction": CENTRAL_FRACTION,
+    "--arch": EncoderConfig.arch,
+    "--loss": LossConfig.loss_kind,
+    "--sigma": LossConfig.sigma,
+    "--tau": LossConfig.tau,
+    "--epochs": OptimConfig.epochs,
+    "--batch": OptimConfig.batch_size,
+    "--lr": OptimConfig.lr,
+    "--weight-decay": OptimConfig.weight_decay,
+    "--folds": ProbeConfig.folds,
+    "--sigmas": ",".join(map(str, DEFAULT_SWEEP_SIGMAS)),
+    "--methods": ",".join(DEFAULT_SWEEP_METHODS),
+}
+# --seed's default per command: the top-level seed, else the seed of the config it sets.
+SEED_DEFAULTS = {"generate": DEFAULT_SEED, "gradcheck": DEFAULT_SEED, "pretrain": OptimConfig.seed,
+                 "probe": ProbeConfig.seed, "project": EncoderConfig.seed, "sweep": OptimConfig.seed}
+# Flags whose own help for this command states no default: --arch for --ckpt random.
+NO_STATED_DEFAULT = {("probe", "--arch"), ("project", "--arch")}
+COMMAND_FLAGS = [(command, entry[0] if isinstance(entry, tuple) else entry)
+                 for command, (_, _, flags) in _COMMANDS.items() for entry in flags]
+
+
+def stated_defaults(command):
+    """Each flag of ``command`` whose help states "(default X)": flag -> X."""
+    subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    matches = {action.option_strings[0]: re.search(r"\(default ([^)]*)\)", action.help or "")
+               for action in subparsers.choices[command]._actions}
+    return {flag: match.group(1) for flag, match in matches.items() if match}
+
+
 class TestParser:
+    @pytest.mark.parametrize("command, flag", COMMAND_FLAGS)
+    def test_help_default_is_the_applied_value(self, command, flag):
+        expected = SEED_DEFAULTS[command] if flag == "--seed" else APPLIED_DEFAULTS.get(flag)
+        if (command, flag) in NO_STATED_DEFAULT:
+            expected = None
+        assert stated_defaults(command).get(flag) == (None if expected is None else str(expected))
+
+    def test_sweep_applies_the_named_defaults(self):
+        record, _ = sweep_plan({})
+        assert record["sigmas"] == list(DEFAULT_SWEEP_SIGMAS)
+        assert record["methods"] == list(DEFAULT_SWEEP_METHODS)
+        assert record["seeds"] == [OptimConfig.seed]
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["generate", "--out", "x", "--bogus"])

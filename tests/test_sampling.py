@@ -400,6 +400,14 @@ class TestDrawValues:
         expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
         assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
 
+    def test_keys_shorter_than_the_pool_are_zero_padded(self):
+        # Keys of 1 to 4 words under a one-word cfg seed: SeedSequence pads a key of fewer than 4 words with zeros.
+        cfg = AugmentConfig(seed=7)
+        draw_seeds = [(), (1,), (1, 2), (1, 2, 3)]
+        assert [len(_key_words(cfg, s)) for s in draw_seeds] == [1, 2, 3, 4]
+        expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
+        assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("draw_seed", [-1, (3, -2), (-(2**40),)])
     def test_negative_draw_seed_rejected(self, rng, draw_seed):
         with pytest.raises(ContractError):

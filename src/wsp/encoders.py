@@ -147,10 +147,6 @@ class Encoder:
 
     def project(self, representation: Tensor) -> Tensor:
         """Two dense layers then row normalization; unit-norm loss input."""
-        if representation.data.ndim != 2 or representation.shape[1] != self.config.repr_dim:
-            raise ContractError(
-                f"expected (B, {self.config.repr_dim}) representations, got {representation.shape}"
-            )
         h = ad.relu(ad.affine(representation, self.params["proj1_w"], self.params["proj1_b"]))
         h = ad.affine(h, self.params["proj2_w"], self.params["proj2_b"])
         return ad.l2_normalize(h)

@@ -99,10 +99,6 @@ class BatchMeta:
 
 def similarity_matrix(z: Tensor, tau: float) -> Tensor:
     """Scaled Gram matrix S[a, b] = (z_a . z_b) / tau over unit rows."""
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    if z.data.ndim != 2:
-        raise ContractError(f"expected a matrix of embeddings, got shape {z.shape}")
     norms = np.sqrt((z.data * z.data).sum(axis=1))
     if np.any(np.abs(norms - 1.0) > _UNIT_ROW_TOL):
         worst = float(np.abs(norms - 1.0).max())
@@ -226,8 +222,6 @@ def normalize_rows(raw: np.ndarray) -> np.ndarray:
 def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
     """The ``cfg.loss_kind`` loss on a precomputed similarity matrix S = z z^T / tau."""
     m = len(meta)
-    if s.data.ndim != 2 or s.shape != (m, m):
-        raise ContractError(f"similarity matrix shape {s.shape} does not match batch of {m}")
     if m < 2:
         raise ContractError(f"need at least two views, got {m}")
     weights = normalize_rows(pair_weights(meta, cfg))

@@ -87,11 +87,8 @@ def optimizer_step(
     Decay multiplies each parameter by (1 - lr_t * weight_decay) before the
     gradient update, so zero-gradient steps shrink parameters geometrically.
     """
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ContractError(f"gradient shape {g.shape} != parameter shape {p.data.shape} ({name})")
-        if not np.all(np.isfinite(g)):
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     t = state.step + 1
     decay = 1.0 - lr_t * cfg.weight_decay

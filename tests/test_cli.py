@@ -98,6 +98,19 @@ class TestGenerate:
     def test_zero_volumes_is_usage_error(self, tmp_path):
         assert run(["generate", "--out", str(tmp_path / "x"), "--volumes", "0"]) == 2
 
+    def test_size_without_an_x_is_usage_error(self, tmp_path, capsys):
+        assert run(["generate", "--out", str(tmp_path / "x"), "--size", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --size must look like 32x32" in err
+        assert "Traceback" not in err
+
+    def test_out_below_a_regular_file_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run(["generate", "--out", str(tmp_path / "file" / "sub"), "--volumes", "2", "--slices", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "io error: [Errno 17] File exists" in err
+        assert "Traceback" not in err
+
     def test_manifest_loads(self, dataset_dir):
         _, volumes = load_dataset(dataset_dir)
         assert len(volumes) == 14
@@ -398,6 +411,13 @@ class TestGradcheckCommand:
         output = capsys.readouterr().out
         for kind in ("wsp", "supcon", "depth_aware", "infonce"):
             assert kind in output
+
+    def test_failed_kind_is_numeric_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr("wsp.cli.gradient_check", lambda seed: {"wsp": 1.0, "supcon": 0.0})
+        assert run(["gradcheck", "--seed", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "gradient check failed for: wsp" in err
+        assert "Traceback" not in err
 
 
 def no_training(*args, **kwargs):
@@ -1052,6 +1072,17 @@ class TestParser:
         assert "usage error:" in err
         assert "Traceback" not in err
 
+    def test_section_that_is_not_an_object_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"optim": 3}))
+        code = run(
+            ["pretrain", "--data", str(dataset_dir), "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error: section 'optim' must be a JSON object" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, doc",
         [
@@ -1100,13 +1131,16 @@ class TestParser:
         assert code == 2
         assert "usage error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "3"], ["--sigma", "nan"], ["--sigma", "1e-200"],
-                                       ["--lr", "inf"], ["--tau", "1e-310"]],
-                             ids=["batch-zero", "batch-odd", "sigma-nan", "sigma-underflow", "lr-inf", "tau-subnormal"])
-    def test_bad_flag_value_is_usage_error(self, dataset_dir, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch", "0"], ""), (["--batch", "3"], ""), (["--sigma", "nan"], ""), (["--sigma", "1e-200"], ""),
+        (["--lr", "inf"], ""), (["--tau", "1e-310"], ""), (["--config", "no/such/run.json"], "cannot read config"),
+    ], ids=["batch-zero", "batch-odd", "sigma-nan", "sigma-underflow", "lr-inf", "tau-subnormal", "config-missing"])
+    def test_bad_flag_value_is_usage_error(self, dataset_dir, tmp_path, capsys, flags, message):
         code = run(["pretrain", "--data", str(dataset_dir), "--epochs", "1", *flags, "--out", str(tmp_path / "c")])
         assert code == 2
-        assert "usage error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage error: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "c").exists() and not (tmp_path / "c.dump.json").exists()
 
     def test_non_integer_checkpoint_header_value_is_data_error(self, dataset_dir, checkpoint, tmp_path, capsys):

@@ -485,6 +485,25 @@ class TestDiskFormat:
             load_dataset(root)
         assert main(["pretrain", "--data", str(root), "--out", str(tmp_path / "c.ckpt")]) == 3
 
+    @pytest.mark.parametrize("edit_file, edit_record, message", [
+        (lambda b: b[:4] + struct.pack("<H", 2) + b[6:], lambda r: r,
+         "unsupported volume file version 2 (at byte offset 4)"),
+        (lambda b: b + b"\0\0", lambda r: r,
+         "trailing bytes after the last field of the volume file (at byte offset {size})"),
+        (lambda b: b, lambda r: {k: v for k, v in r.items() if k != "v_max"},
+         "manifest volume record missing keys: ['v_max']"),
+        (lambda b: b, lambda r: {**r, "v_max": 7}, "volume V001: V_max 1 disagrees with manifest 7"),
+    ], ids=["version-2", "trailing-bytes", "record-without-v_max", "v_max-disagrees"])
+    def test_probe_reports_a_malformed_dataset(self, tmp_path, capsys, edit_file, edit_record, message):
+        root = self.dataset_with_record(tmp_path, edit_record)
+        volume = root / "V001.wspv"
+        size = volume.stat().st_size
+        volume.write_bytes(edit_file(volume.read_bytes()))
+        assert main(["probe", "--data", str(root), "--ckpt", "random", "--out", str(tmp_path / "m.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {message.format(size=size)}" in err
+        assert "Traceback" not in err
+
     def test_largest_int64_y_weak_loads(self, tmp_path):
         _, volumes = load_dataset(self.dataset_with_record(tmp_path, lambda r: {**r, "y_weak": 2**63 - 1}))
         assert volumes[1].y_weak == 2**63 - 1

@@ -5,6 +5,8 @@ import pytest
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
+from wsp.cli import main
+from wsp.data import GeneratorConfig, generate_synthetic_dataset, save_dataset
 from wsp.encoders import (
     EncoderCheckpoint,
     EncoderConfig,
@@ -295,6 +297,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             load_checkpoint(path)
         assert err.value.offset is not None
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b[:4] + struct.pack("<H", 2) + b[6:], "unsupported checkpoint version 2 (at byte offset 4)"),
+        (lambda b: b + b"\0", "trailing bytes after the last field of the checkpoint (at byte offset {size})"),
+    ], ids=["version-2", "trailing-byte"])
+    def test_probe_reports_a_malformed_checkpoint(self, tmp_path, capsys, edit, message):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=2, slices_per_volume=2), seed=1)
+        save_dataset(generator, volumes, tmp_path / "set")
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(EncoderCheckpoint.from_encoder(init_encoder(EncoderConfig(seed=4))), path)
+        size = path.stat().st_size
+        path.write_bytes(edit(path.read_bytes()))
+        code = main(["probe", "--data", str(tmp_path / "set"), "--ckpt", str(path), "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"data error: {message.format(size=size)}" in err
+        assert "Traceback" not in err
 
     def test_shape_mismatch_rejected(self):
         enc = init_encoder(EncoderConfig(seed=4))

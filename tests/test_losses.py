@@ -200,6 +200,10 @@ class TestWspLoss:
         with pytest.raises(ContractError):
             loss("wsp", Tensor(np.array([[1.0, 0.0]])), meta, LossConfig())
 
+    def test_embeddings_must_match_the_batch(self):
+        with pytest.raises(ContractError, match="do not match batch of 4"):
+            compute_loss(Tensor(np.eye(3)), four_view_meta(), LossConfig())
+
 
 class TestSupconLoss:
     def test_two_view_batch_matches_oracle(self):
@@ -220,6 +224,13 @@ class TestSupconLoss:
             assert loss("supcon", Tensor(z), meta, cfg).item() == pytest.approx(
                 oracle(z, meta, cfg, "supcon"), abs=1e-12
             )
+
+    def test_batch_without_a_positive_gives_zero_loss_and_gradient(self):
+        # Three single-view slices with distinct labels: no anchor has a positive, so every anchor is skipped.
+        z = Tensor(np.eye(3), requires_grad=True)
+        value = loss("supcon", z, make_meta(y=[0, 1, 2], d=[0.2, 0.5, 0.8]), LossConfig())
+        assert value.item() == 0.0
+        assert np.array_equal(ad.backward(value).wrt(z), np.zeros((3, 3)))
 
     def test_permutation_invariance(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)

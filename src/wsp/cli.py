@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import typing
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, astuple, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -29,17 +28,23 @@ from .data import (
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
-from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, parse_json
-from .errors import replacing, write_csv, write_json
+from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, field_types
+from .errors import parse_json, replacing, write_csv, write_json
 from .evaluation import ProbeConfig, extract_representations, pca_project, run_probe_protocol
 from .losses import LOSS_KINDS, SIGMA_KINDS, LossConfig, gradient_check
 from .sampling import AugmentConfig
-from .training import OptimConfig, pretrain
+from .training import EpochRecord, OptimConfig, pretrain
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# What run_with_exit_code reports of an error its command raises: the first class that matches, its exit code and the
+# label its message is printed after. A MemoryError is a configuration whose arrays do not fit in memory.
+_EXITS = {ConfigError: (EXIT_USAGE, "usage error"), NonFiniteError: (EXIT_NUMERIC, "numerical failure"),
+          OSError: (EXIT_DATA, "io error"), WspError: (EXIT_DATA, "data error"),
+          MemoryError: (EXIT_USAGE, "usage error: cannot allocate memory")}
 
 GRADCHECK_TOLERANCE = 1e-5
 DEFAULT_SEED = 0  # the top-level seed of generate and gradcheck
@@ -60,7 +65,7 @@ _TOP_KEYS = {"command": (str, None), "data_dir": (str, None), "checkpoint": (str
 
 def _section_keys(cls) -> set:
     """The keys of config class ``cls``'s section: its fields, less any holding a nested config (one with its own)."""
-    return {name for name, hint in typing.get_type_hints(cls).items() if not is_dataclass(hint)}
+    return {name for name, hint in field_types(cls).items() if not is_dataclass(hint)}
 
 
 def _top(doc: dict, args, key: str, default=None, error=ConfigError):
@@ -231,7 +236,7 @@ def cmd_pretrain(doc: dict, args) -> int:
         print(f"error: {exc}; batch dump written to {dump_path}", file=sys.stderr)
         return EXIT_NUMERIC
     save_checkpoint(ckpt, out)
-    write_csv(out + ".loss.csv", ("epoch", "mean_loss", "lr"), [(rec.epoch, rec.mean_loss, rec.lr) for rec in curve])
+    write_csv(out + ".loss.csv", [f.name for f in fields(EpochRecord)], map(astuple, curve))
     record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
     _echo_config(out, args, {**record, "central_fraction": fraction})
     print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6g}")
@@ -286,12 +291,9 @@ def cmd_project(doc: dict, args) -> int:
 
 def cmd_gradcheck(doc: dict, args) -> int:
     results = gradient_check(seed=_top(doc, args, "seed", DEFAULT_SEED))
-    failed = []
+    failed = [kind for kind, err in results.items() if not err < GRADCHECK_TOLERANCE]  # a NaN error fails too
     for kind, err in results.items():
-        status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
-        print(f"{kind}: max relative error {err:.3e} [{status}]")
-        if err >= GRADCHECK_TOLERANCE:
-            failed.append(kind)
+        print(f"{kind}: max relative error {err:.3e} [{'FAIL' if kind in failed else 'ok'}]")
     if failed:
         print(f"gradient check failed for: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -497,26 +499,15 @@ def main(argv=None) -> int:
 
 
 def run_with_exit_code(func) -> int:
-    """``func()``'s exit code; a WspError, OSError or MemoryError it raises is reported on stderr and mapped to its
-    exit code. numpy's overflow and invalid-value warnings are silenced: each numeric failure is checked and exits 4."""
+    """``func()``'s exit code; an error of ``_EXITS`` it raises is reported on stderr and mapped to its exit code.
+    numpy's overflow and invalid-value warnings are silenced: each numeric failure is checked and exits 4."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return func()
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonFiniteError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except WspError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError as exc:  # a configuration whose arrays do not fit in memory
-        print(f"usage error: cannot allocate memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_EXITS) as exc:
+        code, label = next(entry for kind, entry in _EXITS.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -49,12 +49,9 @@ class EncoderConfig:
         if not self.repr_dim > self.proj_dim:
             raise ConfigError(f"need repr_dim > proj_dim, got {self.repr_dim}, {self.proj_dim}")
         if self.arch == "tiny_cnn":
-            if len(self.conv_channels) != 5:
-                raise ConfigError(
-                    f"tiny_cnn has exactly 5 conv stages, got {len(self.conv_channels)}"
-                )
-            if not (len(self.conv_kernels) == len(self.conv_strides) == 5):
-                raise ConfigError("conv_kernels and conv_strides must both have length 5")
+            stages = {name: len(getattr(self, name)) for name in ("conv_channels", "conv_kernels", "conv_strides")}
+            if set(stages.values()) != {5}:
+                raise ConfigError(f"tiny_cnn has exactly 5 conv stages, got lengths {stages}")
             if len(self.input_shape) != 3:
                 raise ConfigError(f"tiny_cnn input_shape must be (C, H, W), got {self.input_shape}")
             self._check_geometry()

@@ -57,7 +57,7 @@ _KINDS = {
     str: ("a string", lambda value: isinstance(value, str)),
 }
 
-_field_types = functools.cache(typing.get_type_hints)
+field_types = functools.cache(typing.get_type_hints)  # a config class's field names and annotations
 
 U32_MAX = 2**32 - 1  # the largest extent or count the file formats store
 
@@ -99,7 +99,7 @@ def check_fields(cfg, **rules) -> None:
     ContractError when a rule names no field or an ``int``/``float`` field has
     no rule, so that no field can be added without one.
     """
-    hints = _field_types(type(cfg))
+    hints = field_types(type(cfg))
     unknown = set(rules) - set(hints)
     if unknown:
         raise ContractError(f"rules for unknown {type(cfg).__name__} fields: {sorted(unknown)}")
@@ -131,7 +131,7 @@ def build_config(cls, body: dict, error: type[WspError]):
     Unknown keys and values that ``cls`` rejects (see ``check_fields``) are
     raised as ``error``.
     """
-    unknown = set(body) - set(cls.__dataclass_fields__)
+    unknown = set(body) - set(field_types(cls))
     if unknown:
         raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     try:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, check_fields
+from .errors import ConfigError, ContractError, check_array, check_fields
 
 LOSS_KINDS = ("wsp", "supcon", "depth_aware", "infonce")
 SIGMA_KINDS = ("wsp", "depth_aware")  # the kinds whose pair weights read sigma (see pair_weights)
@@ -85,8 +85,7 @@ class BatchMeta:
         n = len(self.y)
         if not (len(self.d) == len(self.slice_ids) == len(self.patient_ids) == n):
             raise ContractError("BatchMeta fields must have equal length")
-        if np.any(self.d < 0.0) or np.any(self.d > 1.0):
-            raise ContractError("normalized depth must lie in [0, 1]")
+        check_array("normalized depth", self.d, "in [0, 1]", lambda d: (d >= 0.0) & (d <= 1.0))
         per_slice: dict = {}
         for i, sid in enumerate(self.slice_ids):
             prev = per_slice.setdefault(sid, i)
@@ -100,9 +99,7 @@ class BatchMeta:
 def similarity_matrix(z: Tensor, tau: float) -> Tensor:
     """Scaled Gram matrix S[a, b] = (z_a . z_b) / tau over unit rows."""
     norms = np.sqrt((z.data * z.data).sum(axis=1))
-    if np.any(np.abs(norms - 1.0) > _UNIT_ROW_TOL):
-        worst = float(np.abs(norms - 1.0).max())
-        raise ContractError(f"embedding rows must be unit-norm (max deviation {worst:.3g})")
+    check_array("embedding row norms", norms, f"within {_UNIT_ROW_TOL} of 1", lambda n: abs(n - 1.0) <= _UNIT_ROW_TOL)
     c = 1.0 / tau
     zt = z.data.T.copy()  # the checkpoint bytes depend on this copy and on the operand order of both passes
 
@@ -212,11 +209,9 @@ def pair_weights(meta: BatchMeta, cfg: LossConfig) -> np.ndarray:
 
 
 def normalize_rows(raw: np.ndarray) -> np.ndarray:
-    """Scale each row to sum to 1; rows with no positive mass (skipped anchors) become all-zero."""
+    """Scale each row of non-negative weights to sum to 1; rows with no positive mass (skipped anchors) stay zero."""
     totals = raw.sum(axis=1, keepdims=True)
-    contributing = totals[:, 0] > 0.0
-    safe = np.where(totals > 0.0, totals, 1.0)
-    return np.where(contributing[:, None], raw / safe, 0.0)
+    return raw / np.where(totals > 0.0, totals, 1.0)
 
 
 def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
@@ -225,13 +220,12 @@ def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
     if m < 2:
         raise ContractError(f"need at least two views, got {m}")
     weights = normalize_rows(pair_weights(meta, cfg))
-    if cfg.denominator_convention == "exclude_anchor" and m == 2:
-        # Both pairs have an empty competitor set: every anchor is skipped.
-        return Tensor(np.zeros(()))
-    n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0))
+    exclude_anchor = cfg.denominator_convention == "exclude_anchor"
+    # An anchor contributes when it has positive mass and competitors: two views under exclude_anchor leave none.
+    n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0)) if m > 1 + exclude_anchor else 0
     if n_anchors == 0:
         return Tensor(np.zeros(()))
-    lse, lse_vjp = pairwise_logsumexp(s.data, cfg.denominator_convention == "exclude_anchor")
+    lse, lse_vjp = pairwise_logsumexp(s.data, exclude_anchor)
     c = -1.0 / n_anchors
 
     def bwd(g):  # d/dS of sum w (S - L), summed in the order the checkpoint bytes depend on

@@ -28,6 +28,7 @@ from wsp.cli import (
     DEFAULT_SWEEP_SIGMAS,
     build_parser,
     main,
+    run_with_exit_code,
     sweep_plan,
     sweep_runs,
     write_pca_svg,
@@ -43,7 +44,7 @@ from wsp.data import (
     save_dataset,
 )
 from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint, untrained_checkpoint
-from wsp.errors import write_csv
+from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError, write_csv
 from wsp.evaluation import ProbeConfig, RepresentationTable, run_probe_protocol
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig
@@ -413,11 +414,38 @@ class TestGradcheckCommand:
             assert kind in output
 
     def test_failed_kind_is_numeric_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr("wsp.cli.gradient_check", lambda seed: {"wsp": 1.0, "supcon": 0.0})
+        results = {"wsp": 1.0, "supcon": 0.0, "infonce": float("nan")}  # a NaN error fails too
+        monkeypatch.setattr("wsp.cli.gradient_check", lambda seed: results)
         assert run(["gradcheck", "--seed", "0"]) == 4
-        err = capsys.readouterr().err
-        assert "gradient check failed for: wsp" in err
+        out, err = capsys.readouterr()
+        assert "infonce: max relative error nan [FAIL]" in out
+        assert "gradient check failed for: wsp, infonce" in err
         assert "Traceback" not in err
+
+
+# Each error a command may raise, its exit code and its stderr line; ConfigError and NonFiniteError are WspErrors too.
+EXIT_TABLE = [
+    (ConfigError("bad flag"), 2, "usage error: bad flag"),
+    (NonFiniteError("nan loss"), 4, "numerical failure: nan loss"),
+    (FormatError("bad magic"), 3, "data error: bad magic"),
+    (ContractError("bad shape"), 3, "data error: bad shape"),
+    (FileNotFoundError("no file"), 3, "io error: no file"),
+    (MemoryError("too big"), 2, "usage error: cannot allocate memory: too big"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, line", EXIT_TABLE, ids=[type(row[0]).__name__ for row in EXIT_TABLE])
+    def test_error_maps_to_its_code_and_label(self, exc, code, line, capsys):
+        def fail():
+            raise exc
+
+        assert run_with_exit_code(fail) == code
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(KeyError):
+            run_with_exit_code(lambda: {}["missing"])
 
 
 def no_training(*args, **kwargs):

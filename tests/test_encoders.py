@@ -29,6 +29,10 @@ class TestConfig:
     def test_tiny_cnn_needs_five_stages(self):
         with pytest.raises(ConfigError):
             EncoderConfig(conv_channels=(8, 16, 32))
+        for name in ("conv_kernels", "conv_strides"):
+            for length in (4, 6):
+                with pytest.raises(ConfigError):
+                    EncoderConfig(**{name: (1,) * length})
 
     def test_repr_must_exceed_proj(self):
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from wsp import autodiff as ad
 from wsp.autodiff import Tensor
-from wsp.errors import ConfigError, ContractError
+from wsp.errors import ConfigError, ContractError, NonFiniteError
 from wsp.losses import (
     DENOMINATOR_CONVENTIONS,
     LOSS_KINDS,
@@ -77,6 +77,11 @@ class TestBatchMeta:
     def test_depth_range_enforced(self):
         with pytest.raises(ContractError):
             make_meta(y=[0, 0], d=[0.5, 1.2])
+
+    def test_nan_depth_rejected(self):
+        # Each view is its own slice, so no agreement check between views sees the NaN.
+        with pytest.raises(NonFiniteError, match="normalized depth"):
+            make_meta(y=[0, 0, 0], d=[0.2, float("nan"), 0.5])
 
     def test_views_of_same_slice_must_agree(self):
         with pytest.raises(ContractError):
@@ -199,6 +204,12 @@ class TestWspLoss:
         meta = make_meta(y=[0], d=[0.5])
         with pytest.raises(ContractError):
             loss("wsp", Tensor(np.array([[1.0, 0.0]])), meta, LossConfig())
+
+    def test_nan_embedding_row_rejected(self):
+        z = np.eye(4)
+        z[2] = np.nan
+        with pytest.raises(NonFiniteError, match="embedding row norms"):
+            compute_loss(Tensor(z), four_view_meta(), LossConfig())
 
     def test_embeddings_must_match_the_batch(self):
         with pytest.raises(ContractError, match="do not match batch of 4"):

@@ -23,6 +23,7 @@ from wsp.sampling import BatchSpec, epoch_batches, sample_batch
 from wsp.training import cosine_lr
 
 from oracles import brute_force_auc, make_meta, naive_kernel_loss, paired_random_batch
+from pins import AUC_TOLERANCE, GRID_AUC_GOLDENS, fingerprint
 
 
 def ok(criterion: int, message: str) -> None:
@@ -287,3 +288,16 @@ def test_criterion_11_metric_oracles():
     assert cosine_lr(80, 80, 2e-3) == pytest.approx(0.0, abs=1e-19)
     assert cosine_lr(40, 80, 2e-3) == pytest.approx(1e-3, abs=1e-18)
     ok(11, f"AUC vs brute force gap {worst:.2e}; fold partition exact; cosine endpoints exact")
+
+
+def test_grid_aucs_match_this_platforms_goldens(grid):
+    # Each cell's per-seed AUCs, in seed order: the values behind the ACCEPTANCE 06, 08 and 09 lines.
+    aucs = {cell: [by_seed[seed] for seed in sorted(by_seed)] for cell, by_seed in grid["auc"].items()}
+    golden = GRID_AUC_GOLDENS.get(fingerprint())
+    if golden is None:
+        print(f"no grid AUC goldens for platform {fingerprint()!r}; its AUCs are:")
+        print("{" + "".join(f"\n    {cell!r}: {values!r}," for cell, values in aucs.items()) + "\n}")
+        return
+    assert list(aucs) == list(golden)
+    for cell, values in golden.items():
+        assert np.abs(np.subtract(aucs[cell], values)).max() <= AUC_TOLERANCE, cell

@@ -135,8 +135,13 @@ def _echo_config(primary_output: str, args, record: dict) -> None:
         keys = _section_keys(type(value)) if is_dataclass(value) else None
         payload[key] = value if keys is None else {name: v for name, v in asdict(value).items() if name in keys}
     _check_run_config(payload, args.command, ContractError)
+    write_json(_echo_path(primary_output), payload)
+
+
+def _echo_path(primary_output: str) -> str:
+    """Where the echo of a command's main output goes: ``run_config.json`` in a directory, else beside the file."""
     is_dir = os.path.isdir(primary_output)
-    write_json(os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json", payload)
+    return os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json"
 
 
 def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
@@ -268,18 +273,20 @@ def cmd_probe(doc: dict, args) -> int:
 
 
 def cmd_project(doc: dict, args) -> int:
+    out, svg, embeddings = (_resolve_out(doc, path) for path in (args.out, args.svg, args.embeddings))
+    claimed = {}  # real path -> the output that writes it
+    for name, path in (("--out", out), ("--svg", svg), ("--embeddings", embeddings), ("the echo", _echo_path(out))):
+        if path and (other := claimed.setdefault(os.path.realpath(path), name)) != name:
+            raise ConfigError(f"{other} and {name} both write {path}; give each output its own file")
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
     table = extract_representations(ckpt, volumes)
-    coords, explained = pca_project(table.repr, modes=2)
-    out = _resolve_out(doc, args.out)
+    coords, explained = pca_project(table.repr)
     slices = list(zip(table.patient_ids, table.slice_ids, table.d))
     rows = [(*ids, y, *pc) for ids, y, pc in zip(slices, table.y_strong, coords)]
     write_csv(out, ("patient_id", "slice_id", "d", "y_strong", "pc1", "pc2"), rows, ("explained_variance", *explained))
-    svg = _resolve_out(doc, args.svg)
     if svg:
         write_pca_svg(svg, table, coords)
-    embeddings = _resolve_out(doc, args.embeddings)
     if embeddings:
         dims = [f"r{i}" for i in range(table.repr.shape[1])]
         rows = [(*ids, *ys, *r) for ids, *ys, r in zip(slices, table.y_weak, table.y_strong, table.repr)]

@@ -74,22 +74,19 @@ class EncoderConfig:
 def parameter_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Parameter name -> shape, in declaration order (also the file order)."""
     shapes: dict[str, tuple[int, ...]] = {}
+    width = cfg.input_shape[0]  # each layer's input width: channels for tiny_cnn, features for mlp
     if cfg.arch == "tiny_cnn":
-        cin = cfg.input_shape[0]
         for i, (cout, k) in enumerate(zip(cfg.conv_channels, cfg.conv_kernels), start=1):
-            shapes[f"conv{i}_w"] = (cout, cin, k, k)
+            shapes[f"conv{i}_w"] = (cout, width, k, k)
             shapes[f"conv{i}_b"] = (cout,)
-            cin = cout
-        shapes["repr_w"] = (cfg.conv_channels[-1], cfg.repr_dim)
-        shapes["repr_b"] = (cfg.repr_dim,)
+            width = cout
     else:
-        fin = cfg.input_shape[0]
-        for i, width in enumerate(cfg.mlp_hidden, start=1):
-            shapes[f"fc{i}_w"] = (fin, width)
-            shapes[f"fc{i}_b"] = (width,)
-            fin = width
-        shapes["repr_w"] = (fin, cfg.repr_dim)
-        shapes["repr_b"] = (cfg.repr_dim,)
+        for i, out in enumerate(cfg.mlp_hidden, start=1):
+            shapes[f"fc{i}_w"] = (width, out)
+            shapes[f"fc{i}_b"] = (out,)
+            width = out
+    shapes["repr_w"] = (width, cfg.repr_dim)
+    shapes["repr_b"] = (cfg.repr_dim,)
     shapes["proj1_w"] = (cfg.repr_dim, cfg.proj_hidden)
     shapes["proj1_b"] = (cfg.proj_hidden,)
     shapes["proj2_w"] = (cfg.proj_hidden, cfg.proj_dim)
@@ -124,19 +121,14 @@ class Encoder:
     def encode(self, x: Tensor) -> Tensor:
         """Representation vectors (not normalized); probes consume these."""
         cfg = self.config
+        if x.shape[1:] != cfg.input_shape:
+            raise ContractError(f"expected batch of shape (B, {', '.join(map(str, cfg.input_shape))}), got {x.shape}")
         if cfg.arch == "tiny_cnn":
-            if x.data.ndim != 4 or x.shape[1:] != cfg.input_shape:
-                raise ContractError(
-                    f"expected batch of shape (B, {', '.join(map(str, cfg.input_shape))}),"
-                    f" got {x.shape}"
-                )
             h = ad.channels_last(x)  # activations stay (B, H, W, C) up to the pool
             for i, stride in enumerate(cfg.conv_strides, start=1):
                 h = ad.conv_bias_relu(h, self.params[f"conv{i}_w"], self.params[f"conv{i}_b"], stride)
             h = ad.spatial_mean(h)
         else:
-            if x.data.ndim != 2 or x.shape[1] != cfg.input_shape[0]:
-                raise ContractError(f"expected batch of shape (B, {cfg.input_shape[0]}), got {x.shape}")
             h = x
             for i in range(1, len(cfg.mlp_hidden) + 1):
                 h = ad.relu(ad.affine(h, self.params[f"fc{i}_w"], self.params[f"fc{i}_b"]))

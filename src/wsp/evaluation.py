@@ -218,11 +218,11 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def pca_project(x: np.ndarray, modes: int = 2):
-    """Mean-centered projection onto the leading covariance eigenvectors.
+def pca_project(x: np.ndarray):
+    """Mean-centered projection onto the two leading covariance eigenvectors.
 
     Each component's sign is fixed by making its largest-magnitude coordinate
-    positive. Returns (coordinates n x modes, explained-variance fractions).
+    positive. Returns (coordinates n x 2, the two explained-variance fractions).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) < 3:
@@ -233,7 +233,7 @@ def pca_project(x: np.ndarray, modes: int = 2):
     if total <= 0.0:
         raise ContractError("data has zero variance")
     eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:modes]
+    order = np.argsort(eigvals)[::-1][:2]
     components = eigvecs[:, order]
     for j in range(components.shape[1]):
         pivot = int(np.abs(components[:, j]).argmax())

@@ -245,14 +245,13 @@ _DRAW_MULT = _limbs([_PCG_MULT ** (k + 1) & _MASK128 for k in range(1, _N_DRAWS 
 _DRAW_INC = _limbs([sum(_PCG_MULT**i for i in range(k + 1)) & _MASK128 for k in range(1, _N_DRAWS + 1)])
 
 
-def _key_words(cfg: AugmentConfig, draw_seed) -> list[int]:
-    """The 32-bit words SeedSequence makes of the key [cfg.seed, *draw_seed].
+def _key_words(cfg: AugmentConfig, draw_seed: tuple) -> list[int]:
+    """The 32-bit words SeedSequence makes of the key [cfg.seed, *draw_seed], a draw seed being a tuple of integers.
 
     Each integer becomes its words least significant first; 0 is one word.
     """
-    key = (cfg.seed, *draw_seed) if isinstance(draw_seed, (tuple, list)) else (cfg.seed, draw_seed)
     words = []
-    for n in map(int, key):
+    for n in map(int, (cfg.seed, *draw_seed)):
         if n < 0:
             raise ContractError(f"draw seeds must be non-negative integers, got {draw_seed!r}")
         words.append(n & _MASK32)
@@ -410,8 +409,7 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
         part = slice(lo, lo + chunk)
         view = out[part]
         sel = flip[part]
-        if sel.any():
-            view[sel] = view[sel][:, :, ::-1]
+        view[sel] = view[sel][:, :, ::-1]
         c, s = cos[part, None, None], sin[part, None, None]
         view[:] = _bilinear_stack(view, cy + c * dy + s * dx, cx - s * dy + c * dx)
         sd = side[part, None]
@@ -421,8 +419,7 @@ def augment_views(pixels, cfg: AugmentConfig, draw_seeds) -> np.ndarray:
     return out
 
 
-def make_views(sample: SliceSample, cfg: AugmentConfig, seed):
-    """Two independent augmentations of one slice, sharing its metadata."""
-    key = seed if isinstance(seed, (tuple, list)) else (seed,)
-    view_a, view_b = augment_views([sample.pixels] * 2, cfg, [(*key, 0), (*key, 1)])
+def make_views(sample: SliceSample, cfg: AugmentConfig, seed: tuple):
+    """Two independent augmentations of one slice, sharing its metadata; view i has the draw seed (*seed, i)."""
+    view_a, view_b = augment_views([sample.pixels] * 2, cfg, [(*seed, 0), (*seed, 1)])
     return view_a, view_b, sample

@@ -94,8 +94,7 @@ def optimizer_step(
     decay = 1.0 - lr_t * cfg.weight_decay
     for name, p in params.items():
         g = grads[name]
-        if cfg.weight_decay > 0:
-            p.data *= decay
+        p.data *= decay  # exactly 1.0 at weight_decay 0
         if cfg.optimizer == "adaptive_moments":
             m = state.m[name]
             v = state.v[name]

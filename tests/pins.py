@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -119,14 +120,14 @@ def _small(batch_size=4, **optim):
     return volumes, enc, OptimConfig(lr=1e-3, epochs=2, batch_size=batch_size, **optim)
 
 
+# Recipe name -> a function returning its (volumes, encoder config, optim config).
 RECIPES = {
     "canonical": _benchmark,  # 60 volumes, 30 epochs of batch 32, tiny_cnn: 60 steps
     "wide": _wide,
-    **{f"{kind}-{convention}": lambda kind=kind, convention=convention: _small(
-        loss=LossConfig(loss_kind=kind, denominator_convention=convention))
+    **{f"{kind}-{convention}": partial(_small, loss=LossConfig(loss_kind=kind, denominator_convention=convention))
        for kind in LOSS_KINDS for convention in DENOMINATOR_CONVENTIONS},
-    "sgd_momentum-no_decay": lambda: _small(optimizer="sgd_momentum", weight_decay=0.0),
-    "fallback-batch_16": lambda: _small(batch_size=16),
+    "sgd_momentum-no_decay": partial(_small, optimizer="sgd_momentum", weight_decay=0.0),
+    "fallback-batch_16": partial(_small, batch_size=16),  # 12 patients: the fallback sampler
 }
 
 

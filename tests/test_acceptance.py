@@ -218,7 +218,7 @@ def test_criterion_09_pca_structure(grid):
             ckpt = grid["checkpoints"][(kind, grid["record"]["sigmas"][0])][seed]
             volumes = grid["volumes"][seed]
             table = extract_representations(ckpt, volumes)
-            coords, _ = pca_project(table.repr, modes=2)
+            coords, _ = pca_project(table.repr)
             corr = max(
                 abs(float(np.corrcoef(coords[:, mode], table.d)[0, 1])) for mode in range(2)
             )

@@ -31,10 +31,14 @@ def runs():
                                       stderr=subprocess.PIPE, text=True)
                 for run, mode in (("prefetch", "prefetch"), ("serial", "serial"), ("repeat", "prefetch"))}
     results = {}
-    for run, child in children.items():
-        out, err = child.communicate(timeout=300)
-        assert child.returncode == 0, err
-        results[run] = json.loads(out)
+    try:
+        for run, child in children.items():
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            results[run] = json.loads(out)
+    finally:
+        for child in children.values():
+            child.kill()  # a child still running after a failure; no effect on one that has exited
     return results
 
 

@@ -47,7 +47,7 @@ from wsp.encoders import EncoderConfig, load_checkpoint, save_checkpoint, untrai
 from wsp.errors import ConfigError, ContractError, FormatError, NonFiniteError, write_csv
 from wsp.evaluation import ProbeConfig, RepresentationTable, run_probe_protocol
 from wsp.losses import LossConfig
-from wsp.sampling import AugmentConfig
+from wsp.sampling import AugmentConfig, BatchSpec, epoch_batches
 from wsp.training import OptimConfig, pretrain
 
 from oracles import patch_checkpoint_value, rewrite_checkpoint_header, write_raw_dataset
@@ -404,6 +404,29 @@ class TestProject:
         assert run(["project", "--data", str(dataset_dir), "--ckpt", str(ckpt), "--out", str(out)]) == 4
         assert "numerical failure: the encoder's representations are non-finite, or their sum of squares overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            {"--out": "p.csv", "--svg": "p.csv"},
+            {"--out": "p.csv", "--embeddings": "sub/../p.csv"},
+            {"--out": "q.csv", "--svg": "e.csv", "--embeddings": "e.csv"},
+            {"--out": "q.csv", "--svg": "q.csv.config.json"},
+            {"--out": "q.csv", "--embeddings": "link.csv"},
+        ],
+        ids=["out-svg", "out-embeddings", "svg-embeddings", "svg-echo", "embeddings-symlink-to-out"],
+    )
+    def test_outputs_that_share_a_file_are_usage_error(self, dataset_dir, tmp_path, capsys, outputs):
+        # Relative paths are anchored under output_dir first; then one real path is one file.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "q.csv")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"output_dir": str(tmp_path)}))
+        flags = [token for flag, path in outputs.items() for token in (flag, path)]
+        assert run(["project", "--data", str(dataset_dir), "--ckpt", "random", "--config", str(config), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "both write" in err and "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "run.json", "sub"]
 
 
 class TestGradcheckCommand:
@@ -801,6 +824,28 @@ def test_negative_seed_is_usage_error(dataset_dir, tmp_path, capsys, command):
     assert "usage error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_any_weak_label_in_range_is_a_class(tmp_path):
+    # The generator draws four weak classes, but any integer in y_weak's range is a class: one patient relabelled 7
+    # trains and probes, and the sampler balances over the five classes present.
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--volumes", "12", "--slices", "4", "--seed", "0"]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["volumes"][0]["y_weak"] = 7  # the generator gives each patient one volume
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    ckpt = tmp_path / "c.ckpt"
+    assert run(["pretrain", "--data", str(data), "--arch", "mlp", "--epochs", "1", "--batch", "4", "--out", str(ckpt)]) == 0
+    assert run(["probe", "--data", str(data), "--ckpt", str(ckpt), "--folds", "2", "--out", str(tmp_path / "m.csv")]) == 0
+    _, volumes = load_dataset(data)
+    classes = {v.y_weak for v in volumes}
+    assert 7 in classes and len(classes) == 5
+    # The fallback batch gives each class present batch // 5 draws, and only patient P000 is in class 7.
+    (batch,) = epoch_batches(volumes, BatchSpec(batch_size=10, mode="fallback_balanced"))
+    sevens = [s.patient_id for s in batch if s.y == 7]
+    assert sevens == ["P000", "P000"]
+    strict = epoch_batches(volumes, BatchSpec(batch_size=4))
+    assert [s.patient_id for b in strict for s in b if s.y == 7] == ["P000"]
 
 
 def data_command_flags(command, data, out):

@@ -53,7 +53,7 @@ def numpy_draws(cfg, draw_seed):
 
 # Key integers of one 32-bit word (0 among them) and of two to six words.
 KEY_INTS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**160))
-DRAW_SEEDS = st.one_of(KEY_INTS, st.lists(KEY_INTS, max_size=7).map(tuple))
+DRAW_SEEDS = st.one_of(st.tuples(KEY_INTS), st.lists(KEY_INTS, max_size=7).map(tuple))
 
 
 def random_images(rng, n, size, dtype):
@@ -264,20 +264,20 @@ class TestAugment:
     def test_null_augmentation_is_identity(self, rng):
         # Bit for bit, float32 pixels too: a zero angle and a full-size crop resample on the pixel grid.
         imgs = [rng.random((16, 16)), rng.random((16, 16)).astype(np.float32)]
-        assert np.array_equal(augment_views(imgs, NULL_AUG, [0, 1]), imgs)
+        assert np.array_equal(augment_views(imgs, NULL_AUG, [(0,), (1,)]), imgs)
 
     def test_flip_is_involution(self, rng):
         img = rng.random((12, 12))
         flip_only = AugmentConfig(rotation_degrees=0.0, crop_scale=(1.0, 1.0), flip_prob=1.0)
-        once = augment_views([img], flip_only, [5])[0]
-        twice = augment_views([once], flip_only, [5])[0]
+        once = augment_views([img], flip_only, [(5,)])[0]
+        twice = augment_views([once], flip_only, [(5,)])[0]
         assert np.array_equal(twice, img)
 
     def test_different_draws_differ(self, rng):
         img = rng.random((16, 16))
         cfg = AugmentConfig(seed=0)
-        a = augment_views([img], cfg, [0])[0]
-        b = augment_views([img], cfg, [1])[0]
+        a = augment_views([img], cfg, [(0,)])[0]
+        b = augment_views([img], cfg, [(1,)])[0]
         assert not np.array_equal(a, b)
 
     def test_bit_for_bit_determinism(self, rng):
@@ -289,21 +289,21 @@ class TestAugment:
 
     def test_shape_preserved(self, rng):
         img = rng.random((16, 16))
-        out = augment_views([img], AugmentConfig(seed=1), [2])[0]
+        out = augment_views([img], AugmentConfig(seed=1), [(2,)])[0]
         assert out.shape == img.shape
 
     def test_square_required(self, rng):
         with pytest.raises(ContractError):
-            augment_views([rng.random((8, 10))], AugmentConfig(), [0])[0]
+            augment_views([rng.random((8, 10))], AugmentConfig(), [(0,)])[0]
 
     def test_square_required_only_when_enabled(self, rng):
         imgs = rng.random((3, 16, 12))
-        out = augment_views(imgs, AugmentConfig(enabled=False), [0, 1, 2])
+        out = augment_views(imgs, AugmentConfig(enabled=False), [(0,), (1,), (2,)])
         assert out.shape == (3, 16, 12) and np.array_equal(out, imgs)
         with pytest.raises(ContractError, match="square"):
-            augment_views(imgs, AugmentConfig(), [0, 1, 2])
+            augment_views(imgs, AugmentConfig(), [(0,), (1,), (2,)])
         with pytest.raises(ContractError, match="equal non-empty"):
-            augment_views([imgs[0], imgs[0].T], AugmentConfig(enabled=False), [0, 1])
+            augment_views([imgs[0], imgs[0].T], AugmentConfig(enabled=False), [(0,), (1,)])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -354,19 +354,20 @@ class TestAugmentViews:
         view_a, view_b, _ = make_views(sample, cfg, seed=(2, 5))
         assert view_a.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 0)).tobytes()
         assert view_b.tobytes() == oracle_augment(sample.pixels, cfg, (2, 5, 1)).tobytes()
-        assert augment_views([sample.pixels], cfg, [9])[0].tobytes() == oracle_augment(sample.pixels, cfg, 9).tobytes()
+        single = augment_views([sample.pixels], cfg, [(9,)])[0]
+        assert single.tobytes() == oracle_augment(sample.pixels, cfg, (9,)).tobytes()
 
     def test_malformed_batches_rejected(self, rng):
         with pytest.raises(ContractError):
             augment_views([], AugmentConfig(), [])
         with pytest.raises(ContractError):
-            augment_views([rng.random((8, 8))], AugmentConfig(), [0, 1])
+            augment_views([rng.random((8, 8))], AugmentConfig(), [(0,), (1,)])
         with pytest.raises(ContractError):
-            augment_views([rng.random((8, 8)), rng.random((9, 9))], AugmentConfig(), [0, 1])
+            augment_views([rng.random((8, 8)), rng.random((9, 9))], AugmentConfig(), [(0,), (1,)])
         with pytest.raises(ContractError):
-            augment_views([rng.random((2, 8, 8))], AugmentConfig(), [0])
+            augment_views([rng.random((2, 8, 8))], AugmentConfig(), [(0,)])
         with pytest.raises(ContractError):
-            augment_views([np.zeros((0, 0))], AugmentConfig(), [0])
+            augment_views([np.zeros((0, 0))], AugmentConfig(), [(0,)])
 
 
 class TestDrawValues:
@@ -385,13 +386,13 @@ class TestDrawValues:
     def test_wide_zero_and_mixed_length_keys_in_one_call(self):
         cfg = AugmentConfig(seed=2**40)
         draw_seeds = [
-            0,
+            (0,),
             (0, 0, 0, 0),
-            2**32,
+            (2**32,),
             (2**32 - 1, 2**64),
             (1, 2, 3, 4, 5, 6, 7),
             (),
-            2**96 + 1,
+            (2**96 + 1,),
             (5, 0, 2**33),
             (4, 1, 0, 1),
             (2**64,),
@@ -408,7 +409,7 @@ class TestDrawValues:
         expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
         assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("draw_seed", [-1, (3, -2), (-(2**40),)])
+    @pytest.mark.parametrize("draw_seed", [(-1,), (3, -2), (-(2**40),)])
     def test_negative_draw_seed_rejected(self, rng, draw_seed):
         with pytest.raises(ContractError):
             augment_views([rng.random((4, 4))], AugmentConfig(), [draw_seed])
@@ -417,17 +418,17 @@ class TestDrawValues:
 class TestMakeViews:
     def test_shared_meta_is_the_sample(self, balanced_volumes):
         sample = sample_batch(balanced_volumes, BatchSpec(batch_size=8, seed=0))[0]
-        view_a, view_b, meta = make_views(sample, AugmentConfig(seed=0), seed=1)
+        view_a, view_b, meta = make_views(sample, AugmentConfig(seed=0), seed=(1,))
         assert meta is sample
 
     def test_views_differ_under_augmentation(self, balanced_volumes, rng):
         sample = sample_batch(balanced_volumes, BatchSpec(batch_size=8, seed=0))[0]
-        view_a, view_b, _ = make_views(sample, AugmentConfig(seed=0), seed=1)
+        view_a, view_b, _ = make_views(sample, AugmentConfig(seed=0), seed=(1,))
         assert not np.array_equal(view_a, view_b)
 
     def test_inference_mode_returns_original(self, balanced_volumes):
         sample = sample_batch(balanced_volumes, BatchSpec(batch_size=8, seed=0))[0]
         disabled = AugmentConfig(enabled=False)
-        view_a, view_b, _ = make_views(sample, disabled, seed=1)
+        view_a, view_b, _ = make_views(sample, disabled, seed=(1,))
         np.testing.assert_array_equal(view_a, np.asarray(sample.pixels, dtype=np.float64))
         np.testing.assert_array_equal(view_a, view_b)

@@ -409,7 +409,7 @@ class TestDrawValues:
         expected = np.array([numpy_draws(cfg, s) for s in draw_seeds]).T
         assert _draw_values(cfg, draw_seeds).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("draw_seed", [(-1,), (3, -2), (-(2**40),)])
+    @pytest.mark.parametrize("draw_seed", [pytest.param((-1,), id="-1"), (3, -2), (-(2**40),)])
     def test_negative_draw_seed_rejected(self, rng, draw_seed):
         with pytest.raises(ContractError):
             augment_views([rng.random((4, 4))], AugmentConfig(), [draw_seed])

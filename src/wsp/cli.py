@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import (
     CENTRAL_FRACTION,
+    MANIFEST_NAME,
     GeneratorConfig,
     central_view,
     generate_synthetic_dataset,
@@ -28,8 +29,8 @@ from .data import (
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
-from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value, field_types
-from .errors import parse_json, replacing, write_csv, write_json
+from .errors import ConfigError, ContractError, FormatError, NonFiniteError, WspError, build_config, check_value
+from .errors import field_types, parse_json, replacing, write_csv, write_json
 from .evaluation import ProbeConfig, extract_representations, pca_project, run_probe_protocol
 from .losses import LOSS_KINDS, SIGMA_KINDS, LossConfig, gradient_check
 from .sampling import AugmentConfig
@@ -135,13 +136,12 @@ def _echo_config(primary_output: str, args, record: dict) -> None:
         keys = _section_keys(type(value)) if is_dataclass(value) else None
         payload[key] = value if keys is None else {name: v for name, v in asdict(value).items() if name in keys}
     _check_run_config(payload, args.command, ContractError)
-    write_json(_echo_path(primary_output), payload)
+    write_json(_echo_path(args, primary_output), payload)
 
 
-def _echo_path(primary_output: str) -> str:
-    """Where the echo of a command's main output goes: ``run_config.json`` in a directory, else beside the file."""
-    is_dir = os.path.isdir(primary_output)
-    return os.path.join(primary_output, "run_config.json") if is_dir else primary_output + ".config.json"
+def _echo_path(args, out: str) -> str:
+    """Where the echo of a command's main output goes: ``run_config.json`` in generate's dataset, else beside it."""
+    return os.path.join(out, "run_config.json") if args.command == "generate" else out + ".config.json"
 
 
 def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
@@ -163,17 +163,31 @@ def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dic
     return body
 
 
-def _resolve_out(doc: dict, path: str | None) -> str | None:
-    """Anchor relative output paths under the config's output_dir, if any."""
-    if path is None:
-        return None
-    base = doc.get("output_dir")
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
+def _claim_outputs(doc: dict, args, *derived) -> dict:
+    """The one claim of a command's outputs, made before anything is written; returns their paths by name. They are
+    --out, --svg and --embeddings as given, anchored under the config's output_dir, the echo, and the files ``out +
+    suffix`` of ``derived``'s (name, suffix) pairs. One that resolves to another or to an input (--config, --ckpt
+    unless random, --data's manifest and each file its records name) is a ConfigError; then their directories are made.
+    """
+    given = {flag: getattr(args, flag[2:], None) for flag in ("--out", "--svg", "--embeddings")}
+    outputs = {flag: os.path.join(doc.get("output_dir") or "", path) for flag, path in given.items() if path}
+    out = outputs["--out"]
+    outputs.update({"the echo": _echo_path(args, out), **{name: out + suffix for name, suffix in derived}})
+    ckpt, data = getattr(args, "ckpt", None), getattr(args, "data", None)
+    inputs = [("--config", getattr(args, "config", None)), ("--ckpt", None if ckpt == "random" else ckpt)]
+    if data:  # the dataset as load_dataset has checked it
+        manifest = os.path.join(data, MANIFEST_NAME)
+        with open(manifest, "rb") as fh:
+            records = parse_json(fh.read(), f"manifest {manifest}", FormatError)["volumes"]
+        inputs += [("--data", path) for path in (manifest, *(os.path.join(data, r["file"]) for r in records))]
+    claimed = {os.path.realpath(path): name for name, path in inputs if path}  # real path -> what names it
+    for name, path in outputs.items():
+        if (other := claimed.setdefault(os.path.realpath(path), name)) != name:
+            clash = f"{other} and {name} both write" if other in outputs else f"{name} would overwrite input {other}"
+            raise ConfigError(f"{clash} {path}; give each output its own file")
+    for path in (outputs[flag] for flag in given if flag in outputs):
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +198,7 @@ def _resolve_out(doc: dict, path: str | None) -> str | None:
 def cmd_generate(doc: dict, args) -> int:
     cfg = build_config(GeneratorConfig, _section(doc, args, "data", **_parse_size(args.size)), ConfigError)
     seed = _top(doc, args, "seed", DEFAULT_SEED)
-    out = _resolve_out(doc, args.out)
+    out = _claim_outputs(doc, args)["--out"]
     generator, volumes = generate_synthetic_dataset(cfg, seed)
     save_dataset(generator, volumes, out)
     _echo_config(out, args, {"data": cfg, "seed": seed})
@@ -232,7 +246,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     if getattr(args, "loss.sigma") is not None and kind not in SIGMA_KINDS:
         print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
     enc_cfg = _encoder_config(doc, args, volumes[0].slices[0].pixels.shape)
-    out = _resolve_out(doc, args.out)
+    out = _claim_outputs(doc, args, ("the loss curve", ".loss.csv"), ("the batch dump", ".dump.json"))["--out"]
     try:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
     except NonFiniteError as exc:
@@ -258,9 +272,9 @@ def cmd_probe(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
+    out = _claim_outputs(doc, args)["--out"]
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
-    out = _resolve_out(doc, args.out)
     folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
     rows = [(ckpt.loss_kind, sigma, f, *scores) for f, scores in enumerate(folds)]
     write_csv(out, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
@@ -273,13 +287,9 @@ def cmd_probe(doc: dict, args) -> int:
 
 
 def cmd_project(doc: dict, args) -> int:
-    out, svg, embeddings = (_resolve_out(doc, path) for path in (args.out, args.svg, args.embeddings))
-    claimed = {}  # real path -> the output that writes it
-    for name, path in (("--out", out), ("--svg", svg), ("--embeddings", embeddings), ("the echo", _echo_path(out))):
-        if path and (other := claimed.setdefault(os.path.realpath(path), name)) != name:
-            raise ConfigError(f"{other} and {name} both write {path}; give each output its own file")
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
+    out, svg, embeddings = map(_claim_outputs(doc, args).get, ("--out", "--svg", "--embeddings"))
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr)
     slices = list(zip(table.patient_ids, table.slice_ids, table.d))
@@ -370,12 +380,12 @@ def sweep_runs(record: dict, volumes=None):
 
 def cmd_sweep(doc: dict, args) -> int:
     record, volumes = sweep_plan(doc, args)
+    out = _claim_outputs(doc, args)["--out"]
     aucs = {}  # per cell, its seeds' fold-mean AUCs
     for method, sigma, _, _, _, report in sweep_runs(record, volumes):
         aucs.setdefault((method, sigma), []).append(report.mean_auc_patient)
     seeds = record["seeds"]
     rows = [(*cell, seed, auc) for cell, values in aucs.items() for seed, auc in zip(seeds, values)]
-    out = _resolve_out(doc, args.out)
     write_csv(out, ("method", "sigma", "seed", "auc_patient"), rows)
     _echo_config(out, args, record)
     for (method, sigma), values in aucs.items():  # the spread of the seeds' fold-mean AUCs

@@ -96,20 +96,6 @@ class BatchMeta:
         return len(self.y)
 
 
-def similarity_matrix(z: Tensor, tau: float) -> Tensor:
-    """Scaled Gram matrix S[a, b] = (z_a . z_b) / tau over unit rows."""
-    norms = np.sqrt((z.data * z.data).sum(axis=1))
-    check_array("embedding row norms", norms, f"within {_UNIT_ROW_TOL} of 1", lambda n: abs(n - 1.0) <= _UNIT_ROW_TOL)
-    c = 1.0 / tau
-    zt = z.data.T.copy()  # the checkpoint bytes depend on this copy and on the operand order of both passes
-
-    def bwd(g):
-        g = g * c
-        return (g @ zt.T + (z.data.T @ g).T,)
-
-    return ad.make_op((z.data @ zt) * c, (z,), bwd)
-
-
 def _sibling_index(meta: BatchMeta) -> np.ndarray:
     """For each view, its sibling: a slice's views pair in order of appearance, 1st with 2nd, 3rd with 4th.
 
@@ -214,9 +200,13 @@ def normalize_rows(raw: np.ndarray) -> np.ndarray:
     return raw / np.where(totals > 0.0, totals, 1.0)
 
 
-def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    """The ``cfg.loss_kind`` loss on a precomputed similarity matrix S = z z^T / tau."""
+def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
+    """The ``cfg.loss_kind`` loss on unit-norm rows of ``z``, one per view: one op, S = z z^T / tau inside it."""
     m = len(meta)
+    if z.data.ndim != 2 or z.shape[0] != m:
+        raise ContractError(f"embeddings {z.shape} do not match batch of {m}")
+    norms = np.sqrt((z.data * z.data).sum(axis=1))
+    check_array("embedding row norms", norms, f"within {_UNIT_ROW_TOL} of 1", lambda n: abs(n - 1.0) <= _UNIT_ROW_TOL)
     if m < 2:
         raise ContractError(f"need at least two views, got {m}")
     weights = normalize_rows(pair_weights(meta, cfg))
@@ -225,21 +215,18 @@ def similarity_loss(s: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
     n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0)) if m > 1 + exclude_anchor else 0
     if n_anchors == 0:
         return Tensor(np.zeros(()))
-    lse, lse_vjp = pairwise_logsumexp(s.data, exclude_anchor)
-    c = -1.0 / n_anchors
+    c = 1.0 / cfg.tau
+    zt = z.data.T.copy()  # the checkpoint bytes depend on this copy and on the operand order of both passes
+    s = (z.data @ zt) * c
+    lse, lse_vjp = pairwise_logsumexp(s, exclude_anchor)
+    k = -1.0 / n_anchors
 
-    def bwd(g):  # d/dS of sum w (S - L), summed in the order the checkpoint bytes depend on
-        w = g * c * weights
-        return (w + lse_vjp(-w),)
+    def bwd(g):  # d/dS of sum w (S - L), then through the Gram matrix, in the order the checkpoint bytes depend on
+        w = g * k * weights
+        gs = (w + lse_vjp(-w)) * c
+        return (gs @ zt.T + (z.data.T @ gs).T,)
 
-    return ad.make_op(np.asarray((weights * (s.data - lse)).sum()) * c, (s,), bwd)
-
-
-def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
-    """The ``cfg.loss_kind`` loss on unit-norm embeddings, one row per view."""
-    if z.data.ndim != 2 or z.shape[0] != len(meta):
-        raise ContractError(f"embeddings {z.shape} do not match batch of {len(meta)}")
-    return similarity_loss(similarity_matrix(z, cfg.tau), meta, cfg)
+    return ad.make_op(np.asarray((weights * (s - lse)).sum()) * k, (z,), bwd)
 
 
 def random_batch(rng):

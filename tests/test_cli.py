@@ -413,11 +413,14 @@ class TestProject:
             {"--out": "q.csv", "--svg": "e.csv", "--embeddings": "e.csv"},
             {"--out": "q.csv", "--svg": "q.csv.config.json"},
             {"--out": "q.csv", "--embeddings": "link.csv"},
+            {"--out": "new/p.csv", "--svg": "new/p.csv"},
         ],
-        ids=["out-svg", "out-embeddings", "svg-embeddings", "svg-echo", "embeddings-symlink-to-out"],
+        ids=["out-svg", "out-embeddings", "svg-embeddings", "svg-echo", "embeddings-symlink-to-out",
+             "out-svg-in-a-new-directory"],
     )
     def test_outputs_that_share_a_file_are_usage_error(self, dataset_dir, tmp_path, capsys, outputs):
-        # Relative paths are anchored under output_dir first; then one real path is one file.
+        # Relative paths are anchored under output_dir first; then one real path is one file. A refused run makes no
+        # directory either.
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.csv").symlink_to(tmp_path / "q.csv")
         config = tmp_path / "run.json"
@@ -427,6 +430,59 @@ class TestProject:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "both write" in err and "Traceback" not in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "run.json", "sub"]
+
+
+def tree(root):
+    """Every file and directory under ``root``: its relative path -> its bytes, or None for a directory."""
+    return {path.relative_to(root): None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+_MLP_EPOCH = ["--arch", "mlp", "--epochs", "1", "--batch", "4"]
+
+# Runs whose output is one of their own inputs, their paths relative to a directory that holds the dataset "d", the
+# checkpoint "c.ckpt" and the run-configs "run.json", "o.loss.csv" and "o.dump.json" (each "{}").
+_OVER_INPUT = {
+    "probe-out-over-manifest": ["probe", "--data", "d", "--ckpt", "random", "--arch", "mlp", "--folds", "2", "--out",
+                                "d/manifest.json"],
+    "project-out-over-ckpt": ["project", "--data", "d", "--ckpt", "c.ckpt", "--out", "c.ckpt"],
+    "project-embeddings-over-manifest": ["project", "--data", "d", "--ckpt", "random", "--out", "p.csv",
+                                         "--embeddings", "d/manifest.json"],
+    "pretrain-out-over-volume": ["pretrain", "--data", "d", *_MLP_EPOCH, "--out", "d/V000.wspv"],
+    "pretrain-out-over-config": ["pretrain", "--data", "d", *_MLP_EPOCH, "--config", "run.json", "--out", "run.json"],
+    "pretrain-loss-curve-over-config": ["pretrain", "--data", "d", *_MLP_EPOCH, "--config", "o.loss.csv", "--out", "o"],
+    "pretrain-dump-over-config": ["pretrain", "--data", "d", *_MLP_EPOCH, "--config", "o.dump.json", "--out", "o"],
+    "sweep-out-over-manifest": ["sweep", "--data", "d", *_MLP_EPOCH, "--sigmas", "0.1", "--seeds", "0", "--out",
+                                "d/manifest.json"],
+    "generate-echo-over-config": ["generate", "--config", "d/run_config.json", "--out", "d"],
+}
+
+
+class TestOutputsOverInputs:
+    """No command writes over one of its own inputs: such a run is a usage error, refused before anything is
+    written."""
+
+    @staticmethod
+    def assert_refused(argv, root, capsys):
+        before = tree(root)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        assert tree(root) == before  # every input byte for byte, and no new file or directory
+
+    @pytest.mark.parametrize("argv", list(_OVER_INPUT.values()), ids=list(_OVER_INPUT))
+    def test_output_over_an_input_is_usage_error(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, argv):
+        shutil.copytree(dataset_dir, tmp_path / "d")
+        shutil.copy(checkpoint, tmp_path / "c.ckpt")
+        for name in ("run.json", "o.loss.csv", "o.dump.json"):
+            (tmp_path / name).write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        self.assert_refused(argv, tmp_path, capsys)
+
+    def test_echo_replayed_onto_its_own_output_is_usage_error(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        flags = ["probe", "--data", str(dataset_dir), "--ckpt", "random", "--arch", "mlp", "--folds", "2"]
+        assert run([*flags, "--out", "o.csv"]) == 0
+        self.assert_refused([*flags, "--config", "o.csv.config.json", "--out", "o.csv"], tmp_path, capsys)
 
 
 class TestGradcheckCommand:

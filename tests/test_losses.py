@@ -20,8 +20,6 @@ from wsp.losses import (
     gradient_check,
     pair_weights,
     pairwise_logsumexp,
-    similarity_loss,
-    similarity_matrix,
 )
 
 from oracles import make_meta, naive_kernel_loss, naive_pairwise_logsumexp, paired_random_batch
@@ -91,30 +89,47 @@ class TestBatchMeta:
 
 
 class TestSimilarityMatrix:
+    """The Gram matrix S = z z^T / tau inside compute_loss, seen through the loss against the naive oracle."""
+
+    @staticmethod
+    def assert_every_kind_matches_oracle(z, meta, tau):
+        for kind in LOSS_KINDS:
+            for convention in DENOMINATOR_CONVENTIONS:
+                cfg = LossConfig(tau=tau, sigma=0.2, loss_kind=kind, denominator_convention=convention)
+                assert compute_loss(Tensor(z), meta, cfg).item() == pytest.approx(oracle(z, meta, cfg, kind), abs=1e-12)
+
     def test_orthogonal_rows(self):
-        s = similarity_matrix(Tensor(np.eye(3)), tau=1.0)
-        np.testing.assert_allclose(s.data - np.eye(3), np.zeros((3, 3)), atol=1e-15)
+        z = np.eye(4)
+        self.assert_every_kind_matches_oracle(z, four_view_meta(), tau=1.0)
+        # S = I: each term is -log(e^0 / (e^0 + e^0)) under exclude_anchor.
+        assert compute_loss(Tensor(z), four_view_meta(), LossConfig(tau=1.0)).item() == pytest.approx(math.log(2.0))
 
     def test_identical_rows(self):
-        z = np.tile(np.array([[1.0, 0.0]]), (3, 1))
-        s = similarity_matrix(Tensor(z), tau=0.5)
-        np.testing.assert_allclose(s.data, np.full((3, 3), 2.0), atol=1e-12)
+        z = np.tile(np.array([[1.0, 0.0]]), (4, 1))
+        self.assert_every_kind_matches_oracle(z, four_view_meta(), tau=0.5)
+        # Every S entry is 2: each term is -log(e^2 / (e^2 + e^2)) under exclude_anchor.
+        assert compute_loss(Tensor(z), four_view_meta(), LossConfig(tau=0.5)).item() == pytest.approx(math.log(2.0))
 
     def test_antipodal_rows(self):
-        z = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        s = similarity_matrix(Tensor(z), tau=1.0)
-        assert s.data[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        self.assert_every_kind_matches_oracle(z, four_view_meta(), tau=1.0)
 
     def test_diagonal_and_symmetry(self, rng):
-        z = rng.normal(size=(5, 8))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        s = similarity_matrix(Tensor(z), tau=0.2).data
-        np.testing.assert_allclose(np.diag(s), 1.0 / 0.2, atol=1e-9)
-        np.testing.assert_allclose(s, s.T, atol=1e-12)
+        z, meta = paired_random_batch(rng, n_slices=3, dim=8)
+        self.assert_every_kind_matches_oracle(z, meta, tau=0.2)
 
     def test_rejects_unnormalized_rows(self):
-        with pytest.raises(ContractError):
-            similarity_matrix(Tensor(np.array([[2.0, 0.0], [0.0, 1.0]])), tau=1.0)
+        with pytest.raises(ContractError, match="embedding row norms"):
+            compute_loss(Tensor(np.array([[2.0, 0.0], [0.0, 1.0]])), make_meta(y=[0, 0], d=[0.1, 0.2]), LossConfig())
+
+    def test_checks_run_in_order_for_one_view(self):
+        meta = make_meta(y=[0], d=[0.5])
+        with pytest.raises(ContractError, match="do not match batch of 1"):
+            compute_loss(Tensor(np.array([[np.nan, 0.0], [1.0, 0.0]])), meta, LossConfig())
+        with pytest.raises(NonFiniteError, match="embedding row norms"):
+            compute_loss(Tensor(np.array([[np.nan, 0.0]])), meta, LossConfig())
+        with pytest.raises(ContractError, match="need at least two views"):
+            compute_loss(Tensor(np.array([[1.0, 0.0]])), meta, LossConfig())
 
 
 class TestPositiveSet:
@@ -401,35 +416,43 @@ class TestInvariants:
     def test_sign_of_influence(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)
         cfg = LossConfig(tau=0.5, sigma=0.2)
-        s_leaf = Tensor((z @ z.T) / cfg.tau, requires_grad=True)
-        grad = ad.backward(similarity_loss(s_leaf, meta, cfg)).wrt(s_leaf)
         same_label = meta.y[:, None] == meta.y[None, :]
+        diff = meta.d[:, None] - meta.d[None, :]
+        gauss = np.exp(-(diff**2) / (2 * cfg.sigma**2))
+        raw = np.where(same_label & ~np.eye(len(meta), dtype=bool), gauss, 0.0)
+        w_hat = raw / raw.sum(axis=1, keepdims=True)
+        # dL/dS = w + vjp(-w) with w = -w_hat / n_anchors (every anchor here has its sibling as a positive), and
+        # compute_loss's z-gradient is that S-gradient through the Gram matrix.
+        w = -w_hat / len(meta)
+        grad = w + pairwise_logsumexp(z @ z.T / cfg.tau, exclude_anchor=True)[1](-w)
+        leaf = Tensor(z, requires_grad=True)
+        through_gram = (grad @ z + grad.T @ z) / cfg.tau
+        np.testing.assert_allclose(ad.backward(compute_loss(leaf, meta, cfg)).wrt(leaf), through_gram, atol=1e-12)
         for t in range(len(meta)):
             for j in range(len(meta)):
                 if j != t and not same_label[t, j]:
                     assert grad[t, j] >= 0.0  # pure negatives are pushed away
         # For a positive pair, the derivative of its own -log term w.r.t.
         # s_ti is exactly -w_hat(t, i), which is negative whenever w_hat > 0.
-        diff = meta.d[:, None] - meta.d[None, :]
-        gauss = np.exp(-(diff**2) / (2 * cfg.sigma**2))
-        raw = np.where(same_label & ~np.eye(len(meta), dtype=bool), gauss, 0.0)
-        w_hat = raw / raw.sum(axis=1, keepdims=True)
         assert np.all(w_hat[raw > 0] > 0.0)
 
     def test_temperature_consistency(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=8)
-        tau = 0.25
-        cfg = LossConfig(tau=tau, sigma=0.2)
-        direct = loss("wsp", Tensor(z), meta, cfg).item()
-        prescaled = Tensor(similarity_matrix(Tensor(z), 1.0).data * (1.0 / tau))
-        via_similarity = similarity_loss(prescaled, meta, cfg).item()
-        assert via_similarity == pytest.approx(direct, abs=1e-12)
+        for tau in (0.05, 0.25, 1.0):
+            cfg = LossConfig(tau=tau, sigma=0.2)
+            assert loss("wsp", Tensor(z), meta, cfg).item() == pytest.approx(oracle(z, meta, cfg, "wsp"), abs=1e-12)
+
+
+def near_duplicate_rows(rng, n_slices, dim, jitter, n_classes=4):
+    """Raw rows where each slice's second view is its first moved by ``jitter``, with their metadata."""
+    z, meta = paired_random_batch(rng, n_slices, dim, n_classes)
+    z[1::2] = z[0::2] + jitter * rng.normal(size=z[0::2].shape)
+    return z, meta
 
 
 def near_duplicate_similarity(rng, n_slices, dim, tau, jitter):
-    """S = z z^T / tau where each slice's second view is its first moved by ``jitter``."""
-    z, _ = paired_random_batch(rng, n_slices, dim)
-    z[1::2] = z[0::2] + jitter * rng.normal(size=z[0::2].shape)
+    """S = z z^T / tau over ``near_duplicate_rows`` made unit."""
+    z, _ = near_duplicate_rows(rng, n_slices, dim, jitter)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z @ z.T / tau
 
@@ -483,18 +506,25 @@ class TestPairwiseLogSumExp:
             np.testing.assert_array_equal(out[off], naive_pairwise_logsumexp(s, True)[off])
             assert_matches_oracle(s, True)
 
-    @pytest.mark.parametrize("exclude_anchor,jitter", DOMINANT_CASES)
-    def test_gradient_with_dominant_pair(self, rng, exclude_anchor, jitter):
-        s = near_duplicate_similarity(rng, 4, 8, 0.05, jitter)
-        assert largest_share(s, exclude_anchor) > 0.5
-        w = rng.uniform(-1.0, 1.0, s.shape)
-
+    @staticmethod
+    def assert_vjp_matches(s, w, exclude_anchor):
         def f(t):  # sum L * w, whose gradient is the vjp of w
             return Tensor((pairwise_logsumexp(t.data, exclude_anchor)[0] * w).sum())
 
         analytic = pairwise_logsumexp(s, exclude_anchor)[1](w)
         numeric = ad.finite_diff_gradient(f, Tensor(s), eps=1e-5).data
         assert ad.max_relative_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("exclude_anchor,jitter", DOMINANT_CASES)
+    def test_gradient_with_dominant_pair(self, rng, exclude_anchor, jitter):
+        s = near_duplicate_similarity(rng, 4, 8, 0.05, jitter)
+        assert largest_share(s, exclude_anchor) > 0.5
+        self.assert_vjp_matches(s, rng.uniform(-1.0, 1.0, s.shape), exclude_anchor)
+
+    @pytest.mark.parametrize("exclude_anchor", [True, False])
+    def test_gradient_on_a_general_matrix(self, rng, exclude_anchor):
+        # An asymmetric S whose diagonal need not lead its row: no z z^T / tau is one.
+        self.assert_vjp_matches(rng.uniform(-3.0, 3.0, (8, 8)), rng.uniform(-1.0, 1.0, (8, 8)), exclude_anchor)
 
     def test_memory_quadratic_at_512_views(self):
         z, meta = paired_random_batch(np.random.default_rng(0), n_slices=256, dim=32)
@@ -509,38 +539,41 @@ class TestPairwiseLogSumExp:
 
 
 class TestOpGradients:
-    """The loss is two tape ops above z, each with a hand-written backward checked against finite differences."""
+    """The loss is one tape op above z, whose hand-written backward is checked against finite differences."""
 
-    def test_loss_adds_two_tape_nodes_above_z(self, rng):
+    def test_loss_adds_one_tape_node_above_z(self, rng):
         z, meta = paired_random_batch(rng, n_slices=4, dim=6)
         leaf = Tensor(z, requires_grad=True)
         nodes = ad.Tape(compute_loss(leaf, meta, LossConfig())).nodes
-        assert [node._parents for node in nodes] == [(), (leaf,), (nodes[1],)]
+        assert [node._parents for node in nodes] == [(), (leaf,)]
+
+    @staticmethod
+    def assert_gradient_matches(x, meta, cfg):
+        def f(t):
+            return compute_loss(ad.l2_normalize(t), meta, cfg)
+
+        leaf = Tensor(x, requires_grad=True)
+        analytic = ad.backward(f(leaf)).wrt(leaf)
+        numeric = ad.finite_diff_gradient(f, Tensor(x)).data
+        assert np.abs(analytic).max() > 0.0
+        assert ad.max_relative_error(analytic, numeric) < 1e-6
 
     @pytest.mark.parametrize("tau", [1.0, 0.1])
     def test_similarity_matrix(self, rng, tau):
-        # f(z) = sum S * w is quadratic in z, so central differences are exact up to rounding; a step
-        # of 1e-7 keeps every perturbed row within the unit-norm tolerance.
-        z, _ = paired_random_batch(rng, n_slices=3, dim=5)
-        w = rng.uniform(-1.0, 1.0, (6, 6))
-        analytic = similarity_matrix(Tensor(z, requires_grad=True), tau)._backward_fn(w)[0]
-
-        def f(t):
-            return Tensor((similarity_matrix(t, tau).data * w).sum())
-
-        numeric = ad.finite_diff_gradient(f, Tensor(z), eps=1e-7).data
-        assert ad.max_relative_error(analytic, numeric) < 1e-6
+        # General rows, no dominant entry required: the Gram backward at a mild and a sharp temperature.
+        for kind in LOSS_KINDS:
+            for convention in DENOMINATOR_CONVENTIONS:
+                cfg = LossConfig(tau=tau, sigma=0.2, loss_kind=kind, denominator_convention=convention)
+                self.assert_gradient_matches(*paired_random_batch(rng, n_slices=3, dim=5), cfg)
 
     @pytest.mark.parametrize("convention", DENOMINATOR_CONVENTIONS)
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_similarity_loss(self, rng, kind, convention):
-        # A general (asymmetric) S, and one whose rows each hold a dominant entry (p_ti > 1/2).
+        # Near-duplicate views at tau 0.05: some row of S holds a dominant entry (p_ti > 1/2).
         cfg = LossConfig(tau=0.05, sigma=0.2, loss_kind=kind, denominator_convention=convention)
-        jitter = dict(TestPairwiseLogSumExp.DOMINANT_CASES)[convention == "exclude_anchor"]
-        _, meta = paired_random_batch(rng, n_slices=4, dim=8, n_classes=2)
-        for s in (rng.uniform(-3.0, 3.0, (8, 8)), near_duplicate_similarity(rng, 4, 8, cfg.tau, jitter)):
-            leaf = Tensor(s, requires_grad=True)
-            analytic = ad.backward(similarity_loss(leaf, meta, cfg)).wrt(leaf)
-            numeric = ad.finite_diff_gradient(lambda t: similarity_loss(t, meta, cfg), Tensor(s), eps=1e-5).data
-            assert np.abs(analytic).max() > 0.0
-            assert ad.max_relative_error(analytic, numeric) < 1e-6
+        exclude_anchor = convention == "exclude_anchor"
+        jitter = dict(TestPairwiseLogSumExp.DOMINANT_CASES)[exclude_anchor]
+        x, meta = near_duplicate_rows(rng, 4, 8, jitter, n_classes=2)
+        z = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert largest_share(z @ z.T / cfg.tau, exclude_anchor) > 0.5
+        self.assert_gradient_matches(x, meta, cfg)

@@ -252,8 +252,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     except NonFiniteError as exc:
         dump_path = out + ".dump.json"
         write_json(dump_path, exc.details)
-        print(f"error: {exc}; batch dump written to {dump_path}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NonFiniteError(f"{exc}; batch dump written to {dump_path}") from exc
     save_checkpoint(ckpt, out)
     write_csv(out + ".loss.csv", [f.name for f in fields(EpochRecord)], map(astuple, curve))
     record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}

@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -111,33 +112,26 @@ def central_view(volumes, fraction: float = CENTRAL_FRACTION) -> list:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    n_volumes: int = 60
-    slices_per_volume: int = 24
-    height: int = 32
-    width: int = 32
-    class_priors: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    noise_rate: float = 0.1  # weak-label flip probability rho
-    contour_amplitudes: tuple[float, float, float, float] = (0.12, 0.12, 0.12, 0.12)
-    amplitude_depth_coupling: float = 1.0  # irregularity drifts toward deep (high classes) or shallow (low) slices
-    depth_gain: float = 0.45  # radius span across depth, fraction of half-height
-    radius_base: float = 0.6
-    aspect_jitter: float = 0.1
-    center_jitter: float = 0.05  # fraction of height, per slice
-    lobes: tuple[int, int] = (5, 9)
-    pixel_noise: float = 30.0  # HU
-    organ_intensity: float = 150.0  # HU
-    background_intensity: float = -300.0  # HU
-    edge_width: float = 1.5  # px
+    n_volumes: Annotated[int, size_rule(1)] = 60
+    slices_per_volume: Annotated[int, size_rule(1)] = 24
+    height: Annotated[int, size_rule(4)] = 32
+    width: Annotated[int, size_rule(4)] = 32
+    class_priors: Annotated[tuple[float, float, float, float], "[0, 1]"] = (0.25, 0.25, 0.25, 0.25)
+    noise_rate: Annotated[float, "[0, 1]"] = 0.1  # weak-label flip probability rho
+    contour_amplitudes: Annotated[tuple[float, float, float, float], "[0, inf)"] = (0.12, 0.12, 0.12, 0.12)
+    amplitude_depth_coupling: Annotated[float, "[0, 1]"] = 1.0  # roughness drifts deep (high classes) or shallow (low)
+    depth_gain: Annotated[float, "[0, inf)"] = 0.45  # radius span across depth, fraction of half-height
+    radius_base: Annotated[float, "(0, inf)"] = 0.6
+    aspect_jitter: Annotated[float, "[0, 1)"] = 0.1  # below 1, so every aspect ratio, 1 +- aspect_jitter, is positive
+    center_jitter: Annotated[float, "[0, 1]"] = 0.05  # fraction of height, per slice
+    lobes: Annotated[tuple[int, int], size_rule(1)] = (5, 9)
+    pixel_noise: Annotated[float, "[0, inf)"] = 30.0  # HU
+    organ_intensity: Annotated[float, "(-inf, inf)"] = 150.0  # HU
+    background_intensity: Annotated[float, "(-inf, inf)"] = -300.0  # HU
+    edge_width: Annotated[float, "(0, inf)"] = 1.5  # px
 
     def __post_init__(self):
-        # aspect_jitter < 1 keeps every volume's aspect ratio, 1 +- aspect_jitter, positive.
-        check_fields(
-            self, n_volumes=size_rule(1), slices_per_volume=size_rule(1), height=size_rule(4), width=size_rule(4),
-            class_priors="[0, 1]", noise_rate="[0, 1]", contour_amplitudes="[0, inf)", lobes=size_rule(1),
-            amplitude_depth_coupling="[0, 1]", depth_gain="[0, inf)", radius_base="(0, inf)", edge_width="(0, inf)",
-            aspect_jitter="[0, 1)", center_jitter="[0, 1]", pixel_noise="[0, inf)",
-            organ_intensity="(-inf, inf)", background_intensity="(-inf, inf)",
-        )
+        check_fields(self)
         if abs(sum(self.class_priors) - 1.0) > 1e-9:
             raise ConfigError("class_priors must sum to 1")
         # The shallowest slice's radius is radius_base - depth_gain / 2 half-heights.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass, field, asdict
+from typing import Annotated
 
 import numpy as np
 
@@ -32,20 +33,19 @@ ARCHS = ("tiny_cnn", "mlp")
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    arch: str = "tiny_cnn"
-    input_shape: tuple[int, ...] = (1, 32, 32)
-    conv_channels: tuple[int, ...] = (16, 32, 64, 128, 256)
-    conv_kernels: tuple[int, ...] = (3, 3, 3, 3, 1)
-    conv_strides: tuple[int, ...] = (2, 2, 2, 2, 1)
-    repr_dim: int = 256
-    proj_dim: int = 64
-    proj_hidden: int = 128
-    mlp_hidden: tuple[int, ...] = (128, 128)
-    seed: int = 0
+    arch: Annotated[str, ARCHS] = "tiny_cnn"
+    input_shape: Annotated[tuple[int, ...], size_rule(1)] = (1, 32, 32)
+    conv_channels: Annotated[tuple[int, ...], size_rule(1)] = (16, 32, 64, 128, 256)
+    conv_kernels: Annotated[tuple[int, ...], size_rule(1)] = (3, 3, 3, 3, 1)
+    conv_strides: Annotated[tuple[int, ...], size_rule(1)] = (2, 2, 2, 2, 1)
+    repr_dim: Annotated[int, size_rule(1)] = 256
+    proj_dim: Annotated[int, size_rule(1)] = 64
+    proj_hidden: Annotated[int, size_rule(1)] = 128
+    mlp_hidden: Annotated[tuple[int, ...], size_rule(1)] = (128, 128)
+    seed: Annotated[int, "[0, inf)"] = 0
 
     def __post_init__(self):
-        sizes = "input_shape conv_channels conv_kernels conv_strides mlp_hidden repr_dim proj_dim proj_hidden".split()
-        check_fields(self, arch=ARCHS, **dict.fromkeys(sizes, size_rule(1)))
+        check_fields(self)
         if not self.repr_dim > self.proj_dim:
             raise ConfigError(f"need repr_dim > proj_dim, got {self.repr_dim}, {self.proj_dim}")
         if self.arch == "tiny_cnn":

@@ -57,7 +57,8 @@ _KINDS = {
     str: ("a string", lambda value: isinstance(value, str)),
 }
 
-field_types = functools.cache(typing.get_type_hints)  # a config class's field names and annotations
+# A config class's field names and annotations, each with its ``Annotated`` rule (see ``check_fields``).
+field_types = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 U32_MAX = 2**32 - 1  # the largest extent or count the file formats store
 
@@ -86,25 +87,21 @@ def check_value(name: str, value, kind: type, rule=None, error=ConfigError) -> N
             raise error(f"{name} must lie in {rule}, got {value!r}")
 
 
-def check_fields(cfg, **rules) -> None:
-    """Check every field of the config dataclass ``cfg`` against its annotation and its rule.
+def check_fields(cfg) -> None:
+    """Check every field of the config dataclass ``cfg`` against its annotation and the rule declared on it.
 
     A field annotated ``int``, ``float``, ``bool`` or ``str`` must hold that
     kind (see ``_KINDS``). ``tuple[T, ...]`` is a list or tuple of T of any
     length and ``tuple[T, T]`` one of exactly two; the field is stored as a
-    tuple and each entry obeys the rule. ``rules`` maps field names to rules
-    (see ``check_value``); ``seed`` defaults to ``"[0, inf)"``. A field
-    annotated with another class (a nested config, which checks itself) must
-    hold an instance of it. Raises ConfigError for a bad value, and
-    ContractError when a rule names no field or an ``int``/``float`` field has
-    no rule, so that no field can be added without one.
+    tuple and each entry obeys the rule. A field's rule (see ``check_value``)
+    is the metadata of its annotation: ``Annotated[float, "(0, inf)"]``. A
+    field annotated with another class (a nested config, which checks itself)
+    must hold an instance of it. Raises ConfigError for a bad value, and
+    ContractError when an ``int``/``float`` field has no rule, so that no
+    field can be added without one.
     """
-    hints = field_types(type(cfg))
-    unknown = set(rules) - set(hints)
-    if unknown:
-        raise ContractError(f"rules for unknown {type(cfg).__name__} fields: {sorted(unknown)}")
-    rules.setdefault("seed", "[0, inf)")
-    for name, hint in hints.items():
+    for name, hint in field_types(type(cfg)).items():
+        hint, rule = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint, None)
         value = getattr(cfg, name)
         if typing.get_origin(hint) is tuple:
             kind, *rest = typing.get_args(hint)
@@ -119,10 +116,10 @@ def check_fields(cfg, **rules) -> None:
             raise ConfigError(f"{name} must be a {hint.__name__}, got {value!r}")
         else:
             continue
-        if name not in rules and kind in (int, float):
+        if rule is None and kind in (int, float):
             raise ContractError(f"{type(cfg).__name__}.{name} has no declared range")
         for entry in entries:
-            check_value(label, entry, kind, rules.get(name))
+            check_value(label, entry, kind, rule)
 
 
 def build_config(cls, body: dict, error: type[WspError]):

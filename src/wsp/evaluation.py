@@ -10,6 +10,7 @@ diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -22,16 +23,14 @@ EXTRACT_CHUNK = 128  # slices encoded at a time by extract_representations
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    l2_strength: float = 1.0
-    max_iterations: int = 200
-    tolerance: float = 1e-8
-    folds: int = 5
-    seed: int = 0
+    l2_strength: Annotated[float, "[0, inf)"] = 1.0
+    max_iterations: Annotated[int, size_rule(1)] = 200
+    tolerance: Annotated[float, "(0, inf)"] = 1e-8
+    folds: Annotated[int, size_rule(2)] = 5
+    seed: Annotated[int, "[0, inf)"] = 0
 
     def __post_init__(self):
-        check_fields(
-            self, l2_strength="[0, inf)", max_iterations=size_rule(1), tolerance="(0, inf)", folds=size_rule(2)
-        )
+        check_fields(self)
 
 
 @dataclass

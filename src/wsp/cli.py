@@ -20,16 +20,16 @@ import numpy as np
 
 from .data import (
     CENTRAL_FRACTION,
-    MANIFEST_NAME,
     GeneratorConfig,
     central_view,
+    dataset_files,
     generate_synthetic_dataset,
     load_dataset,
     save_dataset,
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
-from .errors import ConfigError, ContractError, FormatError, NonFiniteError, WspError, build_config, check_value
+from .errors import ConfigError, ContractError, NonFiniteError, WspError, build_config, check_value
 from .errors import field_types, parse_json, replacing, write_csv, write_json
 from .evaluation import ProbeConfig, extract_representations, pca_project, run_probe_protocol
 from .losses import LOSS_KINDS, SIGMA_KINDS, LossConfig, gradient_check
@@ -49,8 +49,6 @@ _EXITS = {ConfigError: (EXIT_USAGE, "usage error"), NonFiniteError: (EXIT_NUMERI
 
 GRADCHECK_TOLERANCE = 1e-5
 DEFAULT_SEED = 0  # the top-level seed of generate and gradcheck
-
-_LOSS_FLAG_TO_KIND = {"wsp": "wsp", "supcon": "supcon", "depth": "depth_aware", "infonce": "infonce"}
 
 # The run-config's sections, each with its config class; a section's keys are given by _section_keys.
 _SECTIONS = {"data": GeneratorConfig, "encoder": EncoderConfig, "loss": LossConfig, "optim": OptimConfig,
@@ -163,23 +161,23 @@ def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dic
     return body
 
 
-def _claim_outputs(doc: dict, args, *derived) -> dict:
+def _claim_outputs(doc: dict, args, volumes, *derived) -> dict:
     """The one claim of a command's outputs, made before anything is written; returns their paths by name. They are
-    --out, --svg and --embeddings as given, anchored under the config's output_dir, the echo, and the files ``out +
-    suffix`` of ``derived``'s (name, suffix) pairs. One that resolves to another or to an input (--config, --ckpt
-    unless random, --data's manifest and each file its records name) is a ConfigError; then their directories are made.
-    """
+    --out, --svg and --embeddings as given, anchored under the config's output_dir, the echo, the files ``out +
+    suffix`` of ``derived``'s (name, suffix) pairs and, for generate, the ``dataset_files`` of ``volumes``. One that
+    resolves to another or to an input (--config, --ckpt unless random, or a ``dataset_files`` of ``volumes`` read
+    from --data) is a ConfigError; then their directories are made."""
     given = {flag: getattr(args, flag[2:], None) for flag in ("--out", "--svg", "--embeddings")}
     outputs = {flag: os.path.join(doc.get("output_dir") or "", path) for flag, path in given.items() if path}
     out = outputs["--out"]
     outputs.update({"the echo": _echo_path(args, out), **{name: out + suffix for name, suffix in derived}})
     ckpt, data = getattr(args, "ckpt", None), getattr(args, "data", None)
     inputs = [("--config", getattr(args, "config", None)), ("--ckpt", None if ckpt == "random" else ckpt)]
-    if data:  # the dataset as load_dataset has checked it
-        manifest = os.path.join(data, MANIFEST_NAME)
-        with open(manifest, "rb") as fh:
-            records = parse_json(fh.read(), f"manifest {manifest}", FormatError)["volumes"]
-        inputs += [("--data", path) for path in (manifest, *(os.path.join(data, r["file"]) for r in records))]
+    ids = [v.volume_id for v in volumes or ()]
+    if args.command == "generate":
+        outputs.update((f"the dataset's {os.path.basename(path)}", path) for path in dataset_files(out, ids))
+    elif data:
+        inputs += [("--data", path) for path in dataset_files(data, ids)]
     claimed = {os.path.realpath(path): name for name, path in inputs if path}  # real path -> what names it
     for name, path in outputs.items():
         if (other := claimed.setdefault(os.path.realpath(path), name)) != name:
@@ -198,8 +196,8 @@ def _claim_outputs(doc: dict, args, *derived) -> dict:
 def cmd_generate(doc: dict, args) -> int:
     cfg = build_config(GeneratorConfig, _section(doc, args, "data", **_parse_size(args.size)), ConfigError)
     seed = _top(doc, args, "seed", DEFAULT_SEED)
-    out = _claim_outputs(doc, args)["--out"]
-    generator, volumes = generate_synthetic_dataset(cfg, seed)
+    generator, volumes = generate_synthetic_dataset(cfg, seed)  # in memory: the claim below names its files
+    out = _claim_outputs(doc, args, volumes)["--out"]
     save_dataset(generator, volumes, out)
     _echo_config(out, args, {"data": cfg, "seed": seed})
     print(f"wrote {len(volumes)} volumes to {out}")
@@ -241,22 +239,21 @@ def _training_configs(doc: dict, args, **loss_overrides):
 
 def cmd_pretrain(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
-    loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args, loss_kind=_LOSS_FLAG_TO_KIND.get(args.loss))
+    loss_cfg, optim_cfg, aug_cfg = _training_configs(doc, args)
     kind = loss_cfg.loss_kind
     if getattr(args, "loss.sigma") is not None and kind not in SIGMA_KINDS:
         print(f"warning: --sigma is ignored for loss kind {kind}", file=sys.stderr)
     enc_cfg = _encoder_config(doc, args, volumes[0].slices[0].pixels.shape)
-    out = _claim_outputs(doc, args, ("the loss curve", ".loss.csv"), ("the batch dump", ".dump.json"))["--out"]
+    paths = _claim_outputs(doc, args, volumes, ("the loss curve", ".loss.csv"), ("the batch dump", ".dump.json"))
     try:
         ckpt, curve = pretrain(volumes, enc_cfg, optim_cfg, aug_cfg)
     except NonFiniteError as exc:
-        dump_path = out + ".dump.json"
-        write_json(dump_path, exc.details)
-        raise NonFiniteError(f"{exc}; batch dump written to {dump_path}") from exc
-    save_checkpoint(ckpt, out)
-    write_csv(out + ".loss.csv", [f.name for f in fields(EpochRecord)], map(astuple, curve))
+        write_json(paths["the batch dump"], exc.details)
+        raise NonFiniteError(f"{exc}; batch dump written to {paths['the batch dump']}") from exc
+    save_checkpoint(ckpt, paths["--out"])
+    write_csv(paths["the loss curve"], [f.name for f in fields(EpochRecord)], map(astuple, curve))
     record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
-    _echo_config(out, args, {**record, "central_fraction": fraction})
+    _echo_config(paths["--out"], args, {**record, "central_fraction": fraction})
     print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6g}")
     return EXIT_OK
 
@@ -271,7 +268,7 @@ def cmd_probe(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    out = _claim_outputs(doc, args)["--out"]
+    out = _claim_outputs(doc, args, volumes)["--out"]
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
     folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
@@ -288,7 +285,7 @@ def cmd_probe(doc: dict, args) -> int:
 def cmd_project(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
-    out, svg, embeddings = map(_claim_outputs(doc, args).get, ("--out", "--svg", "--embeddings"))
+    out, svg, embeddings = map(_claim_outputs(doc, args, volumes).get, ("--out", "--svg", "--embeddings"))
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr)
     slices = list(zip(table.patient_ids, table.slice_ids, table.d))
@@ -379,7 +376,7 @@ def sweep_runs(record: dict, volumes=None):
 
 def cmd_sweep(doc: dict, args) -> int:
     record, volumes = sweep_plan(doc, args)
-    out = _claim_outputs(doc, args)["--out"]
+    out = _claim_outputs(doc, args, volumes)["--out"]
     aucs = {}  # per cell, its seeds' fold-mean AUCs
     for method, sigma, _, _, _, report in sweep_runs(record, volumes):
         aucs.setdefault((method, sigma), []).append(report.mean_auc_patient)
@@ -435,7 +432,7 @@ _FLAGS = {
                 {"type": float, "help": f"label-noise rate rho (default {GeneratorConfig.noise_rate})"}),
     "--fraction": ("central_fraction", {"type": float, "help": f"central-slice fraction (default {CENTRAL_FRACTION})"}),
     "--arch": ("encoder.arch", {"choices": ARCHS, "help": f"encoder architecture (default {EncoderConfig.arch})"}),
-    "--loss": ("loss", {"choices": sorted(_LOSS_FLAG_TO_KIND), "help": f"loss kind (default {LossConfig.loss_kind})"}),
+    "--loss": ("loss.loss_kind", {"choices": LOSS_KINDS, "help": f"loss kind (default {LossConfig.loss_kind})"}),
     "--sigma": ("loss.sigma", {"type": float, "help": f"depth-kernel bandwidth (default {LossConfig.sigma})"}),
     "--tau": ("loss.tau", {"type": float, "help": f"similarity temperature (default {LossConfig.tau})"}),
     "--epochs": ("optim.epochs", {"type": int, "help": f"training epochs (default {OptimConfig.epochs})"}),

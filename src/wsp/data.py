@@ -257,7 +257,7 @@ _RECORD_RULES = (
 
 def _check_manifest(doc: dict, error) -> None:
     """The manifest's rule, raised as ``error``: version, generator record, each record's keys and kinds, volume ids
-    that are plain file names unique in the dataset, and one (y_weak, y_strong) per patient."""
+    that are plain file names unique in the dataset, files named ``<id>.wspv``, one (y_weak, y_strong) per patient."""
     check_value("manifest version", doc.get("version"), int, (MANIFEST_VERSION,), error)
     generator = doc.get("generator")
     if generator is not None and not isinstance(generator, dict):
@@ -280,6 +280,8 @@ def _check_manifest(doc: dict, error) -> None:
         if vid in ("", ".", "..") or os.path.basename(vid) != vid or "\0" in vid:
             raise error(f"volume id {vid!r} is not a plain file name unique in the dataset")
         seen.add(vid)
+        if record["file"] != (file := dataset_files("", [vid])[1]):
+            raise error(f"volume {vid}: file {record['file']!r} must be {file!r}, the volume's id plus .wspv")
         labels = (record["y_weak"], record["y_strong"])
         if labels_of_patient.setdefault(pid, labels) != labels:
             raise error(f"volume {vid}: labels {labels} differ from patient {pid}'s other volumes")
@@ -300,12 +302,19 @@ def _check_images(volumes, error) -> None:
                             "H and W must each be at least 1")
 
 
+def dataset_files(directory, volume_ids) -> list:
+    """The files of the dataset in ``directory`` with volumes ``volume_ids``: its manifest, then each volume's file
+    ``<id>.wspv``, in order. The one naming rule of a dataset's files, for its writer, its reader and the CLI."""
+    return [os.path.join(directory, MANIFEST_NAME), *(os.path.join(directory, f"{vid}.wspv") for vid in volume_ids)]
+
+
 def save_dataset(generator: dict | None, volumes, out_dir) -> None:
-    """Write each volume to ``<volume_id>.wspv`` in ``out_dir`` and a manifest whose records are built from the
-    volumes; ``generator`` is stored as given. A dataset that ``load_dataset`` would refuse is refused before the
-    first byte: ContractError, or NonFiniteError for a non-finite pixel."""
-    records = [{"id": v.volume_id, "file": f"{v.volume_id}.wspv", "patient_id": v.patient_id,
-                "v_max": v.v_max, "y_weak": v.y_weak, "y_strong": v.y_strong} for v in volumes]
+    """Write each volume and the manifest to ``dataset_files(out_dir, ...)``; the manifest's records are built from
+    the volumes, and ``generator`` is stored as given. A dataset that ``load_dataset`` would refuse is refused before
+    the first byte: ContractError, or NonFiniteError for a non-finite pixel."""
+    manifest_path, *volume_paths = dataset_files(out_dir, [v.volume_id for v in volumes])
+    records = [{"id": v.volume_id, "file": os.path.basename(path), "patient_id": v.patient_id, "v_max": v.v_max,
+                "y_weak": v.y_weak, "y_strong": v.y_strong} for v, path in zip(volumes, volume_paths)]
     doc = {"version": MANIFEST_VERSION, "volumes": records, "generator": generator}
     _check_manifest(doc, ContractError)
     _check_images(volumes, ContractError)
@@ -314,38 +323,29 @@ def save_dataset(generator: dict | None, volumes, out_dir) -> None:
             check_array(f"volume {v.volume_id} slice pixels", np.asarray(s.pixels, dtype="<f4"), *_PIXEL_RULE)
     text = encode_json(doc)
     os.makedirs(out_dir, exist_ok=True)
-    for v, record in zip(volumes, records):
-        write_volume_file(os.path.join(out_dir, record["file"]), v)
-    with replacing(os.path.join(out_dir, MANIFEST_NAME)) as fh:
+    for v, path in zip(volumes, volume_paths):
+        write_volume_file(path, v)
+    with replacing(manifest_path) as fh:
         fh.write(text)
 
 
 def load_dataset(path):
-    """Load (generator, volumes) from a dataset directory; ``generator`` is the manifest's generator record as read,
-    or None. The manifest and images obey ``_check_manifest`` and ``_check_images``, and no two records share a file."""
-    manifest_path = os.path.join(path, MANIFEST_NAME)
+    """Load (generator, volumes) from the ``dataset_files`` of directory ``path``; ``generator`` is the manifest's
+    generator record as read, or None. The manifest and images obey ``_check_manifest`` and ``_check_images``."""
+    manifest_path = dataset_files(path, [])[0]
     if not os.path.exists(manifest_path):
         raise FormatError(f"manifest not found: {manifest_path}")
     with open(manifest_path, "rb") as fh:
         doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
     _check_manifest(doc, FormatError)
-    root = os.path.realpath(path)
-    volumes, vid_of_path = [], {}
-    for record in doc["volumes"]:
-        vid, file = record["id"], record["file"]
-        if "\0" in file:
-            raise FormatError(f"volume {vid}: file {file!r} contains a NUL character")
-        vol_path = os.path.realpath(os.path.join(path, file))
-        if os.path.commonpath([root, vol_path]) != root:
-            raise FormatError(f"volume {vid}: file {file!r} lies outside the dataset directory")
+    volumes = []
+    for record, vol_path in zip(doc["volumes"], dataset_files(path, [r["id"] for r in doc["volumes"]])[1:]):
         if not os.path.exists(vol_path):
-            raise FormatError(f"manifest references missing file: {file}")
-        if vid_of_path.setdefault(vol_path, vid) != vid:
-            raise FormatError(f"volume {vid}: file {file!r} is also volume {vid_of_path[vol_path]}'s file")
+            raise FormatError(f"manifest references missing file: {record['file']}")
         slices, v_max = read_volume_file(vol_path)
         if v_max != record["v_max"]:
-            raise FormatError(f"volume {vid}: V_max {v_max} disagrees with manifest {record['v_max']}")
-        volumes.append(Volume(volume_id=vid, patient_id=record["patient_id"], v_max=v_max, slices=slices,
+            raise FormatError(f"volume {record['id']}: V_max {v_max} disagrees with manifest {record['v_max']}")
+        volumes.append(Volume(volume_id=record["id"], patient_id=record["patient_id"], v_max=v_max, slices=slices,
                               y_weak=record["y_weak"], y_strong=record["y_strong"]))
     _check_images(volumes, FormatError)
     return doc.get("generator"), volumes

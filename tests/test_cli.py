@@ -175,7 +175,7 @@ class TestPretrain:
                 [
                     "pretrain",
                     "--data", str(dataset_dir),
-                    "--loss", "depth",
+                    "--loss", "depth_aware",
                     "--epochs", "1",
                     "--batch", "4",
                     "--out", str(out),
@@ -440,7 +440,8 @@ def tree(root):
 _MLP_EPOCH = ["--arch", "mlp", "--epochs", "1", "--batch", "4"]
 
 # Runs whose output is one of their own inputs, their paths relative to a directory that holds the dataset "d", the
-# checkpoint "c.ckpt" and the run-configs "run.json", "o.loss.csv" and "o.dump.json" (each "{}").
+# checkpoint "c.ckpt" and the run-configs "run.json", "o.loss.csv", "o.dump.json", "g/manifest.json" and
+# "g/V001.wspv" (each "{}").
 _OVER_INPUT = {
     "probe-out-over-manifest": ["probe", "--data", "d", "--ckpt", "random", "--arch", "mlp", "--folds", "2", "--out",
                                 "d/manifest.json"],
@@ -454,6 +455,10 @@ _OVER_INPUT = {
     "sweep-out-over-manifest": ["sweep", "--data", "d", *_MLP_EPOCH, "--sigmas", "0.1", "--seeds", "0", "--out",
                                 "d/manifest.json"],
     "generate-echo-over-config": ["generate", "--config", "d/run_config.json", "--out", "d"],
+    "generate-manifest-over-config": ["generate", "--volumes", "2", "--slices", "4", "--config", "g/manifest.json",
+                                      "--out", "g"],
+    "generate-volume-over-config": ["generate", "--volumes", "2", "--slices", "4", "--config", "g/V001.wspv",
+                                    "--out", "g"],
 }
 
 
@@ -473,7 +478,8 @@ class TestOutputsOverInputs:
     def test_output_over_an_input_is_usage_error(self, dataset_dir, checkpoint, tmp_path, monkeypatch, capsys, argv):
         shutil.copytree(dataset_dir, tmp_path / "d")
         shutil.copy(checkpoint, tmp_path / "c.ckpt")
-        for name in ("run.json", "o.loss.csv", "o.dump.json"):
+        (tmp_path / "g").mkdir()
+        for name in ("run.json", "o.loss.csv", "o.dump.json", "g/manifest.json", "g/V001.wspv"):
             (tmp_path / name).write_text("{}")
         monkeypatch.chdir(tmp_path)
         self.assert_refused(argv, tmp_path, capsys)
@@ -792,7 +798,7 @@ _REPLAY_FLAG_VALUES = {
     "--seed": ["0", "3"],
     "--fraction": ["0.5", "1.0"],
     "--arch": ["tiny_cnn", "mlp"],
-    "--loss": ["wsp", "supcon", "depth", "infonce"],
+    "--loss": ["wsp", "supcon", "depth_aware", "infonce"],
     "--sigma": ["0.05", "0.3"],
     "--tau": ["0.1", "0.5"],
     "--lr": ["1e-4", "1e-3"],
@@ -814,8 +820,8 @@ class TestReplay:
         [
             ("generate", None, ["--volumes", "5", "--slices", "3", "--size", "16x12", "--noise", "0.3", "--seed", "4"]),
             ("pretrain", None, ["--epochs", "1", "--batch", "4", "--sigma", "0.3", "--fraction", "0.5", "--seed", "2"]),
-            ("pretrain", None, ["--arch", "mlp", "--loss", "depth", "--tau", "0.2", "--lr", "1e-3", "--weight-decay",
-                                "0", "--epochs", "2", "--batch", "6"]),
+            ("pretrain", None, ["--arch", "mlp", "--loss", "depth_aware", "--tau", "0.2", "--lr", "1e-3",
+                                "--weight-decay", "0", "--epochs", "2", "--batch", "6"]),
             ("probe", "trained", ["--folds", "3", "--fraction", "1.0", "--seed", "1"]),
             ("probe", "random", ["--arch", "mlp", "--folds", "2"]),
             ("project", "random", ["--fraction", "0.5", "--seed", "3"]),

@@ -20,12 +20,14 @@ import numpy as np
 
 from .data import (
     CENTRAL_FRACTION,
+    CENTRAL_FRACTION_RULE,
     GeneratorConfig,
     central_view,
     dataset_files,
     generate_synthetic_dataset,
     load_dataset,
     save_dataset,
+    stale_volume_files,
 )
 from .encoders import ARCHS, EncoderCheckpoint, EncoderConfig, input_shape, load_checkpoint, save_checkpoint
 from .encoders import untrained_checkpoint
@@ -55,10 +57,11 @@ _SECTIONS = {"data": GeneratorConfig, "encoder": EncoderConfig, "loss": LossConf
              "probe": ProbeConfig, "augment": AugmentConfig}
 
 # The run-config's other keys, each with its kind and rule (see check_value); a kind in a list is a non-empty list of
-# that kind whose every entry obeys the rule (see _top). "command" must name the running command; "data_dir" and
-# "checkpoint" are never read.
+# that kind whose every entry obeys the rule (see _top), and each of "sigmas" obeys loss.sigma's declared rule.
+# "command" must name the running command; "data_dir" and "checkpoint" are never read.
 _TOP_KEYS = {"command": (str, None), "data_dir": (str, None), "checkpoint": (str, None), "output_dir": (str, None),
-             "seed": (int, "[0, inf)"), "central_fraction": (float, "(0, 1]"), "sigmas": ([float], "(0, inf)"),
+             "seed": (int, "[0, inf)"), "central_fraction": (float, CENTRAL_FRACTION_RULE),
+             "sigmas": ([float], field_types(LossConfig)["sigma"].__metadata__[0]),
              "seeds": ([int], "[0, inf)"), "methods": ([str], ("random", *LOSS_KINDS))}
 
 
@@ -121,10 +124,10 @@ def load_run_config(path, command: str | None = None) -> dict:
     return doc
 
 
-def _echo_config(primary_output: str, args, record: dict) -> None:
-    """Write the effective configuration next to a command's main output: the one builder of every echo, a run-config
-    of its command that holds its input paths and ``record``, whose config objects are sections and whose other
-    values are top-level keys. What ``_check_run_config`` refuses is a ContractError."""
+def _echo_config(path: str, args, record: dict) -> None:
+    """Write the effective configuration to ``path``, the echo that ``_claim_outputs`` claimed: the one builder of
+    every echo, a run-config of its command that holds its input paths and ``record``, whose config objects are
+    sections and whose other values are top-level keys. What ``_check_run_config`` refuses is a ContractError."""
     given = vars(args)
     payload = {"command": args.command}
     for key, dest in (("data_dir", "data"), ("checkpoint", "ckpt")):
@@ -134,12 +137,7 @@ def _echo_config(primary_output: str, args, record: dict) -> None:
         keys = _section_keys(type(value)) if is_dataclass(value) else None
         payload[key] = value if keys is None else {name: v for name, v in asdict(value).items() if name in keys}
     _check_run_config(payload, args.command, ContractError)
-    write_json(_echo_path(args, primary_output), payload)
-
-
-def _echo_path(args, out: str) -> str:
-    """Where the echo of a command's main output goes: ``run_config.json`` in generate's dataset, else beside it."""
-    return os.path.join(out, "run_config.json") if args.command == "generate" else out + ".config.json"
+    write_json(path, payload)
 
 
 def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dict:
@@ -163,19 +161,22 @@ def _section(doc: dict, args, name: str, fallback_seed=None, **overrides) -> dic
 
 def _claim_outputs(doc: dict, args, volumes, *derived) -> dict:
     """The one claim of a command's outputs, made before anything is written; returns their paths by name. They are
-    --out, --svg and --embeddings as given, anchored under the config's output_dir, the echo, the files ``out +
-    suffix`` of ``derived``'s (name, suffix) pairs and, for generate, the ``dataset_files`` of ``volumes``. One that
+    --out, --svg and --embeddings as given, anchored under the config's output_dir, the echo (``run_config.json`` in
+    generate's dataset, else ``out + ".config.json"``), the files ``out + suffix`` of ``derived``'s (name, suffix)
+    pairs and, for generate, the ``dataset_files`` of ``volumes`` and the ``stale_volume_files`` it removes. One that
     resolves to another or to an input (--config, --ckpt unless random, or a ``dataset_files`` of ``volumes`` read
     from --data) is a ConfigError; then their directories are made."""
     given = {flag: getattr(args, flag[2:], None) for flag in ("--out", "--svg", "--embeddings")}
     outputs = {flag: os.path.join(doc.get("output_dir") or "", path) for flag, path in given.items() if path}
     out = outputs["--out"]
-    outputs.update({"the echo": _echo_path(args, out), **{name: out + suffix for name, suffix in derived}})
+    echo = os.path.join(out, "run_config.json") if args.command == "generate" else out + ".config.json"
+    outputs.update({"the echo": echo, **{name: out + suffix for name, suffix in derived}})
     ckpt, data = getattr(args, "ckpt", None), getattr(args, "data", None)
     inputs = [("--config", getattr(args, "config", None)), ("--ckpt", None if ckpt == "random" else ckpt)]
     ids = [v.volume_id for v in volumes or ()]
     if args.command == "generate":
-        outputs.update((f"the dataset's {os.path.basename(path)}", path) for path in dataset_files(out, ids))
+        files = dataset_files(out, ids) + stale_volume_files(out, ids)
+        outputs.update((f"the dataset's {os.path.basename(path)}", path) for path in files)
     elif data:
         inputs += [("--data", path) for path in dataset_files(data, ids)]
     claimed = {os.path.realpath(path): name for name, path in inputs if path}  # real path -> what names it
@@ -197,10 +198,10 @@ def cmd_generate(doc: dict, args) -> int:
     cfg = build_config(GeneratorConfig, _section(doc, args, "data", **_parse_size(args.size)), ConfigError)
     seed = _top(doc, args, "seed", DEFAULT_SEED)
     generator, volumes = generate_synthetic_dataset(cfg, seed)  # in memory: the claim below names its files
-    out = _claim_outputs(doc, args, volumes)["--out"]
-    save_dataset(generator, volumes, out)
-    _echo_config(out, args, {"data": cfg, "seed": seed})
-    print(f"wrote {len(volumes)} volumes to {out}")
+    paths = _claim_outputs(doc, args, volumes)
+    save_dataset(generator, volumes, paths["--out"])
+    _echo_config(paths["the echo"], args, {"data": cfg, "seed": seed})
+    print(f"wrote {len(volumes)} volumes to {paths['--out']}")
     return EXIT_OK
 
 
@@ -253,7 +254,7 @@ def cmd_pretrain(doc: dict, args) -> int:
     save_checkpoint(ckpt, paths["--out"])
     write_csv(paths["the loss curve"], [f.name for f in fields(EpochRecord)], map(astuple, curve))
     record = {"encoder": enc_cfg, "loss": loss_cfg, "optim": optim_cfg, "augment": aug_cfg}
-    _echo_config(paths["--out"], args, {**record, "central_fraction": fraction})
+    _echo_config(paths["the echo"], args, {**record, "central_fraction": fraction})
     print(f"pretrained {kind} for {optim_cfg.epochs} epochs; final mean loss {curve[-1].mean_loss:.6g}")
     return EXIT_OK
 
@@ -268,13 +269,13 @@ def cmd_probe(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
     probe_cfg = build_config(ProbeConfig, _section(doc, args, "probe"), ConfigError)
-    out = _claim_outputs(doc, args, volumes)["--out"]
+    out, echo = map(_claim_outputs(doc, args, volumes).get, ("--out", "the echo"))
     report = run_probe_protocol(ckpt, volumes, probe_cfg)
     sigma = ckpt.loss_sigma if ckpt.loss_sigma is not None else float("nan")
     folds = zip(report.fold_auc_patient, report.fold_auc_slice, report.fold_bacc)
     rows = [(ckpt.loss_kind, sigma, f, *scores) for f, scores in enumerate(folds)]
     write_csv(out, ("method", "sigma", "fold", "auc_patient", "auc_slice", "bacc"), rows)
-    _echo_config(out, args, {"encoder": ckpt.config, "probe": probe_cfg, "central_fraction": fraction})
+    _echo_config(echo, args, {"encoder": ckpt.config, "probe": probe_cfg, "central_fraction": fraction})
     print(
         f"patient AUC {report.mean_auc_patient:.4f} +- {report.std_auc_patient:.4f} "
         f"(bACC {report.mean_bacc:.4f} +- {report.std_bacc:.4f}) over {probe_cfg.folds} folds"
@@ -285,7 +286,8 @@ def cmd_probe(doc: dict, args) -> int:
 def cmd_project(doc: dict, args) -> int:
     fraction, volumes = _load_trimmed(doc, args)
     ckpt = _resolve_checkpoint(doc, args, volumes)
-    out, svg, embeddings = map(_claim_outputs(doc, args, volumes).get, ("--out", "--svg", "--embeddings"))
+    paths = _claim_outputs(doc, args, volumes)
+    out, svg, embeddings = map(paths.get, ("--out", "--svg", "--embeddings"))
     table = extract_representations(ckpt, volumes)
     coords, explained = pca_project(table.repr)
     slices = list(zip(table.patient_ids, table.slice_ids, table.d))
@@ -297,7 +299,7 @@ def cmd_project(doc: dict, args) -> int:
         dims = [f"r{i}" for i in range(table.repr.shape[1])]
         rows = [(*ids, *ys, *r) for ids, *ys, r in zip(slices, table.y_weak, table.y_strong, table.repr)]
         write_csv(embeddings, ("patient_id", "slice_id", "d", "y_weak", "y_strong", *dims), rows)
-    _echo_config(out, args, {"encoder": ckpt.config, "central_fraction": fraction})
+    _echo_config(paths["the echo"], args, {"encoder": ckpt.config, "central_fraction": fraction})
     print(f"wrote {len(table)} projected slices; explained variance {explained[0]:.3f}, {explained[1]:.3f}")
     return EXIT_OK
 
@@ -352,11 +354,8 @@ def sweep_runs(record: dict, volumes=None):
     A run re-seeds the encoder, optim, probe and augment configs with its seed, trains on ``volumes`` (else on the
     seed's generated cohort) and probes the result. The untrained encoder (method "random") and a loss kind that does
     not read sigma run once per seed; their result is yielded at every sigma, the checkpoint's ``loss_sigma`` set to
-    it. Every loss config is built before the first run.
+    it.
     """
-    loss = record["optim"].loss
-    losses = {(kind, sigma): replace(loss, loss_kind=kind, sigma=sigma)
-              for kind in record["methods"] if kind != "random" for sigma in record["sigmas"]}
     for seed in record["seeds"]:
         enc, optim, probe, aug = (replace(record[name], seed=seed) for name in ("encoder", "optim", "probe", "augment"))
         cohort = volumes or central_view(generate_synthetic_dataset(record["data"], seed)[1],
@@ -367,7 +366,8 @@ def sweep_runs(record: dict, volumes=None):
                     if method == "random":
                         ckpt = untrained_checkpoint(enc)
                     else:
-                        ckpt, _ = pretrain(cohort, enc, replace(optim, loss=losses[method, sigma]), aug)
+                        loss = replace(optim.loss, loss_kind=method, sigma=sigma)
+                        ckpt, _ = pretrain(cohort, enc, replace(optim, loss=loss), aug)
                     report = run_probe_protocol(ckpt, cohort, probe)
                 if method != "random":
                     ckpt = replace(ckpt, loss_sigma=sigma)
@@ -376,14 +376,14 @@ def sweep_runs(record: dict, volumes=None):
 
 def cmd_sweep(doc: dict, args) -> int:
     record, volumes = sweep_plan(doc, args)
-    out = _claim_outputs(doc, args, volumes)["--out"]
+    out, echo = map(_claim_outputs(doc, args, volumes).get, ("--out", "the echo"))
     aucs = {}  # per cell, its seeds' fold-mean AUCs
     for method, sigma, _, _, _, report in sweep_runs(record, volumes):
         aucs.setdefault((method, sigma), []).append(report.mean_auc_patient)
     seeds = record["seeds"]
     rows = [(*cell, seed, auc) for cell, values in aucs.items() for seed, auc in zip(seeds, values)]
     write_csv(out, ("method", "sigma", "seed", "auc_patient"), rows)
-    _echo_config(out, args, record)
+    _echo_config(echo, args, record)
     for (method, sigma), values in aucs.items():  # the spread of the seeds' fold-mean AUCs
         print(f"{method} sigma={sigma}: AUC {np.mean(values):.4f} +- {np.std(values):.4f} over {len(seeds)} seeds")
     return EXIT_OK

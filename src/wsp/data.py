@@ -32,6 +32,7 @@ MANIFEST_VERSION = 1
 CLIP_LO = -100.0
 CLIP_HI = 400.0
 CENTRAL_FRACTION = 0.7
+CENTRAL_FRACTION_RULE = "(0, 1]"  # the range of every central fraction (see check_value)
 _PIXEL_RULE = ("in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0))  # every stored pixel, as written and as read
 
 
@@ -89,8 +90,7 @@ def select_central_slices(volume: Volume, fraction: float = CENTRAL_FRACTION) ->
     Rounding is half-up; floor((n - k) / 2) slices are dropped from the start
     and the remainder from the end. A fraction that keeps no slice is a ConfigError.
     """
-    if not 0 < fraction <= 1:
-        raise ContractError(f"fraction must be in (0, 1], got {fraction}")
+    check_value("fraction", fraction, float, CENTRAL_FRACTION_RULE, ContractError)
     n = len(volume.slices)
     if n == 0:
         raise ContractError(f"volume {volume.volume_id} has no slices")
@@ -308,11 +308,35 @@ def dataset_files(directory, volume_ids) -> list:
     return [os.path.join(directory, MANIFEST_NAME), *(os.path.join(directory, f"{vid}.wspv") for vid in volume_ids)]
 
 
+def _read_manifest(directory) -> dict:
+    """The manifest of the dataset in ``directory``, which obeys ``_check_manifest``; else a FormatError."""
+    manifest_path = dataset_files(directory, [])[0]
+    if not os.path.exists(manifest_path):
+        raise FormatError(f"manifest not found: {manifest_path}")
+    with open(manifest_path, "rb") as fh:
+        doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
+    _check_manifest(doc, FormatError)
+    return doc
+
+
+def stale_volume_files(directory, volume_ids) -> list:
+    """The volume files in ``directory`` that its manifest names and that a dataset with volumes ``volume_ids`` will
+    not write; none when there is no manifest there, or one that ``_check_manifest`` refuses."""
+    try:
+        records = _read_manifest(directory)["volumes"]
+    except (OSError, FormatError):
+        return []
+    keep = set(volume_ids)
+    stale = dataset_files(directory, [record["id"] for record in records if record["id"] not in keep])[1:]
+    return [path for path in stale if os.path.lexists(path)]
+
+
 def save_dataset(generator: dict | None, volumes, out_dir) -> None:
-    """Write each volume and the manifest to ``dataset_files(out_dir, ...)``; the manifest's records are built from
-    the volumes, and ``generator`` is stored as given. A dataset that ``load_dataset`` would refuse is refused before
-    the first byte: ContractError, or NonFiniteError for a non-finite pixel."""
-    manifest_path, *volume_paths = dataset_files(out_dir, [v.volume_id for v in volumes])
+    """Write each volume and the manifest to ``dataset_files(out_dir, ...)``, then remove the ``stale_volume_files``
+    of the dataset it replaces; the manifest's records are built from the volumes, and ``generator`` is stored as
+    given. A dataset that ``load_dataset`` would refuse is refused before the first byte: ContractError, or
+    NonFiniteError for a non-finite pixel."""
+    manifest_path, *volume_paths = dataset_files(out_dir, ids := [v.volume_id for v in volumes])
     records = [{"id": v.volume_id, "file": os.path.basename(path), "patient_id": v.patient_id, "v_max": v.v_max,
                 "y_weak": v.y_weak, "y_strong": v.y_strong} for v, path in zip(volumes, volume_paths)]
     doc = {"version": MANIFEST_VERSION, "volumes": records, "generator": generator}
@@ -322,22 +346,20 @@ def save_dataset(generator: dict | None, volumes, out_dir) -> None:
         for s in v.slices:
             check_array(f"volume {v.volume_id} slice pixels", np.asarray(s.pixels, dtype="<f4"), *_PIXEL_RULE)
     text = encode_json(doc)
+    stale = stale_volume_files(out_dir, ids)
     os.makedirs(out_dir, exist_ok=True)
     for v, path in zip(volumes, volume_paths):
         write_volume_file(path, v)
     with replacing(manifest_path) as fh:
         fh.write(text)
+    for path in stale:
+        os.remove(path)
 
 
 def load_dataset(path):
     """Load (generator, volumes) from the ``dataset_files`` of directory ``path``; ``generator`` is the manifest's
     generator record as read, or None. The manifest and images obey ``_check_manifest`` and ``_check_images``."""
-    manifest_path = dataset_files(path, [])[0]
-    if not os.path.exists(manifest_path):
-        raise FormatError(f"manifest not found: {manifest_path}")
-    with open(manifest_path, "rb") as fh:
-        doc = parse_json(fh.read(), f"manifest {manifest_path}", FormatError)
-    _check_manifest(doc, FormatError)
+    doc = _read_manifest(path)
     volumes = []
     for record, vol_path in zip(doc["volumes"], dataset_files(path, [r["id"] for r in doc["volumes"]])[1:]):
         if not os.path.exists(vol_path):

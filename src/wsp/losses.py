@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, check_array, check_fields
+from .errors import ContractError, check_array, check_fields
 
 LOSS_KINDS = ("wsp", "supcon", "depth_aware", "infonce")
 SIGMA_KINDS = ("wsp", "depth_aware")  # the kinds whose pair weights read sigma (see pair_weights)
@@ -50,17 +50,14 @@ _UNIT_ROW_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: Annotated[float, "(0, inf)"] = 0.1
-    sigma: Annotated[float, "(0, inf)"] = 0.1
+    tau: Annotated[float, f"({1 / sys.float_info.max!r}, inf)"] = 0.1  # so the similarity scale 1 / tau is finite
+    # The least sigma with 2 * sigma * sigma >= 1 / max_float: the depth kernel's divisor 2 sigma^2 never underflows.
+    sigma: Annotated[float, "[5.273843307431499e-155, inf)"] = 0.1
     loss_kind: Annotated[str, LOSS_KINDS] = "wsp"
     denominator_convention: Annotated[str, DENOMINATOR_CONVENTIONS] = "exclude_anchor"
 
     def __post_init__(self):
         check_fields(self)
-        if not 2 * self.sigma * self.sigma >= 1 / sys.float_info.max:  # the depth kernel's 1 / (2 sigma^2) is finite
-            raise ConfigError(f"sigma {self.sigma} is too small: 1 / (2 * sigma**2) overflows")
-        if not np.isfinite(1 / self.tau):  # the similarity scale 1 / tau
-            raise ConfigError(f"tau {self.tau} is too small: 1 / tau overflows")
 
 
 class BatchMeta:

@@ -112,6 +112,13 @@ class TestGenerate:
         assert "io error: [Errno 17] File exists" in err
         assert "Traceback" not in err
 
+    def test_a_replaced_dataset_leaves_no_stale_volume_file(self, tmp_path):
+        flags = ["generate", "--out", str(tmp_path / "st"), "--slices", "2", "--size", "8x8"]
+        assert run([*flags, "--volumes", "3"]) == 0
+        assert run([*flags, "--volumes", "2"]) == 0
+        names = sorted(path.name for path in (tmp_path / "st").iterdir())
+        assert names == ["V000.wspv", "V001.wspv", "manifest.json", "run_config.json"]
+
     def test_manifest_loads(self, dataset_dir):
         _, volumes = load_dataset(dataset_dir)
         assert len(volumes) == 14
@@ -440,8 +447,8 @@ def tree(root):
 _MLP_EPOCH = ["--arch", "mlp", "--epochs", "1", "--batch", "4"]
 
 # Runs whose output is one of their own inputs, their paths relative to a directory that holds the dataset "d", the
-# checkpoint "c.ckpt" and the run-configs "run.json", "o.loss.csv", "o.dump.json", "g/manifest.json" and
-# "g/V001.wspv" (each "{}").
+# checkpoint "c.ckpt", the 3-volume dataset "st" and the run-configs "run.json", "o.loss.csv", "o.dump.json",
+# "g/manifest.json", "g/V001.wspv" and "st/V002.wspv" (each "{}").
 _OVER_INPUT = {
     "probe-out-over-manifest": ["probe", "--data", "d", "--ckpt", "random", "--arch", "mlp", "--folds", "2", "--out",
                                 "d/manifest.json"],
@@ -459,6 +466,8 @@ _OVER_INPUT = {
                                       "--out", "g"],
     "generate-volume-over-config": ["generate", "--volumes", "2", "--slices", "4", "--config", "g/V001.wspv",
                                     "--out", "g"],
+    "generate-stale-volume-over-config": ["generate", "--volumes", "2", "--slices", "2", "--size", "8x8", "--config",
+                                          "st/V002.wspv", "--out", "st"],
 }
 
 
@@ -479,7 +488,9 @@ class TestOutputsOverInputs:
         shutil.copytree(dataset_dir, tmp_path / "d")
         shutil.copy(checkpoint, tmp_path / "c.ckpt")
         (tmp_path / "g").mkdir()
-        for name in ("run.json", "o.loss.csv", "o.dump.json", "g/manifest.json", "g/V001.wspv"):
+        tiny = GeneratorConfig(n_volumes=3, slices_per_volume=2, height=8, width=8)
+        save_dataset(*generate_synthetic_dataset(tiny, 0), tmp_path / "st")
+        for name in ("run.json", "o.loss.csv", "o.dump.json", "g/manifest.json", "g/V001.wspv", "st/V002.wspv"):
             (tmp_path / name).write_text("{}")
         monkeypatch.chdir(tmp_path)
         self.assert_refused(argv, tmp_path, capsys)
@@ -602,13 +613,13 @@ class TestSweep:
     def test_sigma_whose_depth_kernel_overflows_is_usage_error_before_any_run(
         self, dataset_dir, tmp_path, capsys, monkeypatch
     ):
+        # The list obeys loss.sigma's declared range, checked before the output claim makes --out's directory.
         monkeypatch.setattr("wsp.cli.pretrain", no_training)
-        out = tmp_path / "s.csv"
         code = run(["sweep", "--data", str(dataset_dir), "--sigmas", "0.1,1e-200", "--epochs", "1", "--batch", "4",
-                    "--out", str(out)])
+                    "--out", str(tmp_path / "sub" / "s.csv")])
         assert code == 2
-        assert "usage error:" in capsys.readouterr().err
-        assert not out.exists()
+        assert "usage error: sigmas entries must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
 
     def test_tau_whose_reciprocal_overflows_is_usage_error_before_any_run(
         self, dataset_dir, tmp_path, capsys, monkeypatch

@@ -240,6 +240,23 @@ class TestDiskFormat:
         assert loaded_generator == json.loads(json.dumps(generator))
         assert sorted(f.name for f in tmp_path.iterdir()) == ["V000.wspv", "V001.wspv", "manifest.json"]
 
+    def test_replacing_a_dataset_removes_the_volume_files_it_no_longer_has(self, tmp_path):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=3, slices_per_volume=2), seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        (tmp_path / "V003.wspv").write_text("not named by the manifest")
+        save_dataset(generator, volumes[:2], tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["V000.wspv", "V001.wspv", "V003.wspv", "manifest.json"]
+        self.assert_same_volumes(load_dataset(tmp_path)[1], volumes[:2])
+
+    @pytest.mark.parametrize("manifest", [b"\xff", b"{}", b'{"version": 2, "volumes": []}'],
+                             ids=["not-json", "empty", "version-2"])
+    def test_an_old_manifest_that_is_refused_removes_nothing(self, tmp_path, manifest):
+        generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=3, slices_per_volume=2), seed=1)
+        save_dataset(generator, volumes, tmp_path)
+        (tmp_path / "manifest.json").write_bytes(manifest)
+        save_dataset(generator, volumes[:2], tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["V000.wspv", "V001.wspv", "V002.wspv", "manifest.json"]
+
     def test_trimmed_volumes_save_and_load(self, tmp_path):
         generator, volumes = generate_synthetic_dataset(GeneratorConfig(n_volumes=3, slices_per_volume=10), seed=1)
         trimmed = central_view(volumes)

@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -459,10 +461,20 @@ class TestPretrainAndProbe:
         doc = load_run_config(BENCHMARK_CONFIG, "sweep")
         with pytest.raises(ConfigError):
             sweep_plan({**doc, "sigmas": [0.1, float("nan")]})
-        # 1e-200 passes the list's rule, but its depth kernel overflows: the runner builds every loss config first.
-        record, _ = sweep_plan({**doc, "sigmas": [0.1, 1e-200], "seeds": [0]})
-        with pytest.raises(ConfigError, match="too small"):
-            next(sweep_runs(record))
+        # 1e-200 is below loss.sigma's declared range, which every entry of the list obeys.
+        with pytest.raises(ConfigError, match="sigmas entries must lie in"):
+            sweep_plan({**doc, "sigmas": [0.1, 1e-200], "seeds": [0]})
+
+    # The least sigma and tau that LossConfig accepts (see tests/test_losses.py): a sweep reads both by its rules.
+    @pytest.mark.parametrize("key, least, plan", [
+        ("sigmas", 5.273843307431499e-155, lambda sigma: {"sigmas": [0.1, sigma]}),
+        ("tau", math.nextafter(1 / sys.float_info.max, 1), lambda tau: {"loss": {"tau": tau}}),
+    ], ids=["sigma", "tau"])
+    def test_sweep_plan_takes_the_loss_ranges_of_loss_config(self, key, least, plan):
+        record, _ = sweep_plan(plan(least))
+        assert least in (*record["sigmas"], record["loss"].tau)
+        with pytest.raises(ConfigError, match=rf"{key}( entries)? must lie in"):
+            sweep_plan(plan(math.nextafter(least, 0)))
 
     def test_empty_seed_list_rejected_before_any_run(self, small_volumes, monkeypatch):
         monkeypatch.setattr("wsp.cli.pretrain", no_training)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -69,6 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tau"):
             LossConfig(tau=tau)
         assert LossConfig(tau=1e-307).tau == 1e-307
+
+    # The least sigma and tau that LossConfig accepts, each with the condition its declared range stands for: the
+    # depth kernel's 2 * sigma * sigma reaches 1 / max_float, and the similarity scale 1 / tau is finite.
+    @pytest.mark.parametrize("name, least, check", [
+        ("sigma", 5.273843307431499e-155, lambda sigma: 2 * sigma * sigma >= 1 / sys.float_info.max),
+        ("tau", math.nextafter(1 / sys.float_info.max, 1), lambda tau: math.isfinite(1 / tau)),
+    ], ids=["sigma", "tau"])
+    def test_declared_bound_is_the_least_value_accepted(self, name, least, check):
+        below = math.nextafter(least, 0)
+        assert getattr(LossConfig(**{name: least}), name) == least
+        with pytest.raises(ConfigError, match=rf"{name} must lie in [\[(]"):
+            LossConfig(**{name: below})
+        assert check(least) and not check(below)
 
 
 class TestBatchMeta:
